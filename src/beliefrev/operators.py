@@ -7,28 +7,33 @@ the prior state.  Revising by the empty WorldSet has no ranked-state
 representation, so it yields the distinguished ABSURD marker, whose belief
 set is the inconsistent theory (no models).
 
-Built-in constructions:
+Every built-in operator is a guard plus one re-ranking: each valuation v gets
+a key that reads only v's old rank and whether v lies in world sets built
+from the input and the ranks alone, and the distinct keys in sorted order
+become the new ranks (_reorder).  No operator looks at which valuation v is,
+so every one of them commutes with any permutation of the valuations applied
+to both state and input.
 
-  natural   move the minimal input-worlds to rank 0; every other valuation
-            keeps its relative preorder, compacted from rank 1 (distinct old
-            ranks stay distinct).
-  flatten   three tiers: minimal input-worlds / minimal worlds of the
-            complement / everything else; empty tiers are dropped.
-  lex       all input-worlds below all complement-worlds, relative order
-            preserved within each block.
-  reverse   input-worlds keep their relative order from rank 0; complement
+  natural   minimal input-worlds (0, 0), every other valuation (1, rank):
+            the minimal input-worlds move to rank 0, the rest keep their
+            relative preorder from rank 1.
+  flatten   tier index: 0 for the minimal input-worlds, 1 for the minimal
+            worlds of the complement, 2 for everything else; empty tiers
+            drop out.
+  lex       (v not in input, rank): all input-worlds below all
+            complement-worlds, relative order preserved within each block.
+  reverse   (0, rank) inside the input, (1, -rank) outside: complement
             worlds go strictly above with their relative order reversed.
             Faithful by construction, but engineered to break the
             minimal-countermodel stability conditions S1/S2.
 
-  natural-con   believed, non-tautological input: rank 0 becomes the old
-                belief set plus the minimal worlds of the complement; the
-                rest keeps its relative order from rank 1.  Otherwise the
-                state is returned unchanged (vacuity strengthened to state
-                identity).
-  drastic       withdrawal: a believed input wipes the ordering flat (belief
-                set becomes the theory of no information); otherwise the
-                state is unchanged.
+  natural-con   believed, non-tautological input: the natural key with the
+                old belief set plus the minimal worlds of the complement as
+                the low set.  Otherwise the state is returned unchanged
+                (vacuity strengthened to state identity).
+  drastic       withdrawal: a believed input gets one constant key, which
+                wipes the ordering flat (belief set becomes the theory of no
+                information); otherwise the state is unchanged.
 """
 
 from __future__ import annotations
@@ -73,78 +78,47 @@ def outcome_belief_set(outcome: RevisionOutcome, sig: Signature) -> WorldSet:
     return belief_set(outcome)
 
 
-def _compact_above(s: RankedState, skip_mask: int, base: int) -> dict[int, int]:
-    """New ranks for valuations outside skip_mask: relative order preserved,
-    compacted to base, base+1, ..."""
-    old = sorted({s.ranks[v] for v in s.sig.valuations() if not (skip_mask >> v) & 1})
-    index = {rank: base + i for i, rank in enumerate(old)}
-    return {
-        v: index[s.ranks[v]]
-        for v in s.sig.valuations()
-        if not (skip_mask >> v) & 1
-    }
+def _reorder(s: RankedState, key: Callable[[int, int], object]) -> RankedState:
+    """Re-rank every valuation v by key(v, rank of v): equal keys share a
+    level, and the distinct keys in sorted order become ranks 0, 1, ..."""
+    keys = [key(v, rank) for v, rank in enumerate(s.ranks)]
+    dense = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return RankedState(s.sig, tuple(dense[k] for k in keys))
+
+
+def _lowered(s: RankedState, low_mask: int) -> RankedState:
+    """The worlds of low_mask at rank 0, the rest in their old order above."""
+    return _reorder(s, lambda v, rank: (0, 0) if (low_mask >> v) & 1 else (1, rank))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def natural_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    low = min_worlds(s, a)
-    new_ranks = _compact_above(s, low.mask, 1)
-    for v in low:
-        new_ranks[v] = 0
-    return RankedState(s.sig, tuple(new_ranks[v] for v in s.sig.valuations()))
+    return _lowered(s, min_worlds(s, a).mask)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def flatten_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    tier0 = min_worlds(s, a)
-    tier1 = min_worlds(s, a.complement())
-    ranks = []
-    used = sorted({0} | ({1} if tier1 else set()) | (
-        {2} if (s.sig.full_mask & ~tier0.mask & ~tier1.mask) else set()
-    ))
-    compact = {r: i for i, r in enumerate(used)}
-    for v in s.sig.valuations():
-        if v in tier0:
-            ranks.append(compact[0])
-        elif v in tier1:
-            ranks.append(compact[1])
-        else:
-            ranks.append(compact[2])
-    return RankedState(s.sig, tuple(ranks))
+    tier0 = min_worlds(s, a).mask
+    tier1 = min_worlds(s, a.complement()).mask
+    return _reorder(s, lambda v, rank: 0 if (tier0 >> v) & 1 else 1 if (tier1 >> v) & 1 else 2)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def lexicographic_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    inside = sorted({s.ranks[v] for v in a})
-    outside = sorted({s.ranks[v] for v in a.complement()})
-    in_index = {r: i for i, r in enumerate(inside)}
-    out_index = {r: len(inside) + i for i, r in enumerate(outside)}
-    ranks = tuple(
-        in_index[s.ranks[v]] if v in a else out_index[s.ranks[v]]
-        for v in s.sig.valuations()
-    )
-    return RankedState(s.sig, ranks)
+    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, rank))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def reverse_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    inside = sorted({s.ranks[v] for v in a})
-    outside = sorted({s.ranks[v] for v in a.complement()}, reverse=True)
-    in_index = {r: i for i, r in enumerate(inside)}
-    out_index = {r: len(inside) + i for i, r in enumerate(outside)}
-    ranks = tuple(
-        in_index[s.ranks[v]] if v in a else out_index[s.ranks[v]]
-        for v in s.sig.valuations()
-    )
-    return RankedState(s.sig, ranks)
+    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, -rank))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -152,18 +126,14 @@ def natural_contraction(s: RankedState, a: WorldSet) -> RankedState:
     current = belief_set(s)
     if not current.issubset(a) or a.mask == s.sig.full_mask:
         return s
-    low_mask = current.mask | min_worlds(s, a.complement()).mask
-    new_ranks = _compact_above(s, low_mask, 1)
-    for v in WorldSet(s.sig, low_mask):
-        new_ranks[v] = 0
-    return RankedState(s.sig, tuple(new_ranks[v] for v in s.sig.valuations()))
+    return _lowered(s, current.mask | min_worlds(s, a.complement()).mask)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def drastic_withdrawal(s: RankedState, a: WorldSet) -> RankedState:
     if not belief_set(s).issubset(a):
         return s
-    return uniform_state(s.sig)
+    return _reorder(s, lambda v, rank: 0)
 
 
 @dataclass(frozen=True)

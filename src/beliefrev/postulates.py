@@ -23,8 +23,10 @@ dedicated PR6 instance checks.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
@@ -572,6 +574,9 @@ def _submasks(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Postulate:
+    """check(pair, state, a, b) decides one instance.  Harnesses also build
+    unregistered ones for their claims and scan them like any postulate."""
+
     pid: str
     arity: int
     check: Callable
@@ -620,12 +625,16 @@ POSTULATES: dict[str, Postulate] = _registry()
 ALL_POSTULATE_IDS: tuple[str, ...] = tuple(POSTULATES)
 
 
-def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
-    """Evaluate one postulate literally on one instance."""
+def _postulate(pid: str) -> Postulate:
     try:
-        post = POSTULATES[pid]
+        return POSTULATES[pid]
     except KeyError:
         raise ValueError(f"unknown postulate {pid!r}") from None
+
+
+def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
+    """Evaluate one postulate literally on one instance."""
+    post = _postulate(pid)
     if post.arity == 3 and inst.b is None:
         raise ValueError(f"postulate {pid} needs a second input")
     if post.arity == 2 and inst.b is not None:
@@ -645,9 +654,7 @@ def _input_masks(sig: Signature) -> range:
     return range(1, sig.full_mask + 1)
 
 
-def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
-    """Deterministic instance stream: states in order, inputs in mask order."""
-    arity = POSTULATES[pid].arity
+def _instances(arity: int, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
     for s in states:
         for amask in _input_masks(sig):
             a = WorldSet(sig, amask)
@@ -656,6 +663,11 @@ def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> I
             else:
                 for bmask in _input_masks(sig):
                     yield Instance(s, a, WorldSet(sig, bmask))
+
+
+def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
+    """Deterministic instance stream: states in order, inputs in mask order."""
+    return _instances(_postulate(pid).arity, sig, states)
 
 
 def _state_stream(
@@ -675,16 +687,23 @@ def _state_stream(
 
 
 def _scan_postulate(
-    pid: str,
+    post: Postulate,
     pair: OperatorPair,
     sig: Signature,
     states: Iterable[RankedState],
     stop_at_first: bool,
 ) -> tuple[int, int, int, int, Counterexample | None]:
+    if post == POSTULATES.get(post.pid):
+        verdict_of = partial(check_instance, post.pid, pair)
+    else:
+        # a derived claim (a harness's own check) has no registry entry for
+        # check_instance to look up, so it is evaluated directly
+        def verdict_of(inst: Instance) -> Verdict:
+            return post.check(pair, inst.state, inst.a, inst.b)
     checked = holds = vacuous = fails = 0
     first: Counterexample | None = None
-    for inst in iter_instances(pid, sig, states):
-        verdict = check_instance(pid, pair, inst)
+    for inst in _instances(post.arity, sig, states):
+        verdict = verdict_of(inst)
         checked += 1
         if verdict.status == HOLDS:
             holds += 1
@@ -694,7 +713,7 @@ def _scan_postulate(
             fails += 1
             if first is None:
                 first = Counterexample(
-                    pid, pair.revision.name, pair.contraction.name, inst, verdict
+                    post.pid, pair.revision.name, pair.contraction.name, inst, verdict
                 )
                 if stop_at_first:
                     break
@@ -702,15 +721,15 @@ def _scan_postulate(
 
 
 def _scan_worker(args) -> tuple[int, int, int, int, Counterexample | None]:
-    pid, rev_name, con_name, atoms, rank_vectors, stop_at_first = args
+    post, rev_name, con_name, atoms, rank_vectors, stop_at_first = args
     sig = Signature(tuple(atoms))
     pair = make_pair(rev_name, con_name)
     states = [RankedState(sig, tuple(vec)) for vec in rank_vectors]
-    return _scan_postulate(pid, pair, sig, states, stop_at_first)
+    return _scan_postulate(post, pair, sig, states, stop_at_first)
 
 
 def _scan_parallel(
-    pid: str,
+    post: Postulate,
     pair: OperatorPair,
     sig: Signature,
     states: Sequence[RankedState],
@@ -720,7 +739,7 @@ def _scan_parallel(
     chunk_size = max(1, (len(states) + jobs - 1) // jobs)
     chunks = [states[i:i + chunk_size] for i in range(0, len(states), chunk_size)]
     tasks = [
-        (pid, pair.revision.name, pair.contraction.name, sig.atoms,
+        (post, pair.revision.name, pair.contraction.name, sig.atoms,
          [s.ranks for s in chunk], stop_at_first)
         for chunk in chunks
     ]
@@ -740,23 +759,28 @@ def _scan_parallel(
 
 
 def _run_one(
-    pid: str,
+    post: Postulate,
     pair: OperatorPair,
     sig: Signature,
     stream: StateStream,
     stop_at_first: bool,
     jobs: int,
 ) -> PostulateResult:
+    """Scan one postulate over a state stream; every search, suite and
+    harness claim runs through here.  jobs is capped at the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         states = list(stream)
         checked, holds, vacuous, fails, cex = _scan_parallel(
-            pid, pair, sig, states, stop_at_first, jobs
+            post, pair, sig, states, stop_at_first, jobs
         )
     else:
         checked, holds, vacuous, fails, cex = _scan_postulate(
-            pid, pair, sig, stream, stop_at_first
+            post, pair, sig, stream, stop_at_first
         )
-    return PostulateResult(pid, checked, holds, vacuous, fails, cex)
+    return PostulateResult(post.pid, checked, holds, vacuous, fails, cex)
 
 
 def search_counterexample(
@@ -773,8 +797,9 @@ def search_counterexample(
 
     Vacuous verdicts are skipped; the returned instance replays to FAILS.
     """
+    post = _postulate(pid)
     stream = _state_stream(sig, mode, samples, seed, allow_large)
-    return _run_one(pid, ops, sig, stream, stop_at_first=True, jobs=jobs).counterexample
+    return _run_one(post, ops, sig, stream, stop_at_first=True, jobs=jobs).counterexample
 
 
 def run_suite(
@@ -789,14 +814,12 @@ def run_suite(
 ) -> SuiteReport:
     """Per-postulate summary over the full instance space (counts every
     instance, recording the first counterexample per postulate)."""
-    pids = list(postulates) if postulates is not None else list(ALL_POSTULATE_IDS)
-    for pid in pids:
-        if pid not in POSTULATES:
-            raise ValueError(f"unknown postulate {pid!r}")
+    pids = postulates if postulates is not None else ALL_POSTULATE_IDS
+    posts = [_postulate(pid) for pid in pids]
     results = []
-    for pid in pids:
+    for post in posts:
         stream = _state_stream(sig, mode, samples, seed, allow_large)
-        results.append(_run_one(pid, ops, sig, stream, stop_at_first=False, jobs=jobs))
+        results.append(_run_one(post, ops, sig, stream, stop_at_first=False, jobs=jobs))
     return SuiteReport(
         ops.revision.name,
         ops.contraction.name,

@@ -12,6 +12,7 @@ instance, which is the strongest finite test available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .logic import Signature, WorldSet, parse_formula, models
 from .operators import (
@@ -30,9 +31,10 @@ from .postulates import (
     VACUOUS,
     Counterexample,
     Instance,
+    Postulate,
     Verdict,
+    _run_one,
     check_instance,
-    iter_instances,
     run_suite,
     search_counterexample,
 )
@@ -134,6 +136,28 @@ def verify_theorem1(
     )
 
 
+def _corollary1_check(pair, s, a, b):
+    if belief_set(s).issubset(a.complement()):
+        return Verdict(VACUOUS, note="negation of the input is believed: inapplicable")
+    trace = apply_sequence(pair, s, [("revise", a), ("contract", a)])
+    seq_bs = outcome_belief_set(trace[-1], s.sig)
+    direct_bs = belief_set(pair.contraction(s, a))
+    if seq_bs.mask == direct_bs.mask:
+        return Verdict(HOLDS)
+    return Verdict(
+        FAILS, tuple(zip(("start", "revise", "contract"), trace)),
+        f"belief sets differ: sequence "
+        f"{{{','.join(seq_bs.bitstrings())}}} vs direct "
+        f"{{{','.join(direct_bs.bitstrings())}}}",
+    )
+
+
+_COROLLARY1 = Postulate(
+    "corollary1", 2, _corollary1_check,
+    "revise-then-contract believes what contraction does unless the input's negation is believed",
+)
+
+
 def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Equality of revise-then-contract with plain contraction whenever the
     input's negation is not believed."""
@@ -147,71 +171,47 @@ def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> Theor
         )
         return TheoremReport("corollary1", ops.revision.name, ops.contraction.name, sig, (claim,))
 
-    applicable = skipped = violations = 0
-    witness: Counterexample | None = None
-    for s in enumerate_states(sig):
-        base = belief_set(s)
-        for amask in range(1, sig.full_mask + 1):
-            a = WorldSet(sig, amask)
-            if base.issubset(a.complement()):
-                skipped += 1  # negation of the input is believed: inapplicable
-                continue
-            applicable += 1
-            trace = apply_sequence(ops, s, [("revise", a), ("contract", a)])
-            seq_bs = outcome_belief_set(trace[-1], sig)
-            direct_bs = belief_set(ops.contraction(s, a))
-            if seq_bs.mask != direct_bs.mask:
-                violations += 1
-                if witness is None:
-                    labels = ("start", "revise", "contract")
-                    witness = Counterexample(
-                        "corollary1", ops.revision.name, ops.contraction.name,
-                        Instance(s, a),
-                        Verdict(
-                            FAILS, tuple(zip(labels, trace)),
-                            f"belief sets differ: sequence "
-                            f"{{{','.join(seq_bs.bitstrings())}}} vs direct "
-                            f"{{{','.join(direct_bs.bitstrings())}}}",
-                        ),
-                    )
+    r = _run_one(_COROLLARY1, ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     claim = ClaimResult(
         "corollary1", ops.revision.name, ops.contraction.name,
         ("S1", "S2"), "equality",
-        CONSISTENT if violations == 0 else INCONSISTENT,
-        f"{applicable} applicable instances, {skipped} inapplicable, {violations} violations",
-        (witness,) if witness else (),
+        CONSISTENT if r.fails == 0 else INCONSISTENT,
+        f"{r.holds + r.fails} applicable instances, {r.vacuous} inapplicable, {r.fails} violations",
+        (r.counterexample,) if r.counterexample else (),
     )
     return TheoremReport("corollary1", ops.revision.name, ops.contraction.name, sig, (claim,))
 
 
-def _co_occurrence(
-    ops: OperatorPair,
-    sig: Signature,
-    premise: str,
-    conclusion: str,
-    restrict=None,
-) -> tuple[int, int, Counterexample | None]:
-    """Count instances where the premise postulate holds but the conclusion
-    fails (both non-vacuous); optionally restricted by a predicate."""
-    checked = bad = 0
-    witness = None
-    for inst in iter_instances(premise, sig, enumerate_states(sig)):
-        if restrict is not None and not restrict(inst):
-            continue
-        v_premise = check_instance(premise, ops, inst)
-        if v_premise.status != HOLDS:
-            continue
-        v_conclusion = check_instance(conclusion, ops, inst)
-        if v_conclusion.status == VACUOUS:
-            continue
-        checked += 1
-        if v_conclusion.status == FAILS:
-            bad += 1
-            if witness is None:
-                witness = Counterexample(
-                    conclusion, ops.revision.name, ops.contraction.name, inst, v_conclusion
-                )
-    return checked, bad, witness
+def _co_occurring(premise: str, conclusion: str, input_unbelieved: bool, pair, s, a, b):
+    """The conclusion's verdict where the premise holds (and, if asked, the
+    input is not believed); VACUOUS everywhere else."""
+    if input_unbelieved and belief_set(s).issubset(a):
+        return Verdict(VACUOUS, note="input believed")
+    inst = Instance(s, a)
+    if check_instance(premise, pair, inst).status != HOLDS:
+        return Verdict(VACUOUS, note=f"{premise} does not hold")
+    return check_instance(conclusion, pair, inst)
+
+
+def _implication_claim(
+    claim: str, ops: OperatorPair, sig: Signature, jobs: int,
+    premise: str, conclusion: str, input_unbelieved: bool = False,
+) -> ClaimResult:
+    """Instance-level implication: wherever the premise holds, the conclusion
+    does not fail.  Witnesses carry the conclusion's postulate id."""
+    post = Postulate(
+        conclusion, 2, partial(_co_occurring, premise, conclusion, input_unbelieved),
+        f"{conclusion} wherever {premise} holds",
+    )
+    r = _run_one(post, ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
+    scope = "applicable instances" if input_unbelieved else "instances"
+    return ClaimResult(
+        claim, ops.revision.name, ops.contraction.name, (premise, conclusion),
+        "instance implication (input not believed)" if input_unbelieved else "instance implication",
+        CONSISTENT if r.fails == 0 else INCONSISTENT,
+        f"{r.holds + r.fails} {scope} with {premise} holding; {r.fails} had {conclusion} failing",
+        (r.counterexample,) if r.counterexample else (),
+    )
 
 
 def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
@@ -234,30 +234,16 @@ def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> The
         (r3_cex,) if r3_cex else (),
     ))
 
-    checked, bad, witness = _co_occurrence(ops, sig, "R2", "R9")
-    claims.append(ClaimResult(
-        "observation1.2", rev, con, ("R2", "R9"), "instance implication",
-        CONSISTENT if bad == 0 else INCONSISTENT,
-        f"{checked} instances with R2 holding; {bad} had R9 failing",
-        (witness,) if witness else (),
-    ))
-
-    checked, bad, witness = _co_occurrence(ops, sig, "R1", "R5")
-    claims.append(ClaimResult(
-        "observation1.3", rev, con, ("R1", "R5"), "instance implication",
-        CONSISTENT if bad == 0 else INCONSISTENT,
-        f"{checked} instances with R1 holding; {bad} had R5 failing",
-        (witness,) if witness else (),
-    ))
+    claims.append(_implication_claim("observation1.2", ops, sig, jobs, "R2", "R9"))
+    claims.append(_implication_claim("observation1.3", ops, sig, jobs, "R1", "R5"))
 
     r6_cex = search_counterexample("R6", ops, sig, jobs=jobs)
-    r3_cex2 = search_counterexample("R3", ops, sig, jobs=jobs)
-    same = (r6_cex is None) == (r3_cex2 is None)
+    same = (r6_cex is None) == (r3_cex is None)
     claims.append(ClaimResult(
         "observation1.4", rev, con, ("R6", "R3"), "co-satisfaction",
         CONSISTENT if same else INCONSISTENT,
-        f"R6 {'clean' if r6_cex is None else 'fails'}, R3 {'clean' if r3_cex2 is None else 'fails'}",
-        tuple(c for c in (r6_cex, r3_cex2) if c is not None),
+        f"R6 {'clean' if r6_cex is None else 'fails'}, R3 {'clean' if r3_cex is None else 'fails'}",
+        tuple(c for c in (r6_cex, r3_cex) if c is not None),
     ))
 
     r7_cex = search_counterexample("R7", ops, sig, jobs=jobs)
@@ -269,15 +255,8 @@ def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> The
         (r7_cex,) if r7_cex else (),
     ))
 
-    def input_not_believed(inst: Instance) -> bool:
-        return not belief_set(inst.state).issubset(inst.a)
-
-    checked, bad, witness = _co_occurrence(ops, sig, "R5", "R1", restrict=input_not_believed)
-    claims.append(ClaimResult(
-        "observation1.6", rev, con, ("R5", "R1"), "instance implication (input not believed)",
-        CONSISTENT if bad == 0 else INCONSISTENT,
-        f"{checked} applicable instances with R5 holding; {bad} had R1 failing",
-        (witness,) if witness else (),
+    claims.append(_implication_claim(
+        "observation1.6", ops, sig, jobs, "R5", "R1", input_unbelieved=True
     ))
 
     r8_cex = search_counterexample("R8", ops, sig, jobs=jobs)

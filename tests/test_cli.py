@@ -189,8 +189,15 @@ def test_jobs_do_not_change_output(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_theorem_output(capsys):
-    args = ("theorem1", "--atoms", "p,q", "--op", "reverse", "--format", "json")
+@pytest.mark.parametrize("command, pair", [
+    ("theorem1", ("--op", "reverse")),
+    ("corollary1", ("--op", "reverse")),
+    ("corollary1", ()),
+    ("observation1", ("--op", "reverse")),
+    ("observation1", ()),
+], ids=lambda p: p if isinstance(p, str) else (p[-1] if p else "default"))
+def test_jobs_do_not_change_theorem_output(capsys, command, pair):
+    args = (command, "--atoms", "p,q", *pair, "--format", "json")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args, "--jobs", "2")
     assert first == second

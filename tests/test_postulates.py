@@ -1,5 +1,7 @@
 import pytest
 
+from beliefrev import postulates
+from beliefrev.cli import run as cli_run
 from beliefrev.logic import Signature, WorldSet, models, parse_formula
 from beliefrev.operators import make_pair
 from beliefrev.postulates import (
@@ -210,6 +212,42 @@ def test_parallel_suite_matches_sequential():
     seq = run_suite(NATURAL, PQ, ["R7", "PC6"])
     par = run_suite(NATURAL, PQ, ["R7", "PC6"], jobs=2)
     assert seq.results == par.results
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(capsys, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_suite(NATURAL, PQ, ["R7"], jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        search_counterexample("R7", NATURAL, PQ, jobs=jobs)
+    for command in ("check", "corollary1", "observation1"):
+        argv = [command, "--atoms", "p,q", "--jobs", str(jobs)]
+        argv += ["--postulate", "R7"] if command == "check" else []
+        assert cli_run(argv) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    # The pool is a recording stand-in, so the huge jobs value starts no process.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(postulates, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 3)
+    clamped = run_suite(NATURAL, PQ, ["R7"], jobs=10_000)
+    assert pools == [3]
+    assert clamped.results == run_suite(NATURAL, PQ, ["R7"]).results
 
 
 # --- cross-postulate invariants ------------------------------------------------------
