@@ -2,7 +2,9 @@
 
 ``golden_cli.json`` holds, for a fixed argv set, the exit code and the sha256
 of standard output, plus one sha256 over the full output table of all six
-operators.  A refactor that keeps behaviour keeps every digest.  After an
+operators and one over every n=2 verdict (status, note and trace) of the R,
+S, C and CORE postulates.  A refactor that keeps behaviour keeps every
+digest.  After an
 intended change of behaviour, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -19,7 +21,8 @@ import pytest
 
 from beliefrev.cli import run
 from beliefrev.logic import Signature, WorldSet
-from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS
+from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
+from beliefrev.postulates import check_instance, iter_instances
 from beliefrev.states import enumerate_states, normalize
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
@@ -78,6 +81,40 @@ def operator_table_digest() -> str:
     return digest.hexdigest()
 
 
+def _verdict_rows() -> list[tuple[tuple[str, str], tuple[str, ...]]]:
+    recovery = tuple(f"R{i}" for i in range(1, 10))
+    rows = [((rev, con), recovery)
+            for rev in REVISION_OPERATORS for con in CONTRACTION_OPERATORS]
+    # S and C revise only, so one contraction suffices for them
+    rows += [((rev, "natural-con"), ("S1", "S2", "C1", "C2", "C3", "C4"))
+             for rev in REVISION_OPERATORS]
+    rows += [(("natural", con), ("CORE",)) for con in CONTRACTION_OPERATORS]
+    return rows
+
+
+def verdict_table_digest() -> tuple[int, str]:
+    """Count and sha256 of (pair, pid, state ranks, a mask, b mask, status,
+    note, [(label, ranks or ABSURD)]) over every n=2 instance of R1-R9 for
+    all eight operator pairs, S1/S2/C1-C4 for each revision and CORE for
+    each contraction."""
+    n2 = Signature(("p", "q"))
+    states = list(enumerate_states(n2))
+    digest = hashlib.sha256()
+    count = 0
+    for names, pids in _verdict_rows():
+        pair = make_pair(*names)
+        for pid in pids:
+            for inst in iter_instances(pid, n2, states):
+                v = check_instance(pid, pair, inst)
+                trace = [(label, "ABSURD" if out is ABSURD else out.ranks)
+                         for label, out in v.trace]
+                bmask = None if inst.b is None else inst.b.mask
+                digest.update(f"{names} {pid} {inst.state.ranks} {inst.a.mask} {bmask} "
+                              f"{v.status} {v.note!r} {trace}\n".encode())
+                count += 1
+    return count, digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -92,10 +129,17 @@ def test_operator_table_matches_golden(golden):
     assert operator_table_digest() == golden["operator_table"]
 
 
+def test_verdict_table_matches_golden(golden):
+    count, digest = verdict_table_digest()
+    assert {"count": count, "sha256": digest} == golden["verdict_table"]
+
+
 def record() -> None:
+    count, digest = verdict_table_digest()
     golden = {
         "cli": {" ".join(argv): _run(argv) for argv in ARGVS},
         "operator_table": operator_table_digest(),
+        "verdict_table": {"count": count, "sha256": digest},
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
 
