@@ -14,6 +14,17 @@ is checked as M(K2) <= M(K1); closure (PC1/PR1) holds structurally.  An
 instance verdict is "vacuous" exactly when the postulate's antecedent is
 false there, so "holds" never silently means "antecedent false".
 
+The R, S and C postulates are registry rows over one check per family.  An R
+row is a guard on what is believed (input believed, unbelieved, agnostic or
+negation believed; none for R1/R5), a revise/contract sequence over a and !a,
+and one containment between the model sets base, seq (after the sequence)
+and direct (after plain contraction).  S1/S2 forbid demoting or promoting a
+minimal countermodel; a C row is a guard plus a test on the two-step and
+direct belief sets.  CORE is decided in closed form: with lost = M(kept) minus
+M(K) and free the worlds outside a and M(K), it is vacuous if nothing is lost,
+fails on class M(K) if M(K) is not within a, holds if lost is within free, and
+otherwise fails on class M(K) plus free.
+
 Search and suite evaluation iterate states in enumeration order and input
 WorldSets in numeric mask order, so the first counterexample is reproducible.
 Inputs range over the non-empty subsets of valuations (15 at n = 2), standing
@@ -309,214 +320,114 @@ def _pr8(pair, s, a, b):
 
 
 # --- recovery-style sequence postulates ---------------------------------------
+# R rows name each step's input "a" or "!a" and compare two of the model sets
+# base, seq and direct.  direct costs a contraction, so only rows naming it
+# compute it.
 
 
-def _rev_con(pair, s, a):
-    """Trace of revise-by-a then contract-by-a, plus the final belief set."""
-    trace = _seq_trace(pair, s, [("revise", a), ("contract", a)])
-    return trace, outcome_belief_set(trace[-1][1], s.sig)
+def _believed(base, a):
+    return None if base.issubset(a) else "input not believed"
 
 
-def _r1(pair, s, a, b):
-    trace, after_seq = _rev_con(pair, s, a)
-    direct = belief_set(pair.contraction(s, a))
-    ok = direct.issubset(after_seq)
-    return _verdict(
-        ok, trace,
-        "" if ok else f"revise-then-contract lost beliefs kept by plain contraction: "
-        f"M={_bits(after_seq)} vs {_bits(direct)}",
-    )
+def _unbelieved(base, a):
+    return "input already believed" if base.issubset(a) else None
 
 
-def _r2(pair, s, a, b):
-    base = belief_set(s)
+def _agnostic(base, a):
     if base.issubset(a) or base.issubset(a.complement()):
-        return Verdict(VACUOUS, note="input or its negation already believed")
-    trace, after_seq = _rev_con(pair, s, a)
-    ok = after_seq.issubset(base)
-    return _verdict(
-        ok, trace,
-        "" if ok else "original knowledge base not preserved by revise-then-contract",
-    )
+        return "input or its negation already believed"
+    return None
 
 
-def _r3(pair, s, a, b):
+def _negation_believed(base, a):
+    return None if base.issubset(a.complement()) else "negation of input not believed"
+
+
+def _recovery(guard, steps, lhs, rhs, note, pair, s, a, b):
     base = belief_set(s)
-    if base.issubset(a):
-        return Verdict(VACUOUS, note="input already believed")
-    trace = _seq_trace(pair, s, [("revise", a), ("revise", a.complement())])
-    final = outcome_belief_set(trace[-1][1], s.sig)
-    ok = final.issubset(base)
-    return _verdict(
-        ok, trace,
-        "" if ok else "original knowledge base not preserved by revise-then-revise-negation",
-    )
+    vacuous = guard(base, a) if guard else None
+    if vacuous:
+        return Verdict(VACUOUS, note=vacuous)
+    trace = _seq_trace(pair, s, [(kind, a if x == "a" else a.complement()) for kind, x in steps])
+    sets = {"base": base, "seq": outcome_belief_set(trace[-1][1], s.sig)}
+    if "direct" in (lhs, rhs):
+        sets["direct"] = belief_set(pair.contraction(s, a))
+    ok = sets[lhs].issubset(sets[rhs])
+    return _verdict(ok, trace, "" if ok else note.format(**{k: _bits(v) for k, v in sets.items()}))
 
 
-def _r4(pair, s, a, b):
-    base = belief_set(s)
-    if not base.issubset(a):
-        return Verdict(VACUOUS, note="input not believed")
-    trace, after_seq = _rev_con(pair, s, a)
-    direct = belief_set(pair.contraction(s, a))
-    ok = after_seq.issubset(direct)
-    return _verdict(
-        ok, trace,
-        "" if ok else "plain contraction not preserved by revise-then-contract",
-    )
-
-
-def _r5(pair, s, a, b):
-    trace, after_seq = _rev_con(pair, s, a)
-    ok = belief_set(s).issubset(after_seq)
-    return _verdict(
-        ok, trace,
-        "" if ok else "revise-then-contract produced beliefs outside the original base",
-    )
-
-
-def _r6(pair, s, a, b):
-    base = belief_set(s)
-    if base.issubset(a):
-        return Verdict(VACUOUS, note="input already believed")
-    trace = _seq_trace(
-        pair, s, [("revise", a), ("contract", a), ("revise", a.complement())]
-    )
-    final = outcome_belief_set(trace[-1][1], s.sig)
-    ok = final.issubset(base)
-    return _verdict(
-        ok, trace,
-        "" if ok else "original knowledge base not preserved by revise-contract-revise-negation",
-    )
-
-
-def _r7(pair, s, a, b):
-    base = belief_set(s)
-    if not base.issubset(a.complement()):
-        return Verdict(VACUOUS, note="negation of input not believed")
-    trace, after_seq = _rev_con(pair, s, a)
-    ok = after_seq.issubset(base)
-    return _verdict(
-        ok, trace,
-        "" if ok else f"base not preserved: M(K)={_bits(base)} vs "
-        f"M(K after revise-then-contract)={_bits(after_seq)}",
-    )
-
-
-def _r8(pair, s, a, b):
-    base = belief_set(s)
-    if not base.issubset(a):
-        return Verdict(VACUOUS, note="input not believed")
-    trace = _seq_trace(pair, s, [("revise", a), ("contract", a), ("revise", a)])
-    final = outcome_belief_set(trace[-1][1], s.sig)
-    ok = final.issubset(base)
-    return _verdict(
-        ok, trace,
-        "" if ok else "original knowledge base not preserved by revise-contract-revise",
-    )
-
-
-def _r9(pair, s, a, b):
-    base = belief_set(s)
-    if base.issubset(a) or base.issubset(a.complement()):
-        return Verdict(VACUOUS, note="input or its negation already believed")
-    trace, after_seq = _rev_con(pair, s, a)
-    direct = belief_set(pair.contraction(s, a))
-    ok = after_seq.issubset(direct)
-    return _verdict(
-        ok, trace,
-        "" if ok else "plain contraction not preserved by revise-then-contract",
-    )
+_REV_CON = (("revise", "a"), ("contract", "a"))
 
 
 # --- semantic conditions -------------------------------------------------------
 
 
-def _s1(pair, s, a, b):
+def _stability(forbid_promotion, pair, s, a, b):
+    """S1 forbids demoting a minimal countermodel of a, S2 promoting one."""
     out = pair.revision(s, a)
     before = min_worlds(s, a.complement())
+    trace = (("start", s), (f"revise {_bits(a)}", out))
     if out is ABSURD:
-        return Verdict(FAILS, (("start", s), (f"revise {_bits(a)}", out)),
-                       "revision produced the absurd state on satisfiable input")
+        return Verdict(FAILS, trace, "revision produced the absurd state on satisfiable input")
     after = min_worlds(out, a.complement())
-    ok = before.issubset(after)
+    if forbid_promotion:
+        ok, what = after.issubset(before), "countermodels promoted"
+    else:
+        ok, what = before.issubset(after), "minimal countermodels demoted"
     return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else f"minimal countermodels demoted: before {_bits(before)}, after {_bits(after)}",
-    )
-
-
-def _s2(pair, s, a, b):
-    out = pair.revision(s, a)
-    before = min_worlds(s, a.complement())
-    if out is ABSURD:
-        return Verdict(FAILS, (("start", s), (f"revise {_bits(a)}", out)),
-                       "revision produced the absurd state on satisfiable input")
-    after = min_worlds(out, a.complement())
-    ok = after.issubset(before)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else f"countermodels promoted: before {_bits(before)}, after {_bits(after)}",
+        ok, trace, "" if ok else f"{what}: before {_bits(before)}, after {_bits(after)}"
     )
 
 
 # --- iterated-revision postulates ---------------------------------------------
-# Instances carry the first input in a and the second in b.
+# Instances carry the first input in a and the second in b.  Each C row is a
+# guard, then a test on the two-step belief set lhs and the direct one rhs.
 
 
-def _two_step(pair, s, a, b):
+def _specific(pair, s, a, b):
+    return None if b.issubset(a) else "second input does not entail the first"
+
+
+def _contradicting(pair, s, a, b):
+    return None if b.issubset(a.complement()) else "second input does not contradict the first"
+
+
+def _supported(pair, s, a, b):
+    if outcome_belief_set(pair.revision(s, b), s.sig).issubset(a):
+        return None
+    return "first input not believed after direct revision"
+
+
+def _undefeated(pair, s, a, b):
+    if outcome_belief_set(pair.revision(s, b), s.sig).issubset(a.complement()):
+        return "negation of first input believed after direct revision"
+    return None
+
+
+def _same(a, lhs, rhs):
+    return lhs.mask == rhs.mask
+
+
+def _keeps(a, lhs, rhs):
+    return lhs.issubset(a)
+
+
+def _admits(a, lhs, rhs):
+    return not lhs.issubset(a.complement())
+
+
+def _iterated(guard, holds, note, pair, s, a, b):
+    vacuous = guard(pair, s, a, b)
+    if vacuous:
+        return Verdict(VACUOUS, note=vacuous)
     trace = _seq_trace(pair, s, [("revise", a), ("revise", b)])
     direct = pair.revision(s, b)
     lhs = outcome_belief_set(trace[-1][1], s.sig)
     rhs = outcome_belief_set(direct, s.sig)
-    return trace + ((f"revise {_bits(b)} directly", direct),), lhs, rhs
-
-
-def _c1(pair, s, a, b):
-    if not b.issubset(a):
-        return Verdict(VACUOUS, note="second input does not entail the first")
-    trace, lhs, rhs = _two_step(pair, s, a, b)
-    ok = lhs.mask == rhs.mask
+    ok = holds(a, lhs, rhs)
     return _verdict(
-        ok, trace,
-        "" if ok else f"two-step belief set {_bits(lhs)} differs from direct {_bits(rhs)}",
-    )
-
-
-def _c2(pair, s, a, b):
-    if not b.issubset(a.complement()):
-        return Verdict(VACUOUS, note="second input does not contradict the first")
-    trace, lhs, rhs = _two_step(pair, s, a, b)
-    ok = lhs.mask == rhs.mask
-    return _verdict(
-        ok, trace,
-        "" if ok else f"two-step belief set {_bits(lhs)} differs from direct {_bits(rhs)}",
-    )
-
-
-def _c3(pair, s, a, b):
-    direct = outcome_belief_set(pair.revision(s, b), s.sig)
-    if not direct.issubset(a):
-        return Verdict(VACUOUS, note="first input not believed after direct revision")
-    trace, lhs, _ = _two_step(pair, s, a, b)
-    ok = lhs.issubset(a)
-    return _verdict(
-        ok, trace,
-        "" if ok else "first input lost after the two-step revision",
-    )
-
-
-def _c4(pair, s, a, b):
-    direct = outcome_belief_set(pair.revision(s, b), s.sig)
-    if direct.issubset(a.complement()):
-        return Verdict(VACUOUS, note="negation of first input believed after direct revision")
-    trace, lhs, _ = _two_step(pair, s, a, b)
-    ok = not lhs.issubset(a.complement())
-    return _verdict(
-        ok, trace,
-        "" if ok else "first input defeated by the two-step revision",
+        ok, trace + ((f"revise {_bits(b)} directly", direct),),
+        "" if ok else note.format(lhs=_bits(lhs), rhs=_bits(rhs)),
     )
 
 
@@ -524,49 +435,27 @@ def _c4(pair, s, a, b):
 
 
 def _core(pair, s, a, b):
+    """Each lost input class beta (a superset of M(K) that misses a kept
+    world) needs a witness T, a superset of M(K) outside a whose meet with
+    beta lies in a.  One exists iff M(K) is within a and some free world lies
+    outside beta, so the first failing class in mask order is M(K) or M(K)
+    plus every free world."""
     base = belief_set(s)
     after = pair.contraction(s, a)
-    kept = belief_set(after)
-    sig = s.sig
-    trace = (("start", s), (f"contract {_bits(a)}", after))
-    lost_found = False
-    # Each believed-but-lost input class must contribute to implying a:
-    # some superset T of M(K) must fail a while T together with the class
-    # entails it.  Supersets are M(K) | extra for extra within the complement.
-    outside = sig.full_mask & ~base.mask
-    for beta_extra in _submasks(outside):
-        beta = WorldSet(sig, base.mask | beta_extra)
-        if kept.issubset(beta):
-            continue  # not lost
-        lost_found = True
-        witness_found = False
-        for extra in _submasks(outside):
-            t = WorldSet(sig, base.mask | extra)
-            if t.issubset(a):
-                continue
-            if (t & beta).issubset(a):
-                witness_found = True
-                break
-        if not witness_found:
-            return Verdict(
-                FAILS, trace,
-                f"lost class {_bits(beta)} does not contribute to implying {_bits(a)}",
-            )
-    if not lost_found:
+    lost = belief_set(after).mask & ~base.mask
+    if not lost:
         return Verdict(VACUOUS, note="contraction lost no believed input class")
-    return Verdict(HOLDS, trace)
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, ascending (numerically)."""
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    yield from sorted(out)
+    trace = (("start", s), (f"contract {_bits(a)}", after))
+    if not base.issubset(a):
+        beta = base
+    else:
+        free = s.sig.full_mask & ~a.mask & ~base.mask
+        if not lost & ~free:
+            return Verdict(HOLDS, trace)
+        beta = WorldSet(s.sig, base.mask | free)
+    return Verdict(
+        FAILS, trace, f"lost class {_bits(beta)} does not contribute to implying {_bits(a)}"
+    )
 
 
 # --- registry -------------------------------------------------------------------
@@ -581,6 +470,13 @@ class Postulate:
     arity: int
     check: Callable
     summary: str
+
+    def __reduce_ex__(self, protocol):
+        # A registry row reaches pool workers by pid, as the registry's own
+        # object, so workers still decide it through check_instance.
+        if POSTULATES.get(self.pid) is self:
+            return _postulate, (self.pid,)
+        return super().__reduce_ex__(protocol)
 
 
 def _registry() -> dict[str, Postulate]:
@@ -601,21 +497,53 @@ def _registry() -> dict[str, Postulate]:
         ("PR6", 2, _pr6, "inconsistency arises exactly on unsatisfiable input"),
         ("PR7", 3, _pr7, "revision by a conjunction is bounded by expanding the first revision"),
         ("PR8", 3, _pr8, "expansion of a revision extends revision by the conjunction"),
-        ("R1", 2, _r1, "revise-then-contract is contained in plain contraction"),
-        ("R2", 2, _r2, "agnostic input: revise-then-contract preserves the base"),
-        ("R3", 2, _r3, "unbelieved input: revise then revise the negation preserves the base"),
-        ("R4", 2, _r4, "believed input: plain contraction is contained in revise-then-contract"),
-        ("R5", 2, _r5, "revise-then-contract is contained in the original base"),
-        ("R6", 2, _r6, "unbelieved input: revise, contract, revise the negation preserves the base"),
-        ("R7", 2, _r7, "believed negation: revise-then-contract preserves the base"),
-        ("R8", 2, _r8, "believed input: revise, contract, revise again preserves the base"),
-        ("R9", 2, _r9, "agnostic input: contraction is contained in revise-then-contract"),
-        ("S1", 2, _s1, "minimal countermodels of the input are not demoted by revision"),
-        ("S2", 2, _s2, "no countermodel is promoted into the minimal ones by revision"),
-        ("C1", 3, _c1, "a more specific second input makes the first redundant"),
-        ("C2", 3, _c2, "a contradicting second input prevails"),
-        ("C3", 3, _c3, "a supported first input survives the second revision"),
-        ("C4", 3, _c4, "no input acts as its own defeater"),
+        ("R1", 2, partial(_recovery, None, _REV_CON, "direct", "seq",
+                          "revise-then-contract lost beliefs kept by plain contraction: "
+                          "M={seq} vs {direct}"),
+         "revise-then-contract is contained in plain contraction"),
+        ("R2", 2, partial(_recovery, _agnostic, _REV_CON, "seq", "base",
+                          "original knowledge base not preserved by revise-then-contract"),
+         "agnostic input: revise-then-contract preserves the base"),
+        ("R3", 2, partial(_recovery, _unbelieved, (("revise", "a"), ("revise", "!a")),
+                          "seq", "base",
+                          "original knowledge base not preserved by revise-then-revise-negation"),
+         "unbelieved input: revise then revise the negation preserves the base"),
+        ("R4", 2, partial(_recovery, _believed, _REV_CON, "seq", "direct",
+                          "plain contraction not preserved by revise-then-contract"),
+         "believed input: plain contraction is contained in revise-then-contract"),
+        ("R5", 2, partial(_recovery, None, _REV_CON, "base", "seq",
+                          "revise-then-contract produced beliefs outside the original base"),
+         "revise-then-contract is contained in the original base"),
+        ("R6", 2, partial(_recovery, _unbelieved, _REV_CON + (("revise", "!a"),), "seq", "base",
+                          "original knowledge base not preserved by "
+                          "revise-contract-revise-negation"),
+         "unbelieved input: revise, contract, revise the negation preserves the base"),
+        ("R7", 2, partial(_recovery, _negation_believed, _REV_CON, "seq", "base",
+                          "base not preserved: M(K)={base} vs "
+                          "M(K after revise-then-contract)={seq}"),
+         "believed negation: revise-then-contract preserves the base"),
+        ("R8", 2, partial(_recovery, _believed, _REV_CON + (("revise", "a"),), "seq", "base",
+                          "original knowledge base not preserved by revise-contract-revise"),
+         "believed input: revise, contract, revise again preserves the base"),
+        ("R9", 2, partial(_recovery, _agnostic, _REV_CON, "seq", "direct",
+                          "plain contraction not preserved by revise-then-contract"),
+         "agnostic input: contraction is contained in revise-then-contract"),
+        ("S1", 2, partial(_stability, False),
+         "minimal countermodels of the input are not demoted by revision"),
+        ("S2", 2, partial(_stability, True),
+         "no countermodel is promoted into the minimal ones by revision"),
+        ("C1", 3, partial(_iterated, _specific, _same,
+                          "two-step belief set {lhs} differs from direct {rhs}"),
+         "a more specific second input makes the first redundant"),
+        ("C2", 3, partial(_iterated, _contradicting, _same,
+                          "two-step belief set {lhs} differs from direct {rhs}"),
+         "a contradicting second input prevails"),
+        ("C3", 3, partial(_iterated, _supported, _keeps,
+                          "first input lost after the two-step revision"),
+         "a supported first input survives the second revision"),
+        ("C4", 3, partial(_iterated, _undefeated, _admits,
+                          "first input defeated by the two-step revision"),
+         "no input acts as its own defeater"),
         ("CORE", 2, _core, "only inputs contributing to the implication may be lost"),
     ]
     return {pid: Postulate(pid, arity, fn, text) for pid, arity, fn, text in entries}
@@ -693,7 +621,7 @@ def _scan_postulate(
     states: Iterable[RankedState],
     stop_at_first: bool,
 ) -> tuple[int, int, int, int, Counterexample | None]:
-    if post == POSTULATES.get(post.pid):
+    if post is POSTULATES.get(post.pid):
         verdict_of = partial(check_instance, post.pid, pair)
     else:
         # a derived claim (a harness's own check) has no registry entry for

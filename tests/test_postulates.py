@@ -1,3 +1,6 @@
+import pickle
+import time
+
 import pytest
 
 from beliefrev import postulates
@@ -16,8 +19,9 @@ from beliefrev.postulates import (
     run_suite,
     search_counterexample,
 )
-from beliefrev.states import belief_set, enumerate_states, min_worlds, normalize
+from beliefrev.states import belief_set, enumerate_states, min_worlds, normalize, sample_states
 
+P = Signature(("p",))
 PQ = Signature(("p", "q"))
 RGS = Signature(("r", "g", "s"))
 
@@ -209,9 +213,17 @@ def test_suite_rejects_unknown_postulate():
 
 
 def test_parallel_suite_matches_sequential():
-    seq = run_suite(NATURAL, PQ, ["R7", "PC6"])
-    par = run_suite(NATURAL, PQ, ["R7", "PC6"], jobs=2)
-    assert seq.results == par.results
+    for pair in (NATURAL, make_pair("reverse", "drastic")):
+        seq = run_suite(pair, P, ALL_POSTULATE_IDS)
+        par = run_suite(pair, P, ALL_POSTULATE_IDS, jobs=2)
+        assert seq.results == par.results, pair
+
+
+def test_registry_rows_reach_workers_as_registry_objects():
+    # pool workers decide a registry postulate through check_instance only
+    # if it unpickles as the registry's own row
+    for post in POSTULATES.values():
+        assert pickle.loads(pickle.dumps(post)) is post
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -300,3 +312,71 @@ def test_counterexamples_from_sample_replay():
             cex = search_counterexample(pid, pair, PQ, mode="sample", samples=200, seed=5)
             if cex is not None:
                 assert check_instance(pid, pair, cex.instance).status == FAILS
+
+
+# --- CORE: closed form against the brute force ----------------------------------
+
+
+def _submasks(mask):
+    sub, out = mask, []
+    while True:
+        out.append(sub)
+        if sub == 0:
+            return sorted(out)
+        sub = (sub - 1) & mask
+
+
+def _core_brute_force(pair, s, a):
+    """CORE by definition: every lost class beta, a superset of M(K) that the
+    contracted base no longer entails, needs a superset T of M(K) with T
+    outside a and T & beta within a.  Classes and witnesses go in mask order."""
+    base = belief_set(s)
+    after = pair.contraction(s, a)
+    kept = belief_set(after)
+    trace = (("start", s), (f"contract {postulates._bits(a)}", after))
+    outside = s.sig.full_mask & ~base.mask
+    lost_found = False
+    for beta_extra in _submasks(outside):
+        beta = WorldSet(s.sig, base.mask | beta_extra)
+        if kept.issubset(beta):
+            continue
+        lost_found = True
+        if not any(
+            not t.issubset(a) and (t & beta).issubset(a)
+            for t in (WorldSet(s.sig, base.mask | extra) for extra in _submasks(outside))
+        ):
+            return postulates.Verdict(
+                FAILS, trace,
+                f"lost class {postulates._bits(beta)} does not contribute to implying "
+                f"{postulates._bits(a)}",
+            )
+    if not lost_found:
+        return postulates.Verdict(VACUOUS, note="contraction lost no believed input class")
+    return postulates.Verdict(HOLDS, trace)
+
+
+@pytest.mark.parametrize("pair", [NATURAL, DRASTIC], ids=["natural-con", "drastic"])
+def test_core_closed_form_matches_brute_force(pair):
+    states = list(enumerate_states(PQ)) + list(sample_states(RGS, 5, seed=4))
+    statuses = set()
+    for s in states:
+        for mask in range(1, s.sig.full_mask + 1):
+            a = WorldSet(s.sig, mask)
+            verdict = check_instance("CORE", pair, Instance(s, a))
+            assert verdict == _core_brute_force(pair, s, a), (s.ranks, mask)
+            statuses.add(verdict.status)
+    assert statuses == ({HOLDS, VACUOUS} if pair is NATURAL else {HOLDS, VACUOUS, FAILS})
+
+
+@pytest.mark.parametrize("pair, status", [(NATURAL, HOLDS), (DRASTIC, FAILS)],
+                         ids=["natural-con", "drastic"])
+def test_core_bounded_at_four_atoms(pair, status):
+    # a singleton belief set leaves 15 worlds outside it, 2**15 classes for
+    # the brute force; the input drops world 15 only
+    sig = Signature(("p", "q", "r", "s"))
+    s = normalize(sig, [0] + [1 + v % 3 for v in range(1, 16)])
+    a = WorldSet(sig, sig.full_mask & ~(1 << 15))
+    start = time.perf_counter()
+    verdict = check_instance("CORE", pair, Instance(s, a))
+    assert time.perf_counter() - start < 1.0
+    assert verdict.status == status
