@@ -30,14 +30,23 @@ WorldSets in numeric mask order, so the first counterexample is reproducible.
 Inputs range over the non-empty subsets of valuations (15 at n = 2), standing
 for formula equivalence classes; the unsatisfiable input is exercised only by
 dedicated PR6 instance checks.
+
+With jobs > 1 the states are split into chunks scanned in a process pool and
+reduced in order.  A command has one pool: the outermost call (a harness,
+suite or search) starts it lazily at its first parallel scan and shuts it down
+on exit, and every nested suite and search runs on it, so the workers keep
+their operator caches across the command's scans.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
@@ -380,26 +389,26 @@ def _stability(forbid_promotion, pair, s, a, b):
 
 
 # --- iterated-revision postulates ---------------------------------------------
-# Instances carry the first input in a and the second in b.  Each C row is a
-# guard, then a test on the two-step belief set lhs and the direct one rhs.
+# Instances carry the first input in a and the second in b.  A C row guards on
+# the inputs (C1/C2) or on the direct belief set rhs after revising by b
+# (C3/C4), then tests the two-step belief set lhs against rhs.  Revising by b
+# directly happens once per instance and never on an input guard's vacuous path.
 
 
-def _specific(pair, s, a, b):
+def _specific(a, b):
     return None if b.issubset(a) else "second input does not entail the first"
 
 
-def _contradicting(pair, s, a, b):
+def _contradicting(a, b):
     return None if b.issubset(a.complement()) else "second input does not contradict the first"
 
 
-def _supported(pair, s, a, b):
-    if outcome_belief_set(pair.revision(s, b), s.sig).issubset(a):
-        return None
-    return "first input not believed after direct revision"
+def _supported(a, rhs):
+    return None if rhs.issubset(a) else "first input not believed after direct revision"
 
 
-def _undefeated(pair, s, a, b):
-    if outcome_belief_set(pair.revision(s, b), s.sig).issubset(a.complement()):
+def _undefeated(a, rhs):
+    if rhs.issubset(a.complement()):
         return "negation of first input believed after direct revision"
     return None
 
@@ -416,14 +425,16 @@ def _admits(a, lhs, rhs):
     return not lhs.issubset(a.complement())
 
 
-def _iterated(guard, holds, note, pair, s, a, b):
-    vacuous = guard(pair, s, a, b)
+def _iterated(input_guard, direct_guard, holds, note, pair, s, a, b):
+    vacuous = input_guard(a, b) if input_guard else None
+    if not vacuous:
+        direct = pair.revision(s, b)
+        rhs = outcome_belief_set(direct, s.sig)
+        vacuous = direct_guard(a, rhs) if direct_guard else None
     if vacuous:
         return Verdict(VACUOUS, note=vacuous)
     trace = _seq_trace(pair, s, [("revise", a), ("revise", b)])
-    direct = pair.revision(s, b)
     lhs = outcome_belief_set(trace[-1][1], s.sig)
-    rhs = outcome_belief_set(direct, s.sig)
     ok = holds(a, lhs, rhs)
     return _verdict(
         ok, trace + ((f"revise {_bits(b)} directly", direct),),
@@ -532,16 +543,16 @@ def _registry() -> dict[str, Postulate]:
          "minimal countermodels of the input are not demoted by revision"),
         ("S2", 2, partial(_stability, True),
          "no countermodel is promoted into the minimal ones by revision"),
-        ("C1", 3, partial(_iterated, _specific, _same,
+        ("C1", 3, partial(_iterated, _specific, None, _same,
                           "two-step belief set {lhs} differs from direct {rhs}"),
          "a more specific second input makes the first redundant"),
-        ("C2", 3, partial(_iterated, _contradicting, _same,
+        ("C2", 3, partial(_iterated, _contradicting, None, _same,
                           "two-step belief set {lhs} differs from direct {rhs}"),
          "a contradicting second input prevails"),
-        ("C3", 3, partial(_iterated, _supported, _keeps,
+        ("C3", 3, partial(_iterated, None, _supported, _keeps,
                           "first input lost after the two-step revision"),
          "a supported first input survives the second revision"),
-        ("C4", 3, partial(_iterated, _undefeated, _admits,
+        ("C4", 3, partial(_iterated, None, _undefeated, _admits,
                           "first input defeated by the two-step revision"),
          "no input acts as its own defeater"),
         ("CORE", 2, _core, "only inputs contributing to the implication may be lost"),
@@ -656,59 +667,102 @@ def _scan_worker(args) -> tuple[int, int, int, int, Counterexample | None]:
     return _scan_postulate(post, pair, sig, states, stop_at_first)
 
 
+class _CommandPool:
+    """The worker pool of one command, started by its first scan with
+    jobs > 1 and shared by every later one, so workers keep their operator
+    caches across the command's scans."""
+
+    def __init__(self) -> None:
+        self._executor: ProcessPoolExecutor | None = None
+
+    def executor(self, jobs: int) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=jobs)
+        return self._executor
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+
+_ACTIVE_POOL: ContextVar[_CommandPool | None] = ContextVar("beliefrev_pool", default=None)
+
+
+@contextmanager
+def _pool_scope() -> Iterator[_CommandPool]:
+    """Yield the active command pool.  The outermost scope creates it and
+    shuts it down on exit; nested scopes (a harness's suites and searches)
+    join it.  Also usable as a decorator on a command's entry function."""
+    pool = _ACTIVE_POOL.get()
+    if pool is not None:
+        yield pool
+        return
+    pool = _CommandPool()
+    token = _ACTIVE_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _ACTIVE_POOL.reset(token)
+        pool.close()
+
+
 def _scan_parallel(
-    post: Postulate,
+    posts: Sequence[Postulate],
     pair: OperatorPair,
     sig: Signature,
     states: Sequence[RankedState],
     stop_at_first: bool,
+    pool: ProcessPoolExecutor,
     jobs: int,
-) -> tuple[int, int, int, int, Counterexample | None]:
+) -> list[tuple[int, int, int, int, Counterexample | None]]:
     chunk_size = max(1, (len(states) + jobs - 1) // jobs)
-    chunks = [states[i:i + chunk_size] for i in range(0, len(states), chunk_size)]
+    chunks = [[s.ranks for s in states[i:i + chunk_size]]
+              for i in range(0, len(states), chunk_size)]
     tasks = [
-        (post, pair.revision.name, pair.contraction.name, sig.atoms,
-         [s.ranks for s in chunk], stop_at_first)
-        for chunk in chunks
+        (post, pair.revision.name, pair.contraction.name, sig.atoms, chunk, stop_at_first)
+        for post in posts for chunk in chunks
     ]
-    checked = holds = vacuous = fails = 0
-    first: Counterexample | None = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # chunks are reduced in order, so the reported counterexample is the
-        # globally first one regardless of worker scheduling
-        for c, h, v, f, cex in pool.map(_scan_worker, tasks):
+    # every postulate's chunks are queued before any result is read, so the
+    # pool does not drain between postulates; chunks are reduced in order, so
+    # each reported counterexample is the globally first one
+    outcomes = pool.map(_scan_worker, tasks)
+    rows = []
+    for _ in posts:
+        checked = holds = vacuous = fails = 0
+        first: Counterexample | None = None
+        for c, h, v, f, cex in islice(outcomes, len(chunks)):
             checked += c
             holds += h
             vacuous += v
             fails += f
             if first is None and cex is not None:
                 first = cex
-    return checked, holds, vacuous, fails, first
+        rows.append((checked, holds, vacuous, fails, first))
+    return rows
 
 
-def _run_one(
-    post: Postulate,
+def _scan(
+    posts: Sequence[Postulate],
     pair: OperatorPair,
     sig: Signature,
     stream: StateStream,
     stop_at_first: bool,
     jobs: int,
-) -> PostulateResult:
-    """Scan one postulate over a state stream; every search, suite and
-    harness claim runs through here.  jobs is capped at the CPU count."""
+) -> list[PostulateResult]:
+    """Scan postulates over one state stream; every search (a list of one),
+    suite and harness claim runs through here.  jobs is capped at the CPU
+    count; above 1 the scan runs on the command's pool."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
-        states = list(stream)
-        checked, holds, vacuous, fails, cex = _scan_parallel(
-            post, pair, sig, states, stop_at_first, jobs
-        )
+        with _pool_scope() as pool:
+            rows = _scan_parallel(
+                posts, pair, sig, list(stream), stop_at_first, pool.executor(jobs), jobs
+            )
     else:
-        checked, holds, vacuous, fails, cex = _scan_postulate(
-            post, pair, sig, stream, stop_at_first
-        )
-    return PostulateResult(post.pid, checked, holds, vacuous, fails, cex)
+        rows = [_scan_postulate(post, pair, sig, stream, stop_at_first) for post in posts]
+    return [PostulateResult(post.pid, *row) for post, row in zip(posts, rows)]
 
 
 def search_counterexample(
@@ -727,7 +781,8 @@ def search_counterexample(
     """
     post = _postulate(pid)
     stream = _state_stream(sig, mode, samples, seed, allow_large)
-    return _run_one(post, ops, sig, stream, stop_at_first=True, jobs=jobs).counterexample
+    (result,) = _scan([post], ops, sig, stream, stop_at_first=True, jobs=jobs)
+    return result.counterexample
 
 
 def run_suite(
@@ -744,10 +799,8 @@ def run_suite(
     instance, recording the first counterexample per postulate)."""
     pids = postulates if postulates is not None else ALL_POSTULATE_IDS
     posts = [_postulate(pid) for pid in pids]
-    results = []
-    for post in posts:
-        stream = _state_stream(sig, mode, samples, seed, allow_large)
-        results.append(_run_one(post, ops, sig, stream, stop_at_first=False, jobs=jobs))
+    stream = _state_stream(sig, mode, samples, seed, allow_large)
+    results = _scan(posts, ops, sig, stream, stop_at_first=False, jobs=jobs)
     return SuiteReport(
         ops.revision.name,
         ops.contraction.name,

@@ -33,7 +33,8 @@ from .postulates import (
     Instance,
     Postulate,
     Verdict,
-    _run_one,
+    _pool_scope,
+    _scan,
     check_instance,
     run_suite,
     search_counterexample,
@@ -87,6 +88,7 @@ def _agm_precondition(ops: OperatorPair, sig: Signature, jobs: int = 1) -> str |
     return None
 
 
+@_pool_scope()
 def verify_theorem1(
     ops: OperatorPair, sig: Signature, mode: str = "exhaustive", jobs: int = 1
 ) -> TheoremReport:
@@ -158,6 +160,7 @@ _COROLLARY1 = Postulate(
 )
 
 
+@_pool_scope()
 def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Equality of revise-then-contract with plain contraction whenever the
     input's negation is not believed."""
@@ -171,7 +174,7 @@ def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> Theor
         )
         return TheoremReport("corollary1", ops.revision.name, ops.contraction.name, sig, (claim,))
 
-    r = _run_one(_COROLLARY1, ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
+    (r,) = _scan([_COROLLARY1], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     claim = ClaimResult(
         "corollary1", ops.revision.name, ops.contraction.name,
         ("S1", "S2"), "equality",
@@ -203,7 +206,7 @@ def _implication_claim(
         conclusion, 2, partial(_co_occurring, premise, conclusion, input_unbelieved),
         f"{conclusion} wherever {premise} holds",
     )
-    r = _run_one(post, ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
+    (r,) = _scan([post], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     scope = "applicable instances" if input_unbelieved else "instances"
     return ClaimResult(
         claim, ops.revision.name, ops.contraction.name, (premise, conclusion),
@@ -214,6 +217,7 @@ def _implication_claim(
     )
 
 
+@_pool_scope()
 def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """The seven-item profile relating the recovery-style postulates."""
     rev, con = ops.revision.name, ops.contraction.name
@@ -270,6 +274,7 @@ def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> The
     return TheoremReport("observation1", rev, con, sig, tuple(claims))
 
 
+@_pool_scope()
 def verify_hansson(
     con: ContractionOperator | str, sig: Signature, jobs: int = 1
 ) -> TheoremReport:

@@ -191,10 +191,13 @@ def test_jobs_do_not_change_output(capsys):
 
 @pytest.mark.parametrize("command, pair", [
     ("theorem1", ("--op", "reverse")),
+    ("theorem1", ()),
     ("corollary1", ("--op", "reverse")),
     ("corollary1", ()),
     ("observation1", ("--op", "reverse")),
     ("observation1", ()),
+    ("hansson", ("--cop", "natural-con")),
+    ("hansson", ("--cop", "drastic")),
 ], ids=lambda p: p if isinstance(p, str) else (p[-1] if p else "default"))
 def test_jobs_do_not_change_theorem_output(capsys, command, pair):
     args = (command, "--atoms", "p,q", *pair, "--format", "json")

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import pickle
 import time
 
@@ -232,34 +234,81 @@ def test_jobs_below_one_rejected(capsys, jobs):
         run_suite(NATURAL, PQ, ["R7"], jobs=jobs)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         search_counterexample("R7", NATURAL, PQ, jobs=jobs)
-    for command in ("check", "corollary1", "observation1"):
+    for command in ("check", "theorem1", "corollary1", "observation1", "hansson"):
         argv = [command, "--atoms", "p,q", "--jobs", str(jobs)]
         argv += ["--postulate", "R7"] if command == "check" else []
         assert cli_run(argv) == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
-    # The pool is a recording stand-in, so the huge jobs value starts no process.
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace the process pool with a stand-in that runs tasks in-process
+    and records each pool built: its worker count and whether it was shut
+    down.  No process is started."""
     pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.max_workers = max_workers
+            self.shut_down = False
+            pools.append(self)
 
         map = staticmethod(map)
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shut_down = True
+
     monkeypatch.setattr(postulates, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, recorded_pools):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 3)
     clamped = run_suite(NATURAL, PQ, ["R7"], jobs=10_000)
-    assert pools == [3]
+    assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(3, True)]
     assert clamped.results == run_suite(NATURAL, PQ, ["R7"]).results
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--atoms", "p"],
+    ["corollary1", "--atoms", "p"],
+    ["observation1", "--atoms", "p"],
+    ["hansson", "--atoms", "p"],
+    ["check", "--atoms", "p", "--postulate", "all"],
+], ids=lambda argv: argv[0])
+def test_one_pool_per_command(monkeypatch, capsys, recorded_pools, argv):
+    # every suite and search of a command shares the one pool, started only
+    # when a scan runs with jobs > 1
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    code = cli_run(argv + ["--jobs", "1"])
+    sequential = capsys.readouterr().out
+    assert recorded_pools == []
+    assert cli_run(argv + ["--jobs", "2"]) == code
+    assert capsys.readouterr().out == sequential
+    assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
+
+
+def test_pool_workers_gone_after_harness_command(monkeypatch, capsys):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    assert cli_run(["observation1", "--atoms", "p", "--jobs", "2"]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def _raise_in_worker(pair, s, a, b):
+    raise RuntimeError(f"check raised in process {os.getpid()}")
+
+
+def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    post = postulates.Postulate("raises", 2, _raise_in_worker, "always raises")
+    with pytest.raises(RuntimeError, match="check raised in process") as err:
+        with postulates._pool_scope():
+            run_suite(NATURAL, P, ["R7"], jobs=2)  # starts the shared pool
+            postulates._scan([post], NATURAL, PQ, enumerate_states(PQ),
+                             stop_at_first=False, jobs=2)
+    assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 # --- cross-postulate invariants ------------------------------------------------------
