@@ -10,12 +10,18 @@ Theory inclusion runs opposite to model inclusion: K1 is a subtheory of K2
 exactly when M(K2) is a subset of M(K1).  Checkers in other modules therefore
 compare model sets directly and flip the direction where a containment of
 theories is meant.
+
+Signature and WorldSet are slotted frozen values, built on every step of a
+postulate scan, so what they derive (sizes, masks, hashes) is computed once
+and validation stays cheap instead of being skipped.  A value that caches a
+hash pickles through its constructor (__reduce__): str hashes are salted per
+process, so a cached hash must never travel.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
@@ -46,11 +52,21 @@ class UnknownAtomError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
-    """Ordered list of distinct atom names; fixes the valuation width."""
+    """Ordered list of distinct atom names; fixes the valuation width.
+
+    The width, the valuation count, the full mask and the hash are computed
+    once, when the signature is built.  Atom hashes are salted per process,
+    so a pickle carries only the atoms and unpickling re-runs the
+    constructor (__reduce__).
+    """
 
     atoms: tuple[str, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    num_valuations: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.atoms, tuple):
@@ -64,22 +80,21 @@ class Signature:
                 raise ValueError(f"bad atom name {name!r}")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom names")
+        n = len(self.atoms)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "num_valuations", 1 << n)
+        object.__setattr__(self, "full_mask", (1 << (1 << n)) - 1)
+        object.__setattr__(self, "_hash", hash(self.atoms))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Signature, (self.atoms,)
 
     @classmethod
     def of(cls, *atoms: str) -> "Signature":
         return cls(tuple(atoms))
-
-    @property
-    def n(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def num_valuations(self) -> int:
-        return 1 << len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_valuations) - 1
 
     def valuations(self) -> range:
         return range(self.num_valuations)
@@ -120,9 +135,13 @@ def _atom_masks(sig: Signature) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldSet:
-    """A set of valuations, stored as a bitmask over all 2**n of them."""
+    """A set of valuations, stored as a bitmask over all 2**n of them.
+
+    The range check reads the signature's cached full mask.  A pickle carries
+    only the constructor arguments, so unpickling re-runs the check.
+    """
 
     sig: Signature
     mask: int
@@ -130,6 +149,12 @@ class WorldSet:
     def __post_init__(self):
         if not 0 <= self.mask <= self.sig.full_mask:
             raise ValueError("mask out of range for signature")
+
+    def __hash__(self) -> int:
+        return hash((self.sig._hash, self.mask))
+
+    def __reduce__(self):
+        return WorldSet, (self.sig, self.mask)
 
     @classmethod
     def empty(cls, sig: Signature) -> "WorldSet":
@@ -153,7 +178,7 @@ class WorldSet:
         return cls.of(sig, (sig.valuation_of(b) for b in bits))
 
     def _check(self, other: "WorldSet") -> None:
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatchError(
                 f"signature mismatch: {self.sig.atoms} vs {other.sig.atoms}"
             )

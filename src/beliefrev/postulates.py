@@ -45,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -123,7 +123,10 @@ class SuiteReport:
         return sum(r.fails for r in self.results)
 
 
+@lru_cache(maxsize=4096)
 def _bits(ws: WorldSet) -> str:
+    # trace labels stay eager (HOLDS verdicts keep full traces) but each
+    # world set is rendered once: n = 2 has 16 of them, n = 3 has 256
     return "{" + ",".join(ws.bitstrings()) + "}"
 
 
@@ -578,7 +581,10 @@ def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
         raise ValueError(f"postulate {pid} needs a second input")
     if post.arity == 2 and inst.b is not None:
         raise ValueError(f"postulate {pid} takes a single input")
-    if inst.a.sig != inst.state.sig or (inst.b is not None and inst.b.sig != inst.state.sig):
+    sig = inst.state.sig
+    if (inst.a.sig is not sig and inst.a.sig != sig) or (
+        inst.b is not None and inst.b.sig is not sig and inst.b.sig != sig
+    ):
         raise ValueError("instance inputs must share the state's signature")
     if pid != "PR6":
         if not inst.a or (inst.b is not None and not inst.b):
@@ -589,19 +595,24 @@ def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
 # --- search and suites -----------------------------------------------------------
 
 
-def _input_masks(sig: Signature) -> range:
-    return range(1, sig.full_mask + 1)
-
-
 def _instances(arity: int, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
+    built: list[WorldSet] = []  # non-empty inputs in mask order, shared by every state
+
+    def inputs() -> Iterator[WorldSet]:
+        # each input is built once per scan, on first use, so a search that
+        # stops early builds no more of the 2**2**n - 1 inputs than it reached
+        for i in range(sig.full_mask):
+            if i == len(built):
+                built.append(WorldSet(sig, i + 1))
+            yield built[i]
+
     for s in states:
-        for amask in _input_masks(sig):
-            a = WorldSet(sig, amask)
+        for a in inputs():
             if arity == 2:
                 yield Instance(s, a)
             else:
-                for bmask in _input_masks(sig):
-                    yield Instance(s, a, WorldSet(sig, bmask))
+                for b in inputs():
+                    yield Instance(s, a, b)
 
 
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:

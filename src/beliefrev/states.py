@@ -5,13 +5,16 @@ form: ranks occupy a contiguous range 0..k with every level non-empty.  Lower
 rank means more plausible; level 0 is the belief set.  Two states encode the
 same epistemic state exactly when their normalized rank maps coincide, so the
 total preorder is the identity of the state.
+
+RankedState is a slotted frozen value that caches its hash on first use and,
+like the logic values, pickles through its constructor (__reduce__).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -20,12 +23,19 @@ from .logic import Formula, Signature, SignatureMismatchError, WorldSet, models
 MAX_ENUM_ATOMS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedState:
-    """Normalized rank function over all valuations of the signature."""
+    """Normalized rank function over all valuations of the signature.
+
+    The hash is computed on the first __hash__ and kept, so building a state
+    computes no hash and every later cache lookup reuses it.  A pickle
+    carries only the constructor arguments (__reduce__): unpickling re-runs
+    the validation and the hash is recomputed in the receiving process.
+    """
 
     sig: Signature
     ranks: tuple[int, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.ranks, tuple):
@@ -37,6 +47,16 @@ class RankedState:
         used = set(self.ranks)
         if used != set(range(len(used))):
             raise ValueError("ranks not normalized: must cover 0..k contiguously")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.sig, self.ranks))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return RankedState, (self.sig, self.ranks)
 
     @property
     def num_levels(self) -> int:
@@ -99,7 +119,7 @@ def uniform_state(sig: Signature) -> RankedState:
 
 def min_worlds(s: RankedState, a: WorldSet) -> WorldSet:
     """Minimal-rank members of a; empty exactly when a is empty."""
-    if s.sig != a.sig:
+    if s.sig is not a.sig and s.sig != a.sig:
         raise SignatureMismatchError(
             f"signature mismatch: {s.sig.atoms} vs {a.sig.atoms}"
         )

@@ -67,6 +67,20 @@ def test_worldset_ops():
 def test_worldset_signature_mismatch():
     with pytest.raises(SignatureMismatchError):
         entails(ws(PQ, "00"), ws(RGS, "000"))
+    # an equal signature built separately is the same signature
+    twin = Signature(("p", "q"))
+    assert twin is not PQ and (ws(PQ, "00", "01") & ws(twin, "01")).bitstrings() == ["01"]
+
+
+def test_signature_sizes_and_worldset_mask_range():
+    for sig in (PQ, RGS, Signature(tuple(f"a{i}" for i in range(16)))):
+        assert (sig.n, sig.num_valuations) == (len(sig.atoms), 2 ** len(sig.atoms))
+        assert sig.full_mask == 2 ** sig.num_valuations - 1
+        assert WorldSet.full(sig).mask == sig.full_mask
+        with pytest.raises(ValueError, match="out of range"):
+            WorldSet(sig, -1)
+        with pytest.raises(ValueError, match="out of range"):
+            WorldSet(sig, sig.full_mask + 1)
 
 
 def test_sixteen_atom_signature_works():

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import pickle
+import pickletools
 import time
 
 import pytest
@@ -89,6 +90,10 @@ def test_arity_and_input_validation():
         check_instance("R1", NATURAL, Instance(s, WorldSet.empty(PQ)))
     with pytest.raises(ValueError, match="signature"):
         check_instance("R1", NATURAL, Instance(s, WorldSet.full(RGS)))
+    with pytest.raises(ValueError, match="share the state's signature"):
+        check_instance("C1", NATURAL, Instance(s, a, WorldSet.full(RGS)))
+    twin = Signature(("p", "q"))
+    assert check_instance("C1", NATURAL, Instance(s, a, WorldSet(twin, a.mask))).status == HOLDS
 
 
 def test_registry_arities():
@@ -226,6 +231,25 @@ def test_registry_rows_reach_workers_as_registry_objects():
     # if it unpickles as the registry's own row
     for post in POSTULATES.values():
         assert pickle.loads(pickle.dumps(post)) is post
+
+
+def test_value_objects_pickle_as_constructor_arguments():
+    # cached hashes cover salted str hashes, so a pickle must carry only the
+    # constructor arguments and unpickling must rebuild through the constructor
+    report = run_suite(make_pair("reverse", "drastic"), P, ["PC6"])
+    cex = report.results[0].counterexample
+    assert cex is not None and cex.verdict.status == FAILS
+    state = cex.instance.state
+    for obj, args in ((P, (P.atoms,)), (cex.instance.a, (P, cex.instance.a.mask)),
+                      (state, (P, state.ranks))):
+        hash(obj)
+        assert obj.__reduce__() == (type(obj), args)
+    for obj in (P, cex.instance.a, state, cex):
+        data = pickle.dumps(obj)
+        carried = {arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, int)}
+        assert not carried & {hash(P), hash(state)}
+        back = pickle.loads(data)
+        assert back == obj and hash(back) == hash(obj)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -1,11 +1,13 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from beliefrev.logic import Signature, SignatureMismatchError, TRUE, WorldSet, parse_formula
+from beliefrev.operators import natural_revision
 from beliefrev.states import (
     RankedState,
     StateFileError,
@@ -74,6 +76,29 @@ def test_normalize_rejects_missing_and_bad_input():
 def test_ranked_state_requires_normalized_ranks():
     with pytest.raises(ValueError):
         RankedState(PQ, (0, 2, 2, 0))
+    for ranks in ((0, 1, 0), (0, 1, 0, 1, 0)):
+        with pytest.raises(ValueError, match="expected 4 ranks"):
+            RankedState(PQ, ranks)
+
+
+def test_state_built_five_ways_is_one_cache_key():
+    sampled = next(iter(sample_states(PQ, 1, seed=11)))
+    ranks = sampled.ranks
+    ways = [
+        RankedState(Signature(("p", "q")), ranks),
+        normalize(PQ, [3 * r + 2 for r in ranks]),
+        next(s for s in enumerate_states(PQ) if s.ranks == ranks),
+        sampled,
+        pickle.loads(pickle.dumps(sampled)),
+    ]
+    assert len({id(s) for s in ways}) == 5
+    assert all(s == ways[0] and hash(s) == hash(ways[0]) for s in ways)
+    a = ws(PQ, "01", "10")
+    first = natural_revision(ways[0], a)
+    before = natural_revision.cache_info()
+    assert all(natural_revision(s, a) is first for s in ways[1:])
+    after = natural_revision.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
 
 # --- extraction --------------------------------------------------------------
