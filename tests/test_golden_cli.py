@@ -2,10 +2,10 @@
 
 ``golden_cli.json`` holds, for a fixed argv set, the exit code and the sha256
 of standard output, plus one sha256 over the full output table of all six
-operators and one over every n=2 verdict (status, note and trace) of the R,
-S, C and CORE postulates.  A refactor that keeps behaviour keeps every
-digest.  After an
-intended change of behaviour, re-record from the repository root with
+operators, one over every n=2 verdict (status, note and trace) of the R, S, C
+and CORE postulates and one over every n=2 verdict of the AGM postulates
+PC1-PC8 and PR1-PR8.  A refactor that keeps behaviour keeps every digest.
+After an intended change of behaviour, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -15,17 +15,20 @@ import hashlib
 import io
 import json
 import random
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import pytest
 
 from beliefrev.cli import run
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
-from beliefrev.postulates import check_instance, iter_instances
+from beliefrev.postulates import Instance, check_instance, iter_instances
 from beliefrev.states import enumerate_states, normalize
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+N2 = Signature(("p", "q"))
 
 
 def _argvs() -> list[tuple[str, ...]]:
@@ -92,27 +95,52 @@ def _verdict_rows() -> list[tuple[tuple[str, str], tuple[str, ...]]]:
     return rows
 
 
-def verdict_table_digest() -> tuple[int, str]:
-    """Count and sha256 of (pair, pid, state ranks, a mask, b mask, status,
-    note, [(label, ranks or ABSURD)]) over every n=2 instance of R1-R9 for
-    all eight operator pairs, S1/S2/C1-C4 for each revision and CORE for
-    each contraction."""
-    n2 = Signature(("p", "q"))
-    states = list(enumerate_states(n2))
-    digest = hashlib.sha256()
-    count = 0
-    for names, pids in _verdict_rows():
+def _agm_rows() -> list[tuple[tuple[str, str], tuple[str, ...]]]:
+    # PC rows only contract and PR rows only revise, so one partner suffices
+    rows = [(("natural", con), tuple(f"PC{i}" for i in range(1, 9)))
+            for con in CONTRACTION_OPERATORS]
+    rows += [((rev, "natural-con"), tuple(f"PR{i}" for i in range(1, 9)))
+             for rev in REVISION_OPERATORS]
+    return rows
+
+
+def _row_cases(rows, states) -> Iterator[tuple]:
+    for names, pids in rows:
         pair = make_pair(*names)
         for pid in pids:
-            for inst in iter_instances(pid, n2, states):
-                v = check_instance(pid, pair, inst)
-                trace = [(label, "ABSURD" if out is ABSURD else out.ranks)
-                         for label, out in v.trace]
-                bmask = None if inst.b is None else inst.b.mask
-                digest.update(f"{names} {pid} {inst.state.ranks} {inst.a.mask} {bmask} "
-                              f"{v.status} {v.note!r} {trace}\n".encode())
-                count += 1
+            for inst in iter_instances(pid, N2, states):
+                yield names, pair, pid, inst
+
+
+def _digest(cases: Iterable[tuple]) -> tuple[int, str]:
+    """Count and sha256 of (pair, pid, state ranks, a mask, b mask, status,
+    note, [(label, ranks or ABSURD)]) over (names, pair, pid, instance) cases."""
+    digest = hashlib.sha256()
+    count = 0
+    for names, pair, pid, inst in cases:
+        v = check_instance(pid, pair, inst)
+        trace = [(label, "ABSURD" if out is ABSURD else out.ranks) for label, out in v.trace]
+        bmask = None if inst.b is None else inst.b.mask
+        digest.update(f"{names} {pid} {inst.state.ranks} {inst.a.mask} {bmask} "
+                      f"{v.status} {v.note!r} {trace}\n".encode())
+        count += 1
     return count, digest.hexdigest()
+
+
+def verdict_table_digest() -> tuple[int, str]:
+    """Every n=2 instance of R1-R9 for all eight operator pairs, S1/S2/C1-C4
+    for each revision and CORE for each contraction."""
+    return _digest(_row_cases(_verdict_rows(), list(enumerate_states(N2))))
+
+
+def agm_table_digest() -> tuple[int, str]:
+    """Every n=2 instance of PC1-PC8 for each contraction and PR1-PR8 for
+    each revision, then PR6 on the empty input for every state and revision."""
+    states = list(enumerate_states(N2))
+    bottom = (((rev, "natural-con"), make_pair(rev, "natural-con"), "PR6",
+               Instance(s, WorldSet.empty(N2)))
+              for rev in REVISION_OPERATORS for s in states)
+    return _digest(chain(_row_cases(_agm_rows(), states), bottom))
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +162,20 @@ def test_verdict_table_matches_golden(golden):
     assert {"count": count, "sha256": digest} == golden["verdict_table"]
 
 
+def test_agm_table_matches_golden(golden):
+    count, digest = agm_table_digest()
+    assert {"count": count, "sha256": digest} == golden["agm_table"]
+
+
 def record() -> None:
-    count, digest = verdict_table_digest()
     golden = {
         "cli": {" ".join(argv): _run(argv) for argv in ARGVS},
         "operator_table": operator_table_digest(),
-        "verdict_table": {"count": count, "sha256": digest},
     }
+    for key, table in (("verdict_table", verdict_table_digest),
+                       ("agm_table", agm_table_digest)):
+        count, digest = table()
+        golden[key] = {"count": count, "sha256": digest}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
 
 
