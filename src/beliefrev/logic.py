@@ -92,10 +92,6 @@ class Signature:
     def __reduce__(self):
         return Signature, (self.atoms,)
 
-    @classmethod
-    def of(cls, *atoms: str) -> "Signature":
-        return cls(tuple(atoms))
-
     def valuations(self) -> range:
         return range(self.num_valuations)
 

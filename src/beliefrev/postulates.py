@@ -14,16 +14,24 @@ is checked as M(K2) <= M(K1); closure (PC1/PR1) holds structurally.  An
 instance verdict is "vacuous" exactly when the postulate's antecedent is
 false there, so "holds" never silently means "antecedent false".
 
-The R, S and C postulates are registry rows over one check per family.  An R
-row is a guard on what is believed (input believed, unbelieved, agnostic or
-negation believed; none for R1/R5), a revise/contract sequence over a and !a,
-and one containment between the model sets base, seq (after the sequence)
-and direct (after plain contraction).  S1/S2 forbid demoting or promoting a
-minimal countermodel; a C row is a guard plus a test on the two-step and
-direct belief sets.  CORE is decided in closed form: with lost = M(kept) minus
-M(K) and free the worlds outside a and M(K), it is vacuous if nothing is lost,
-fails on class M(K) if M(K) is not within a, holds if lost is within free, and
-otherwise fails on class M(K) plus free.
+Every postulate is a registry row, and rows of one shape share a check.  PC
+rows contract and PR rows revise.  PC2-PC4, PC6 and PR2-PR4 are single-change
+rows: a guard on the base and the input (input believed, unbelieved, a
+tautology, or consistent with the base; none for PC2/PR2/PR3), one step by the
+input, and a test on the base, the input and the belief set after it.  PC1/PR1
+share the closure check, PC5/PR5 compare the states after the input and after
+its DNF rebuild, and PR7/PR8 compare revising by a & b with expanding the
+revision by a with b.  PC7, PC8 and PR6 keep checks of their own.  The R, S
+and C postulates have one check per family.  An R row is a guard on what is
+believed (input believed, unbelieved, agnostic or negation believed; none for
+R1/R5), a revise/contract sequence over a and !a, and one containment between
+the model sets base, seq (after the sequence) and direct (after plain
+contraction).  S1/S2 forbid demoting or promoting a minimal countermodel; a C
+row is a guard plus a test on the two-step and direct belief sets.  CORE is
+decided in closed form: with lost = M(kept) minus M(K) and free the worlds
+outside a and M(K), it is vacuous if nothing is lost, fails on class M(K) if
+M(K) is not within a, holds if lost is within free, and otherwise fails on
+class M(K) plus free.
 
 Search and suite evaluation iterate states in enumeration order and input
 WorldSets in numeric mask order, so the first counterexample is reproducible.
@@ -145,71 +153,52 @@ def _rebuilt(a: WorldSet) -> WorldSet:
     return models(dnf_of(a, a.sig), a.sig)
 
 
-# --- contraction postulates --------------------------------------------------
+# --- AGM postulates -----------------------------------------------------------
+# A single-change row tests holds(base, a, out) on the belief set out after one
+# step by a; its fail note may name {base}, {out} and {recovered} (out meet a).
 
 
-def _pc1(pair, s, a, b):
-    # closure is structural for model-set knowledge bases
+def _believed(base, a):
+    return None if base.issubset(a) else "input not believed"
+
+
+def _unbelieved(base, a):
+    return "input already believed" if base.issubset(a) else None
+
+
+def _contingent(base, a):
+    return "input is a tautology" if a.mask == a.sig.full_mask else None
+
+
+def _consistent(base, a):
+    return None if base & a else "negation of input believed"
+
+
+def _change(kind, guard, holds, note, pair, s, a, b):
+    base = belief_set(s)
+    vacuous = guard(base, a) if guard else None
+    if vacuous:
+        return Verdict(VACUOUS, note=vacuous)
+    trace = _seq_trace(pair, s, [(kind, a)])
+    out = outcome_belief_set(trace[-1][1], s.sig)
+    ok = holds(base, a, out)
+    return _verdict(ok, trace, "" if ok else note.format(
+        base=_bits(base), out=_bits(out), recovered=_bits(out & a)))
+
+
+def _closed(pair, s, a, b):
     return Verdict(HOLDS, note="model-set representation is deductively closed")
 
 
-def _pc2(pair, s, a, b):
-    after = pair.contraction(s, a)
-    ok = belief_set(s).issubset(belief_set(after))
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a)}", after)),
-        "" if ok else f"K after contraction not contained in K: "
-        f"M(K)={_bits(belief_set(s))} vs M(K')={_bits(belief_set(after))}",
-    )
-
-
-def _pc3(pair, s, a, b):
-    if belief_set(s).issubset(a):
-        return Verdict(VACUOUS, note="input already believed")
-    after = pair.contraction(s, a)
-    ok = belief_set(after).mask == belief_set(s).mask
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a)}", after)),
-        "" if ok else "vacuity violated: belief set changed although input not believed",
-    )
-
-
-def _pc4(pair, s, a, b):
-    if a.mask == a.sig.full_mask:
-        return Verdict(VACUOUS, note="input is a tautology")
-    after = pair.contraction(s, a)
-    ok = not belief_set(after).issubset(a)
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a)}", after)),
-        "" if ok else "success violated: input still believed after contraction",
-    )
-
-
-def _pc5(pair, s, a, b):
-    first = pair.contraction(s, a)
-    second = pair.contraction(s, _rebuilt(a))
+def _extensional(kind, pair, s, a, b):
+    op = pair.contraction if kind == "contract" else pair.revision
+    first = op(s, a)
+    second = op(s, _rebuilt(a))
     ok = state_equal(first, second)
     return _verdict(
         ok,
-        (("start", s), (f"contract {_bits(a)}", first), ("contract (equivalent input)", second)),
+        (("start", s), (f"{kind} {_bits(a)}", first), (f"{kind} (equivalent input)", second)),
         "" if ok else "extensionality violated: equivalent inputs gave different states",
-    )
-
-
-def _pc6(pair, s, a, b):
-    if not belief_set(s).issubset(a):
-        return Verdict(VACUOUS, note="input not believed")
-    after = pair.contraction(s, a)
-    recovered = belief_set(after) & a
-    ok = recovered.issubset(belief_set(s))
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a)}", after)),
-        "" if ok else f"recovery violated: expanding back yields {_bits(recovered)}, "
-        f"not contained in M(K)={_bits(belief_set(s))}",
     )
 
 
@@ -239,61 +228,6 @@ def _pc8(pair, s, a, b):
     )
 
 
-# --- revision postulates ------------------------------------------------------
-
-
-def _pr1(pair, s, a, b):
-    return Verdict(HOLDS, note="model-set representation is deductively closed")
-
-
-def _pr2(pair, s, a, b):
-    out = pair.revision(s, a)
-    ok = outcome_belief_set(out, s.sig).issubset(a)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else "success violated: input not believed after revision",
-    )
-
-
-def _pr3(pair, s, a, b):
-    out = pair.revision(s, a)
-    expanded = belief_set(s) & a
-    ok = expanded.issubset(outcome_belief_set(out, s.sig))
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else "revision exceeds expansion",
-    )
-
-
-def _pr4(pair, s, a, b):
-    expanded = belief_set(s) & a
-    if not expanded:
-        return Verdict(VACUOUS, note="negation of input believed")
-    out = pair.revision(s, a)
-    ok = outcome_belief_set(out, s.sig).issubset(expanded)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else "expansion not recovered on consistent input",
-    )
-
-
-def _pr5(pair, s, a, b):
-    first = pair.revision(s, a)
-    second = pair.revision(s, _rebuilt(a))
-    if first is ABSURD or second is ABSURD:
-        ok = first is ABSURD and second is ABSURD
-    else:
-        ok = state_equal(first, second)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", first), ("revise (equivalent input)", second)),
-        "" if ok else "extensionality violated: equivalent inputs gave different states",
-    )
-
-
 def _pr6(pair, s, a, b):
     out = pair.revision(s, a)
     inconsistent = not outcome_belief_set(out, s.sig)
@@ -305,29 +239,21 @@ def _pr6(pair, s, a, b):
     )
 
 
-def _pr7(pair, s, a, b):
+def _expansion(sub, pair, s, a, b):
+    """PR7 (superexpansion) needs every model of (K * a) + b to be a model of
+    K * (a & b); PR8 (subexpansion) needs the converse when (K * a) + b is
+    consistent."""
     out_a = pair.revision(s, a)
-    out_ab = pair.revision(s, a & b)
-    lhs = outcome_belief_set(out_a, s.sig) & b
-    ok = lhs.issubset(outcome_belief_set(out_ab, s.sig))
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out_a), (f"revise {_bits(a & b)}", out_ab)),
-        "" if ok else "superexpansion violated",
-    )
-
-
-def _pr8(pair, s, a, b):
-    out_a = pair.revision(s, a)
-    lhs = outcome_belief_set(out_a, s.sig) & b
-    if not lhs:
+    expanded = outcome_belief_set(out_a, s.sig) & b
+    if sub and not expanded:
         return Verdict(VACUOUS, note="negation of second input believed after first revision")
     out_ab = pair.revision(s, a & b)
-    ok = outcome_belief_set(out_ab, s.sig).issubset(lhs)
+    joint = outcome_belief_set(out_ab, s.sig)
+    ok = joint.issubset(expanded) if sub else expanded.issubset(joint)
     return _verdict(
         ok,
         (("start", s), (f"revise {_bits(a)}", out_a), (f"revise {_bits(a & b)}", out_ab)),
-        "" if ok else "subexpansion violated",
+        "" if ok else f"{'sub' if sub else 'super'}expansion violated",
     )
 
 
@@ -335,14 +261,6 @@ def _pr8(pair, s, a, b):
 # R rows name each step's input "a" or "!a" and compare two of the model sets
 # base, seq and direct.  direct costs a contraction, so only rows naming it
 # compute it.
-
-
-def _believed(base, a):
-    return None if base.issubset(a) else "input not believed"
-
-
-def _unbelieved(base, a):
-    return "input already believed" if base.issubset(a) else None
 
 
 def _agnostic(base, a):
@@ -495,22 +413,49 @@ class Postulate:
 
 def _registry() -> dict[str, Postulate]:
     entries = [
-        ("PC1", 2, _pc1, "contracted base is deductively closed"),
-        ("PC2", 2, _pc2, "contraction only removes beliefs"),
-        ("PC3", 2, _pc3, "contracting an unbelieved input changes nothing"),
-        ("PC4", 2, _pc4, "a non-tautology is not believed after contracting it"),
-        ("PC5", 2, _pc5, "equivalent inputs contract to the same state"),
-        ("PC6", 2, _pc6, "recovery: contract then expand restores the base"),
+        ("PC1", 2, _closed, "contracted base is deductively closed"),
+        ("PC2", 2, partial(_change, "contract", None,
+                           lambda base, a, out: base.issubset(out),
+                           "K after contraction not contained in K: "
+                           "M(K)={base} vs M(K')={out}"),
+         "contraction only removes beliefs"),
+        ("PC3", 2, partial(_change, "contract", _unbelieved,
+                           lambda base, a, out: out.mask == base.mask,
+                           "vacuity violated: belief set changed although input not believed"),
+         "contracting an unbelieved input changes nothing"),
+        ("PC4", 2, partial(_change, "contract", _contingent,
+                           lambda base, a, out: not out.issubset(a),
+                           "success violated: input still believed after contraction"),
+         "a non-tautology is not believed after contracting it"),
+        ("PC5", 2, partial(_extensional, "contract"),
+         "equivalent inputs contract to the same state"),
+        ("PC6", 2, partial(_change, "contract", _believed,
+                           lambda base, a, out: (out & a).issubset(base),
+                           "recovery violated: expanding back yields {recovered}, "
+                           "not contained in M(K)={base}"),
+         "recovery: contract then expand restores the base"),
         ("PC7", 3, _pc7, "intersection of contractions entails contraction by the conjunction"),
         ("PC8", 3, _pc8, "contraction by a conjunct extends contraction by the conjunction"),
-        ("PR1", 2, _pr1, "revised base is deductively closed"),
-        ("PR2", 2, _pr2, "the input is believed after revision"),
-        ("PR3", 2, _pr3, "revision is bounded by expansion"),
-        ("PR4", 2, _pr4, "revision includes expansion on consistent input"),
-        ("PR5", 2, _pr5, "equivalent inputs revise to the same state"),
+        ("PR1", 2, _closed, "revised base is deductively closed"),
+        ("PR2", 2, partial(_change, "revise", None,
+                           lambda base, a, out: out.issubset(a),
+                           "success violated: input not believed after revision"),
+         "the input is believed after revision"),
+        ("PR3", 2, partial(_change, "revise", None,
+                           lambda base, a, out: (base & a).issubset(out),
+                           "revision exceeds expansion"),
+         "revision is bounded by expansion"),
+        ("PR4", 2, partial(_change, "revise", _consistent,
+                           lambda base, a, out: out.issubset(base & a),
+                           "expansion not recovered on consistent input"),
+         "revision includes expansion on consistent input"),
+        ("PR5", 2, partial(_extensional, "revise"),
+         "equivalent inputs revise to the same state"),
         ("PR6", 2, _pr6, "inconsistency arises exactly on unsatisfiable input"),
-        ("PR7", 3, _pr7, "revision by a conjunction is bounded by expanding the first revision"),
-        ("PR8", 3, _pr8, "expansion of a revision extends revision by the conjunction"),
+        ("PR7", 3, partial(_expansion, False),
+         "revision by a conjunction is bounded by expanding the first revision"),
+        ("PR8", 3, partial(_expansion, True),
+         "expansion of a revision extends revision by the conjunction"),
         ("R1", 2, partial(_recovery, None, _REV_CON, "direct", "seq",
                           "revise-then-contract lost beliefs kept by plain contraction: "
                           "M={seq} vs {direct}"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from .operators import ABSURD, RevisionOutcome
-from .postulates import Counterexample, SuiteReport, Verdict
+from .postulates import Counterexample, SuiteReport, Verdict, _bits
 from .states import RankedState, belief_set, state_to_text
 from .theorems import GeorgeResult, TheoremReport
 
@@ -196,8 +196,7 @@ def george_text(result: GeorgeResult) -> str:
     )
     lines.append(
         f"  C2 verdict: {result.c2_status} (expected {result.c2_expected}); "
-        f"two-step {{{','.join(result.c2_two_step.bitstrings())}}} vs "
-        f"direct {{{','.join(result.c2_direct.bitstrings())}}}"
+        f"two-step {_bits(result.c2_two_step)} vs direct {_bits(result.c2_direct)}"
     )
     return "\n".join(lines)
 

@@ -62,9 +62,6 @@ class RankedState:
     def num_levels(self) -> int:
         return max(self.ranks) + 1
 
-    def rank_of(self, valuation: int) -> int:
-        return self.ranks[valuation]
-
     def level(self, rank: int) -> WorldSet:
         return WorldSet(self.sig, _level_masks(self)[rank])
 

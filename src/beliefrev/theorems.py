@@ -33,6 +33,7 @@ from .postulates import (
     Instance,
     Postulate,
     Verdict,
+    _bits,
     _pool_scope,
     _scan,
     check_instance,
@@ -89,9 +90,7 @@ def _agm_precondition(ops: OperatorPair, sig: Signature, jobs: int = 1) -> str |
 
 
 @_pool_scope()
-def verify_theorem1(
-    ops: OperatorPair, sig: Signature, mode: str = "exhaustive", jobs: int = 1
-) -> TheoremReport:
+def verify_theorem1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Check both biconditionals: R1 clean iff S1 holds, and R2-R4 clean iff
     S2 holds, each decided exhaustively per operator pair."""
     reason = _agm_precondition(ops, sig, jobs=jobs)
@@ -105,7 +104,7 @@ def verify_theorem1(
         return TheoremReport("theorem1", ops.revision.name, ops.contraction.name, sig, claims)
 
     def search(pid: str) -> Counterexample | None:
-        return search_counterexample(pid, ops, sig, mode=mode, jobs=jobs)
+        return search_counterexample(pid, ops, sig, jobs=jobs)
 
     s1_cex = search("S1")
     r1_cex = search("R1")
@@ -148,9 +147,7 @@ def _corollary1_check(pair, s, a, b):
         return Verdict(HOLDS)
     return Verdict(
         FAILS, tuple(zip(("start", "revise", "contract"), trace)),
-        f"belief sets differ: sequence "
-        f"{{{','.join(seq_bs.bitstrings())}}} vs direct "
-        f"{{{','.join(direct_bs.bitstrings())}}}",
+        f"belief sets differ: sequence {_bits(seq_bs)} vs direct {_bits(direct_bs)}",
     )
 
 

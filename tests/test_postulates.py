@@ -77,6 +77,29 @@ def test_pr6_dedicated_bottom_input():
     assert check_instance("PR6", NATURAL, Instance(s, WorldSet.full(PQ))).status == HOLDS
 
 
+@pytest.mark.parametrize("pid", ["PC5", "PR5"])
+def test_extensionality_rebuilds_input_through_dnf(monkeypatch, pid):
+    # the equivalent input must come from a DNF round trip through the module's
+    # own models and dnf_of names, which are what an instrumented run counts
+    calls = {"models": 0, "dnf_of": 0}
+
+    def counted(name):
+        real = getattr(postulates, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(postulates, name, counted(name))
+    s = normalize(PQ, [0, 0, 1, 1])
+    verdict = check_instance(pid, NATURAL, Instance(s, ws(PQ, "01", "10")))
+    assert verdict.status == HOLDS
+    assert verdict.trace[-1][0].endswith("(equivalent input)")
+    assert calls == {"models": 1, "dnf_of": 1}
+
+
 def test_arity_and_input_validation():
     s = normalize(PQ, [0, 0, 1, 1])
     a = ws(PQ, "01")
