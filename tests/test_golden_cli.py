@@ -3,8 +3,9 @@
 ``golden_cli.json`` holds, for a fixed argv set, the exit code and the sha256
 of standard output, plus one sha256 over the full output table of all six
 operators, one over every n=2 verdict (status, note and trace) of the R, S, C
-and CORE postulates and one over every n=2 verdict of the AGM postulates
-PC1-PC8 and PR1-PR8.  A refactor that keeps behaviour keeps every digest.
+and CORE postulates, one over every n=2 verdict of the AGM postulates
+PC1-PC8 and PR1-PR8, and the state streams: one over the exhaustive
+enumeration at n = 1, 2 and 3 and one per seeded sample.  A refactor that keeps behaviour keeps every digest.
 After an intended change of behaviour, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -25,10 +26,14 @@ from beliefrev.cli import run
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
 from beliefrev.postulates import Instance, check_instance, iter_instances
-from beliefrev.states import enumerate_states, normalize
+from beliefrev.states import enumerate_states, normalize, sample_states
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 N2 = Signature(("p", "q"))
+N3 = Signature(("p", "q", "r"))
+STREAM_SIGS = (Signature(("p",)), N2, N3)
+SAMPLE_COUNT = 20000
+SAMPLE_SEEDS = (0, 1, 2)
 
 
 def _argvs() -> list[tuple[str, ...]]:
@@ -143,6 +148,35 @@ def agm_table_digest() -> tuple[int, str]:
     return _digest(chain(_row_cases(_agm_rows(), states), bottom))
 
 
+def _rank_digest(stream) -> tuple[int, str]:
+    """Count and sha256 of the rank vectors of a state stream, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for s in stream:
+        digest.update(bytes(s.ranks))
+        count += 1
+    return count, digest.hexdigest()
+
+
+def state_stream_digests() -> dict:
+    """sha256 over the rank vectors of every exhaustive stream at n = 1, 2
+    and 3 in one digest (545,835 states at n=3), and one sha256 per
+    sample_states(sig, 20000, seed) for n = 2 and 3 at seeds 0, 1 and 2."""
+    total = 0
+    digest = hashlib.sha256()
+    for sig in STREAM_SIGS:
+        count, part = _rank_digest(enumerate_states(sig))
+        digest.update(f"n={sig.n} {count} {part}\n".encode())
+        total += count
+    samples = {}
+    for sig in (N2, N3):
+        for seed in SAMPLE_SEEDS:
+            count, part = _rank_digest(sample_states(sig, SAMPLE_COUNT, seed))
+            assert count == SAMPLE_COUNT
+            samples[f"n={sig.n} seed={seed}"] = part
+    return {"enumerate": {"count": total, "sha256": digest.hexdigest()}, "sample": samples}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -167,6 +201,10 @@ def test_agm_table_matches_golden(golden):
     assert {"count": count, "sha256": digest} == golden["agm_table"]
 
 
+def test_state_streams_match_golden(golden):
+    assert state_stream_digests() == golden["state_streams"]
+
+
 def record() -> None:
     golden = {
         "cli": {" ".join(argv): _run(argv) for argv in ARGVS},
@@ -176,6 +214,7 @@ def record() -> None:
                        ("agm_table", agm_table_digest)):
         count, digest = table()
         golden[key] = {"count": count, "sha256": digest}
+    golden["state_streams"] = state_stream_digests()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
 
 
