@@ -8,6 +8,13 @@ total preorder is the identity of the state.
 
 RankedState is a slotted frozen value that caches its hash on first use and,
 like the logic values, pickles through its constructor (__reduce__).
+
+Exhaustive streams are flat: for each level count k, every prefix over the
+first half of the valuations is followed by the lex-ordered suffixes over
+0..k-1 that cover the levels the prefix missed, which is lexicographic order
+on the whole rank vector.  Sampled streams draw each rank exactly as
+Random.randrange(2**n) does, so a seed names the same states as a per-rank
+randrange sampler.  Every yielded state is validated by RankedState.
 """
 
 from __future__ import annotations
@@ -16,11 +23,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from itertools import islice, product, repeat
+from typing import Iterable, Iterator, Mapping
 
 from .logic import Formula, Signature, SignatureMismatchError, WorldSet, models
 
 MAX_ENUM_ATOMS = 3
+
+
+@lru_cache(maxsize=256)
+def _level_set(levels: int) -> frozenset[int]:
+    return frozenset(range(levels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +41,8 @@ class RankedState:
     """Normalized rank function over all valuations of the signature.
 
     The hash is computed on the first __hash__ and kept, so building a state
-    computes no hash and every later cache lookup reuses it.  A pickle
+    computes no hash and every later cache lookup reuses it.  Equality tests
+    identity first, then the ranks, then the signature.  A pickle
     carries only the constructor arguments (__reduce__): unpickling re-runs
     the validation and the hash is recomputed in the receiving process.
     """
@@ -38,15 +52,22 @@ class RankedState:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.ranks, tuple):
-            object.__setattr__(self, "ranks", tuple(self.ranks))
-        if len(self.ranks) != self.sig.num_valuations:
-            raise ValueError(
-                f"expected {self.sig.num_valuations} ranks, got {len(self.ranks)}"
-            )
-        used = set(self.ranks)
-        if used != set(range(len(used))):
+        ranks = self.ranks
+        if not isinstance(ranks, tuple):
+            ranks = tuple(ranks)
+            object.__setattr__(self, "ranks", ranks)
+        if len(ranks) != self.sig.num_valuations:
+            raise ValueError(f"expected {self.sig.num_valuations} ranks, got {len(ranks)}")
+        used = set(ranks)
+        if used != _level_set(len(used)):
             raise ValueError("ranks not normalized: must cover 0..k contiguously")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ranks == other.ranks and (self.sig is other.sig or self.sig == other.sig)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -78,15 +99,22 @@ def _level_masks(s: RankedState) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def normalize(sig: Signature, raw: Mapping | Sequence[int]) -> RankedState:
+def normalize(sig: Signature, raw: Mapping | Iterable[int]) -> RankedState:
     """Compact arbitrary natural ranks to contiguous 0..k, preserving order.
 
-    Accepts a sequence indexed by valuation, or a mapping keyed by valuation
-    integers or bitstrings.  Idempotent.  Every valuation must be ranked.
+    Accepts any iterable of ranks indexed by valuation, or a mapping keyed by
+    valuation integers or bitstrings.  Idempotent.  Every valuation must be
+    ranked; a wrong length is reported before any rank is converted.
     """
     total = sig.num_valuations
-    assigned: list[int | None] = [None] * total
-    if isinstance(raw, Mapping):
+    cls = raw.__class__
+    if cls is list or cls is tuple or not isinstance(raw, Mapping):
+        values = raw if cls is list or cls is tuple else list(raw)
+        if len(values) != total:
+            raise ValueError(f"expected {total} ranks, got {len(values)}")
+        ranks = list(map(int, values))
+    else:
+        assigned: list[int | None] = [None] * total
         for key, rank in raw.items():
             v = sig.valuation_of(key) if isinstance(key, str) else int(key)
             if not 0 <= v < total:
@@ -94,19 +122,14 @@ def normalize(sig: Signature, raw: Mapping | Sequence[int]) -> RankedState:
             if assigned[v] is not None:
                 raise ValueError(f"duplicate rank for valuation {sig.bitstring(v)}")
             assigned[v] = int(rank)
-    else:
-        values = list(raw)
-        if len(values) != total:
-            raise ValueError(f"expected {total} ranks, got {len(values)}")
-        assigned = [int(r) for r in values]
-    missing = [sig.bitstring(v) for v, r in enumerate(assigned) if r is None]
-    if missing:
-        raise ValueError(f"missing valuation(s): {', '.join(missing)}")
-    ranks = [int(r) for r in assigned]  # type: ignore[arg-type]
-    if any(r < 0 for r in ranks):
+        missing = [sig.bitstring(v) for v, r in enumerate(assigned) if r is None]
+        if missing:
+            raise ValueError(f"missing valuation(s): {', '.join(missing)}")
+        ranks = assigned  # type: ignore[assignment]
+    if min(ranks) < 0:
         raise ValueError("ranks must be natural numbers")
     order = {old: new for new, old in enumerate(sorted(set(ranks)))}
-    return RankedState(sig, tuple(order[r] for r in ranks))
+    return RankedState(sig, tuple(map(order.__getitem__, ranks)))
 
 
 def uniform_state(sig: Signature) -> RankedState:
@@ -218,36 +241,47 @@ def count_weak_orders(num_elements: int) -> int:
     return counts[num_elements]
 
 
-def _surjective_vectors(length: int, onto: int) -> Iterator[tuple[int, ...]]:
-    """All surjections {0..length-1} -> {0..onto-1}, lexicographic."""
-    vec = [0] * length
-
-    def go(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            yield tuple(vec)
-            return
-        budget = length - i - 1
-        for value in range(onto):
-            new_used = used | (1 << value)
-            if onto - new_used.bit_count() <= budget:
-                vec[i] = value
-                yield from go(i + 1, new_used)
-
-    return go(0, 0)
+def _with_masks(levels: int, length: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every vector in range(levels)**length, lexicographic, with the bit
+    mask of the values it uses."""
+    out = []
+    for vec in product(range(levels), repeat=length):
+        used = 0
+        for value in vec:
+            used |= 1 << value
+        out.append((vec, used))
+    return out
 
 
 def _exhaustive_iter(sig: Signature) -> Iterator[RankedState]:
+    """Prefix times covering suffix (see the module docstring).  A suffix
+    table is built once per missed level set and dropped with its level
+    count, so at most one count's tables are alive."""
     total = sig.num_valuations
+    head = total // 2
+    tail = total - head
     for levels in range(1, total + 1):
-        for vec in _surjective_vectors(total, levels):
-            yield RankedState(sig, vec)
+        full = (1 << levels) - 1
+        suffixes = _with_masks(levels, tail)
+        tables: dict[int, list[tuple[int, ...]]] = {}
+        for prefix, used in _with_masks(levels, head):
+            missing = full & ~used
+            table = tables.get(missing)
+            if table is None:
+                table = tables[missing] = [
+                    vec for vec, mask in suffixes if mask & missing == missing
+                ]
+            for suffix in table:
+                yield RankedState(sig, prefix + suffix)
 
 
 def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
-    rng = random.Random(seed)
+    # the accepted draws of one seeded generator, taken total at a time
     total = sig.num_valuations
+    getrandbits = random.Random(seed).getrandbits
+    draws = filter(total.__gt__, map(getrandbits, repeat(total.bit_length())))
     for _ in range(count):
-        yield normalize(sig, [rng.randrange(total) for _ in range(total)])
+        yield normalize(sig, list(islice(draws, total)))
 
 
 @dataclass
@@ -256,7 +290,10 @@ class StateStream:
 
     Exhaustive streams yield every weak order on the valuations exactly once,
     ordered by number of levels and then lexicographically on the rank
-    vector.  Sampled streams are reproducible from the seed.  Iterating a
+    vector, generated as prefix times covering suffix (see the module
+    docstring); the suffix tables live for one level count only, so the
+    stream is never materialized.  Sampled streams are reproducible from the
+    seed and draw-exact with Random.randrange.  Iterating a
     stream twice yields identical sequences, so consumers may partition it
     into disjoint chunks by position.
     """
@@ -290,7 +327,12 @@ def enumerate_states(sig: Signature) -> StateStream:
 
 def sample_states(sig: Signature, count: int, seed: int) -> StateStream:
     """Reproducible sample: per state, draw each valuation's rank uniformly
-    from 0..2**n - 1 with the seeded generator, then normalize."""
+    from 0..2**n - 1 with the seeded generator, then normalize.
+
+    A rank is getrandbits((2**n).bit_length()), redrawn while it is at least
+    2**n: the draw Random.randrange(2**n) makes, so the stream equals
+    normalize(sig, [rng.randrange(2**n) for each valuation]) state by state.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     return StateStream(sig, "sampled", count, seed)

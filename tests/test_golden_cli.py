@@ -5,7 +5,8 @@ of standard output, plus one sha256 over the full output table of all six
 operators, one over every n=2 verdict (status, note and trace) of the R, S, C
 and CORE postulates, one over every n=2 verdict of the AGM postulates
 PC1-PC8 and PR1-PR8, and the state streams: one over the exhaustive
-enumeration at n = 1, 2 and 3 and one per seeded sample.  A refactor that keeps behaviour keeps every digest.
+enumeration at n = 1, 2 and 3 and one per seeded sample.  A refactor that
+keeps behaviour keeps every digest.
 After an intended change of behaviour, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import math
 import pickle
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -73,6 +76,36 @@ def test_normalize_rejects_missing_and_bad_input():
         normalize(PQ, {"00": 0, 0: 1, "01": 0, "10": 0, "11": 0})
 
 
+@pytest.mark.parametrize("make", [tuple, iter, lambda ranks: (r for r in ranks)],
+                         ids=["tuple", "iterator", "generator"])
+def test_normalize_accepts_any_iterable(make):
+    raw = [5, 0, 5, 9]
+    assert normalize(PQ, make(raw)) == normalize(PQ, raw) == RankedState(PQ, (1, 0, 1, 2))
+
+
+def test_normalize_accepts_range():
+    assert normalize(PQ, range(3, 7)) == normalize(PQ, [3, 4, 5, 6])
+    assert normalize(PQ, range(4)).ranks == (0, 1, 2, 3)
+
+
+def test_normalize_error_messages_and_order():
+    # the length check runs before any rank is converted or range-checked
+    with pytest.raises(ValueError, match=r"^expected 4 ranks, got 3$"):
+        normalize(PQ, [0, "x", -1])
+    with pytest.raises(ValueError, match=r"^expected 4 ranks, got 5$"):
+        normalize(PQ, (r for r in range(5)))
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        normalize(PQ, [0, "x", -1, 0])
+    with pytest.raises(ValueError, match=r"^ranks must be natural numbers$"):
+        normalize(PQ, (0, -1, 0, 0))
+    with pytest.raises(ValueError, match=r"^missing valuation\(s\): 10, 11$"):
+        normalize(PQ, {"00": 0, "01": 1})
+    with pytest.raises(ValueError, match=r"^valuation 4 out of range$"):
+        normalize(PQ, {0: 0, 1: 0, 2: 0, 4: 0})
+    with pytest.raises(ValueError, match=r"^duplicate rank for valuation 00$"):
+        normalize(PQ, {"00": 0, 0: 1})
+
+
 def test_ranked_state_requires_normalized_ranks():
     with pytest.raises(ValueError):
         RankedState(PQ, (0, 2, 2, 0))
@@ -99,6 +132,19 @@ def test_state_built_five_ways_is_one_cache_key():
     assert all(natural_revision(s, a) is first for s in ways[1:])
     after = natural_revision.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
+
+
+def test_state_equality_by_value():
+    s = RankedState(PQ, (0, 1, 1, 0))
+    twin = RankedState(Signature(("p", "q")), [0, 1, 1, 0])
+    assert twin.sig is not PQ
+    assert s == twin and twin == s and not s != twin
+    assert hash(s) == hash(twin)
+    other_sig = RankedState(Signature(("p", "r")), (0, 1, 1, 0))
+    assert s != other_sig and not s == other_sig
+    assert s != RankedState(PQ, (0, 1, 0, 1))
+    assert RankedState.__eq__(s, s.ranks) is NotImplemented
+    assert s != s.ranks and s != None  # noqa: E711
 
 
 # --- extraction --------------------------------------------------------------
@@ -209,6 +255,53 @@ def test_enumerate_order_is_levels_then_lexicographic():
     ]
 
 
+def _enumerate_brute_force(sig):
+    """Oracle: recursive surjections onto 1, 2, ... levels, lexicographic
+    within each level count."""
+    total = sig.num_valuations
+    vec = [0] * total
+
+    def go(i, used, onto):
+        if i == total:
+            yield tuple(vec)
+            return
+        budget = total - i - 1
+        for value in range(onto):
+            new_used = used | (1 << value)
+            if onto - new_used.bit_count() <= budget:
+                vec[i] = value
+                yield from go(i + 1, new_used, onto)
+
+    for levels in range(1, total + 1):
+        yield from go(0, 0, levels)
+
+
+def _ranks_digest(vectors):
+    digest = hashlib.sha256()
+    for ranks in vectors:
+        digest.update(bytes(ranks))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("sig", [Signature(("p",)), PQ], ids=["n1", "n2"])
+def test_enumerate_matches_brute_force_small(sig):
+    assert [s.ranks for s in enumerate_states(sig)] == list(_enumerate_brute_force(sig))
+
+
+def test_enumerate_n3_matches_brute_force_in_bounded_memory():
+    # one streamed pass: the suffix tables stay small and no state is kept
+    expected = _ranks_digest(_enumerate_brute_force(RGS))
+    stream = enumerate_states(RGS)
+    tracemalloc.start()
+    try:
+        got = _ranks_digest(s.ranks for s in stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 4 * 1024 * 1024
+
+
 def test_enumerate_rejects_large_signature():
     with pytest.raises(ValueError, match="too large"):
         enumerate_states(Signature(("a", "b", "c", "d")))
@@ -242,6 +335,16 @@ def test_sample_covers_every_weak_order_at_n2():
     # regression pin: this seed/count pair reaches all 75 weak orders
     seen = {s.ranks for s in sample_states(PQ, 10000, 7)}
     assert seen == {s.ranks for s in enumerate_states(PQ)}
+
+
+@pytest.mark.parametrize("sig", [Signature(("p",)), PQ, RGS], ids=["n1", "n2", "n3"])
+def test_sample_matches_randrange_reference(sig):
+    total = sig.num_valuations
+    for seed in range(10):
+        rng = random.Random(seed)
+        expected = [normalize(sig, [rng.randrange(total) for _ in range(total)])
+                    for _ in range(200)]
+        assert list(sample_states(sig, 200, seed)) == expected
 
 
 def test_sample_requires_positive_count():
