@@ -1,7 +1,8 @@
 """Golden gate: CLI output bytes and the operator table stay fixed.
 
 ``golden_cli.json`` holds, for a fixed argv set, the exit code and the sha256
-of standard output, plus one sha256 over the full output table of all six
+of standard output (argv naming ``{state}`` run against a state file written
+from the worked example's initial ordering), plus one sha256 over the full output table of all six
 operators, one over every n=2 verdict (status, note and trace) of the R, S, C
 and CORE postulates, one over every n=2 verdict of the AGM postulates
 PC1-PC8 and PR1-PR8, and the state streams: one over the exhaustive
@@ -12,22 +13,25 @@ After an intended change of behaviour, re-record from the repository root with
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import random
+import tempfile
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import pytest
 
-from beliefrev.cli import run
+from beliefrev.cli import _build_parser, run
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
 from beliefrev.postulates import Instance, check_instance, iter_instances
-from beliefrev.states import enumerate_states, normalize, sample_states
+from beliefrev.states import enumerate_states, normalize, sample_states, state_to_text
+from beliefrev.theorems import GEORGE_ATOMS, GEORGE_INITIAL
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 N2 = Signature(("p", "q"))
@@ -35,6 +39,7 @@ N3 = Signature(("p", "q", "r"))
 STREAM_SIGS = (Signature(("p",)), N2, N3)
 SAMPLE_COUNT = 20000
 SAMPLE_SEEDS = (0, 1, 2)
+STATE = "{state}"  # argv placeholder for the path of the initial state file
 
 
 def _argvs() -> list[tuple[str, ...]]:
@@ -57,6 +62,28 @@ def _argvs() -> list[tuple[str, ...]]:
               for pid, samples in (("R6", "20"), ("C2", "1"), ("CORE", "3"))]
     argvs += [("george", "--op", op, "--format", "json") for op in ("natural", "flatten")]
     argvs.append(("theorem1", "--atoms", "p,q,r", "--format", "json"))  # gated: exit 2
+    argvs += [(cmd, *pq, "--op", "reverse", "--format", "text")
+              for cmd in ("theorem1", "corollary1", "observation1")]
+    argvs += [("hansson", *pq, "--cop", cop, "--format", "text")
+              for cop in ("natural-con", "drastic")]
+    # the AGM precondition fails under drastic contraction: every claim is skipped
+    argvs += [(cmd, *pq, "--cop", "drastic", "--format", fmt)
+              for cmd in ("theorem1", "observation1") for fmt in ("json", "text")]
+    argvs += [
+        ("george", "--op", "flatten", "--format", "text"),
+        ("models", "--atoms", "r,g,s", "!r & (g | s)", "--format", "text"),
+        ("enumerate", *pq, "--format", "text"),
+        ("enumerate", *pq, "--mode", "sample", "--samples", "100", "--seed", "4",
+         "--format", "text"),
+    ]
+    for fmt in ("json", "text"):
+        argvs += [
+            ("revise", "--state", STATE, "--op", "natural", "!(r|g|s)", "--format", fmt),
+            ("contract", "--state", STATE, "--cop", "drastic", "r", "--format", fmt),
+            ("seq", "--state", STATE, "--op", "flatten", "--cop", "natural-con",
+             "--steps", "revise:!(r|g|s); contract:g; revise:false", "--format", fmt),
+        ]
+    argvs.append(("revise", "--state", STATE, "--op", "lex", "false", "--format", "text"))
     return argvs
 
 
@@ -65,8 +92,12 @@ ARGVS = _argvs()
 
 def _run(argv: tuple[str, ...]) -> dict:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run(list(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp, "initial.txt")
+        state.write_text(state_to_text(normalize(Signature(GEORGE_ATOMS), GEORGE_INITIAL)))
+        argv = [str(state) if a == STATE else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
@@ -186,6 +217,14 @@ def golden() -> dict:
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_cli_output_matches_golden(golden, argv):
     assert _run(argv) == golden["cli"][" ".join(argv)]
+
+
+def test_every_command_has_golden_argv(golden):
+    """A new subcommand cannot bypass the byte gate, and no golden entry is stale."""
+    (commands,) = [action.choices for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands) == {argv[0] for argv in ARGVS}
+    assert set(golden["cli"]) == {" ".join(argv) for argv in ARGVS}
 
 
 def test_operator_table_matches_golden(golden):
