@@ -54,91 +54,88 @@ def _parse_atoms(text: str) -> Signature:
     return Signature(tuple(name.strip() for name in text.split(",") if name.strip()))
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+def _add_operators(parser: argparse.ArgumentParser, op: bool = True, cop: bool = True) -> None:
+    if op:
+        parser.add_argument("--op", default="natural", choices=sorted(REVISION_OPERATORS))
+    if cop:
+        parser.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
 
 
-def _add_search_options(parser: argparse.ArgumentParser) -> None:
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--allow-n3", action="store_true",
-        help="allow exhaustive search over three atoms (545835 states)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """run() builds the parser on every call, so each harness bound here is
+    this module's attribute at that moment, as swapped in by a tracer."""
     parser = argparse.ArgumentParser(
         prog="beliefrev",
         description="Iterated belief revision and contraction on ranked epistemic states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("models", help="model set of a formula")
+    def command(name: str, help_text: str, handler, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, **defaults)
+        return p
+
+    p = command("models", "model set of a formula", _cmd_models)
     p.add_argument("--atoms", required=True)
     p.add_argument("formula")
-    _add_format(p)
 
-    p = sub.add_parser("revise", help="revise a state file by a formula")
+    p = command("revise", "revise a state file by a formula", _cmd_change)
     p.add_argument("--state", required=True)
-    p.add_argument("--op", default="natural", choices=sorted(REVISION_OPERATORS))
+    _add_operators(p, cop=False)
     p.add_argument("formula")
-    _add_format(p)
 
-    p = sub.add_parser("contract", help="contract a state file by a formula")
+    p = command("contract", "contract a state file by a formula", _cmd_change)
     p.add_argument("--state", required=True)
-    p.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
+    _add_operators(p, op=False)
     p.add_argument("formula")
-    _add_format(p)
 
-    p = sub.add_parser("seq", help="apply a revise/contract sequence to a state file")
+    p = command("seq", "apply a revise/contract sequence to a state file", _cmd_seq)
     p.add_argument("--state", required=True)
-    p.add_argument("--op", default="natural", choices=sorted(REVISION_OPERATORS))
-    p.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
+    _add_operators(p)
     p.add_argument("--steps", required=True,
                    help="semicolon-separated items 'revise:FORMULA' / 'contract:FORMULA'")
-    _add_format(p)
 
-    p = sub.add_parser("check", help="check postulates by counterexample search")
+    p = command("check", "check postulates by counterexample search", _cmd_check)
     p.add_argument("--atoms", required=True)
-    p.add_argument("--op", default="natural", choices=sorted(REVISION_OPERATORS))
-    p.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
+    _add_operators(p)
     p.add_argument("--postulate", required=True,
                    help="a postulate id or 'all'")
-    _add_search_options(p)
-    _add_format(p)
-
-    for name, help_text in (
-        ("theorem1", "check the semantic/syntactic equivalences for one operator pair"),
-        ("corollary1", "check revise-then-contract equals contraction on applicable instances"),
-        ("observation1", "check the seven-item recovery-postulate profile"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--atoms", required=True)
-        p.add_argument("--op", default="natural", choices=sorted(REVISION_OPERATORS))
-        p.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
-        p.add_argument("--jobs", type=int, default=1)
-        _add_format(p)
-
-    p = sub.add_parser("hansson", help="check that the plausible postulates enforce recovery")
-    p.add_argument("--atoms", required=True)
-    p.add_argument("--cop", default="natural-con", choices=sorted(CONTRACTION_OPERATORS))
+    _add_sampling(p)
     p.add_argument("--jobs", type=int, default=1)
-    _add_format(p)
+    p.add_argument(
+        "--allow-n3", action="store_true",
+        help="allow exhaustive search over three atoms (545835 states)",
+    )
 
-    p = sub.add_parser("george", help="replay the two-revision golden trace")
+    for name, verify, help_text in (
+        ("theorem1", verify_theorem1,
+         "check the semantic/syntactic equivalences for one operator pair"),
+        ("corollary1", verify_corollary1,
+         "check revise-then-contract equals contraction on applicable instances"),
+        ("observation1", verify_observation1, "check the seven-item recovery-postulate profile"),
+        ("hansson", verify_hansson, "check that the plausible postulates enforce recovery"),
+    ):
+        p = command(name, help_text, _cmd_harness, verify=verify)
+        p.add_argument("--atoms", required=True)
+        # hansson fixes the natural revision: only the contraction is chosen
+        _add_operators(p, op=name != "hansson")
+        p.add_argument("--jobs", type=int, default=1)
+
+    p = command("george", "replay the two-revision golden trace", _cmd_george)
     p.add_argument("--op", required=True, choices=("natural", "flatten"))
-    _add_format(p)
 
-    p = sub.add_parser("enumerate", help="count epistemic states over a signature")
+    p = command("enumerate", "count epistemic states over a signature", _cmd_enumerate)
     p.add_argument("--atoms", required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
+    _add_sampling(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -165,33 +162,20 @@ def _cmd_models(args) -> int:
     return 0
 
 
-def _change_payload(kind: str, name: str, formula: str, outcome, sig) -> tuple[dict, str]:
-    entry = outcome_entry(f"{kind} by {formula}", outcome, sig)
-    payload = {"operator": name, "formula": formula, "result": entry}
+def _cmd_change(args) -> int:
+    revise = args.command == "revise"
+    name = args.op if revise else args.cop
+    state = load_state_file(args.state)
+    a = models(parse_formula(args.formula, state.sig), state.sig)
+    outcome = (get_revision if revise else get_contraction)(name)(state, a)
+    label = f"{args.command} by {args.formula}"
+    entry = outcome_entry(label, outcome, state.sig)
+    payload = {"operator": name, "formula": args.formula, "result": entry}
     if outcome is ABSURD:
-        text = f"{kind} by {formula} [{name}]: absurd (no ranked state; belief set inconsistent)"
+        text = f"{label} [{name}]: absurd (no ranked state; belief set inconsistent)"
     else:
-        text = (
-            f"{kind} by {formula} [{name}]:\n{_state_lines(outcome)}\n"
-            f"belief set: {' '.join(entry['belief'])}"
-        )
-    return payload, text
-
-
-def _cmd_revise(args) -> int:
-    state = load_state_file(args.state)
-    a = models(parse_formula(args.formula, state.sig), state.sig)
-    outcome = get_revision(args.op)(state, a)
-    payload, text = _change_payload("revise", args.op, args.formula, outcome, state.sig)
-    _emit(args, payload, text)
-    return 0
-
-
-def _cmd_contract(args) -> int:
-    state = load_state_file(args.state)
-    a = models(parse_formula(args.formula, state.sig), state.sig)
-    outcome = get_contraction(args.cop)(state, a)
-    payload, text = _change_payload("contract", args.cop, args.formula, outcome, state.sig)
+        text = (f"{label} [{name}]:\n{_state_lines(outcome)}\n"
+                f"belief set: {' '.join(entry['belief'])}")
     _emit(args, payload, text)
     return 0
 
@@ -254,17 +238,11 @@ def _cmd_check(args) -> int:
     return 1 if report.total_fails else 0
 
 
-def _theorem_command(args, verify) -> int:
+def _cmd_harness(args) -> int:
     sig = _parse_atoms(args.atoms)
-    pair = make_pair(args.op, args.cop)
-    report = verify(pair, sig, jobs=args.jobs)
-    _emit(args, theorem_report_json(report), theorem_report_text(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_hansson(args) -> int:
-    sig = _parse_atoms(args.atoms)
-    report = verify_hansson(args.cop, sig, jobs=args.jobs)
+    # hansson takes its contraction by name and pairs it with natural revision
+    target = make_pair(args.op, args.cop) if "op" in args else args.cop
+    report = args.verify(target, sig, jobs=args.jobs)
     _emit(args, theorem_report_json(report), theorem_report_text(report))
     return 0 if report.ok else 1
 
@@ -277,33 +255,19 @@ def _cmd_george(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     sig = _parse_atoms(args.atoms)
+    atoms = ",".join(sig.atoms)
     if args.mode == "exhaustive":
         stream = enumerate_states(sig)
         generated = sum(1 for _ in stream)
-        payload = {
-            "signature": {"atoms": list(sig.atoms)},
-            "mode": stream.mode,
-            "expected": stream.count,
-            "generated": generated,
-        }
-        text = (
-            f"states over atoms {','.join(sig.atoms)}: {generated} "
-            f"(weak-order count {stream.count})"
-        )
+        counts = {"expected": stream.count, "generated": generated}
+        text = f"states over atoms {atoms}: {generated} (weak-order count {stream.count})"
     else:
         stream = sample_states(sig, args.samples, args.seed)
         distinct = len({s.ranks for s in stream})
-        payload = {
-            "signature": {"atoms": list(sig.atoms)},
-            "mode": stream.mode,
-            "seed": stream.seed,
-            "samples": stream.count,
-            "distinct": distinct,
-        }
-        text = (
-            f"sampled {stream.count} states over atoms {','.join(sig.atoms)} "
-            f"(seed {stream.seed}): {distinct} distinct"
-        )
+        counts = {"seed": stream.seed, "samples": stream.count, "distinct": distinct}
+        text = (f"sampled {stream.count} states over atoms {atoms} "
+                f"(seed {stream.seed}): {distinct} distinct")
+    payload = {"signature": {"atoms": list(sig.atoms)}, "mode": stream.mode, **counts}
     _emit(args, payload, text)
     return 0
 
@@ -315,21 +279,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    handlers = {
-        "models": _cmd_models,
-        "revise": _cmd_revise,
-        "contract": _cmd_contract,
-        "seq": _cmd_seq,
-        "check": _cmd_check,
-        "theorem1": lambda a: _theorem_command(a, verify_theorem1),
-        "corollary1": lambda a: _theorem_command(a, verify_corollary1),
-        "observation1": lambda a: _theorem_command(a, verify_observation1),
-        "hansson": _cmd_hansson,
-        "george": _cmd_george,
-        "enumerate": _cmd_enumerate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

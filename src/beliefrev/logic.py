@@ -27,7 +27,16 @@ from typing import Iterable, Iterator
 
 MAX_ATOMS = 16
 
+# Deepest formula the parser accepts.  Each operator and each pair of
+# parentheses is one level; the parser and every recursive walk of the tree
+# (models, satisfies, printing) stay well inside the interpreter's recursion
+# limit at this depth.
+MAX_FORMULA_DEPTH = 100
+
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+# The parser reads these words as constants, so they cannot name atoms.
+_RESERVED_WORDS = ("true", "false")
 
 
 class SignatureMismatchError(ValueError):
@@ -78,6 +87,8 @@ class Signature:
         for name in self.atoms:
             if not _ATOM_NAME_RE.match(name):
                 raise ValueError(f"bad atom name {name!r}")
+            if name in _RESERVED_WORDS:
+                raise ValueError(f"reserved atom name {name!r}: true and false are constants")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom names")
         n = len(self.atoms)
@@ -425,12 +436,18 @@ class _Parser:
     formula := iff ; iff := imp ("<->" imp)* ; imp := or ("->" imp)? ;
     or := and ("|" and)* ; and := not ("&" not)* ;
     not := "!" not | atom | "true" | "false" | "(" formula ")" .
+
+    Each rule returns its formula with its depth, counting one level per
+    operator and per pair of parentheses.  ``enclosing`` counts the "!", "("
+    and "->" levels the parser has recursed into, so the recursion is
+    refused at the bound before it happens rather than measured after.
     """
 
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.sig = sig
         self.pos = 0
+        self.enclosing = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -441,58 +458,79 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f, _ = self.iff()
         kind, text, at = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected {text!r}", at)
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
+    @staticmethod
+    def bounded(depth: int, at: int) -> int:
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested too deeply: more than {MAX_FORMULA_DEPTH} levels", at)
+        return depth
+
+    def enter(self, at: int) -> None:
+        self.enclosing = self.bounded(self.enclosing + 1, at)
+
+    def iff(self) -> tuple[Formula, int]:
+        f, d = self.imp()
         while self.peek()[0] == "iff":
-            self.advance()
-            f = Iff(f, self.imp())
-        return f
+            at = self.advance()[2]
+            g, e = self.imp()
+            f, d = Iff(f, g), self.bounded(max(d, e) + 1, at)
+        return f, d
 
-    def imp(self) -> Formula:
-        f = self.disjunction()
+    def imp(self) -> tuple[Formula, int]:
+        f, d = self.disjunction()
         if self.peek()[0] == "imp":
-            self.advance()
-            return Implies(f, self.imp())
-        return f
+            at = self.advance()[2]
+            self.enter(at)
+            g, e = self.imp()
+            self.enclosing -= 1
+            return Implies(f, g), self.bounded(max(d, e) + 1, at)
+        return f, d
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self) -> tuple[Formula, int]:
+        f, d = self.conjunction()
         while self.peek()[0] == "or":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
+            at = self.advance()[2]
+            g, e = self.conjunction()
+            f, d = Or(f, g), self.bounded(max(d, e) + 1, at)
+        return f, d
 
-    def conjunction(self) -> Formula:
-        f = self.negation()
+    def conjunction(self) -> tuple[Formula, int]:
+        f, d = self.negation()
         while self.peek()[0] == "and":
-            self.advance()
-            f = And(f, self.negation())
-        return f
+            at = self.advance()[2]
+            g, e = self.negation()
+            f, d = And(f, g), self.bounded(max(d, e) + 1, at)
+        return f, d
 
-    def negation(self) -> Formula:
+    def negation(self) -> tuple[Formula, int]:
         kind, text, at = self.advance()
         if kind == "not":
-            return Not(self.negation())
+            self.enter(at)
+            f, d = self.negation()
+            self.enclosing -= 1
+            return Not(f), self.bounded(d + 1, at)
         if kind == "word":
             if text == "true":
-                return TRUE
+                return TRUE, 0
             if text == "false":
-                return FALSE
+                return FALSE, 0
             if text not in self.sig.atoms:
                 raise UnknownAtomError(text, at)
-            return Atom(text)
+            return Atom(text), 0
         if kind == "lp":
-            f = self.iff()
+            self.enter(at)
+            f, d = self.iff()
+            self.enclosing -= 1
             kind2, text2, at2 = self.advance()
             if kind2 != "rp":
                 raise FormulaSyntaxError(f"expected ')', got {text2!r}", at2)
-            return f
+            return f, self.bounded(d + 1, at)
         shown = text if text else "end of input"
         raise FormulaSyntaxError(f"unexpected {shown!r}", at)
 
@@ -500,7 +538,8 @@ class _Parser:
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse ASCII formula text over the signature.
 
-    Raises FormulaSyntaxError with a position on malformed input, and
-    UnknownAtomError naming the atom when it is not in the signature.
+    Raises FormulaSyntaxError with a position on malformed input or past
+    MAX_FORMULA_DEPTH levels of nesting, and UnknownAtomError naming the
+    atom when it is not in the signature.
     """
     return _Parser(text, sig).parse()

@@ -7,12 +7,20 @@ All verification here is empirical model checking at enumeration scale.  A
 claim is reported "consistent-with-theorem", never "proved": both directions
 of each biconditional are evaluated per operator pair over every enumerable
 instance, which is the strongest finite test available.
+
+Every harness reads its postulates' first counterexamples from one ordered
+``_searches`` call (or scans a derived postulate with ``_scan``) and builds
+each claim with ``_claim``, which names the operator pair and keeps the
+witnesses that were found, in order.  When a precondition fails (the
+reformulated AGM postulates for theorem1 and observation1, S1 and S2 for
+corollary1) ``_skipped`` reports every claim as skipped with the reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterable
 
 from .logic import Signature, WorldSet, parse_formula, models
 from .operators import (
@@ -89,52 +97,65 @@ def _agm_precondition(ops: OperatorPair, sig: Signature, jobs: int = 1) -> str |
     return None
 
 
+def _claim(
+    ops: OperatorPair, claim: str, pids: tuple[str, ...], direction: str, status: str,
+    detail: str, cexs: Iterable[Counterexample | None] = (),
+) -> ClaimResult:
+    """One claim about the pair; witnesses are the counterexamples found, in order."""
+    return ClaimResult(claim, ops.revision.name, ops.contraction.name, pids, direction,
+                       status, detail, tuple(c for c in cexs if c is not None))
+
+
+def _report(title: str, ops: OperatorPair, sig: Signature,
+            claims: Iterable[ClaimResult]) -> TheoremReport:
+    return TheoremReport(title, ops.revision.name, ops.contraction.name, sig, tuple(claims))
+
+
+def _skipped(title: str, ops: OperatorPair, sig: Signature,
+             rows: Iterable[tuple[str, tuple[str, ...]]], direction: str,
+             reason: str) -> TheoremReport:
+    """Every (claim, postulates) row skipped because a precondition failed."""
+    return _report(title, ops, sig, (_claim(ops, claim, pids, direction, SKIPPED, reason)
+                                     for claim, pids in rows))
+
+
+def _searches(ops: OperatorPair, sig: Signature, pids: Iterable[str],
+              jobs: int) -> dict[str, Counterexample | None]:
+    """First counterexample (or None) for each postulate, searched in order."""
+    return {pid: search_counterexample(pid, ops, sig, jobs=jobs) for pid in pids}
+
+
+# (claim, semantic postulate, syntactic postulates, detail when no syntactic
+# counterexample exists, detail when one does)
+_THEOREM1 = (
+    ("theorem1.1", "S1", ("R1",), "R1 counterexample absent", "R1 counterexample found"),
+    ("theorem1.2", "S2", ("R2", "R3", "R4"), "R2-R4 counterexamples absent",
+     "counterexamples found for {failing}"),
+)
+
+
 @_pool_scope()
 def verify_theorem1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Check both biconditionals: R1 clean iff S1 holds, and R2-R4 clean iff
     S2 holds, each decided exhaustively per operator pair."""
     reason = _agm_precondition(ops, sig, jobs=jobs)
     if reason is not None:
-        claims = tuple(
-            ClaimResult(claim, ops.revision.name, ops.contraction.name, pids,
-                        "both", SKIPPED, reason)
-            for claim, pids in (("theorem1.1", ("S1", "R1")),
-                                ("theorem1.2", ("S2", "R2", "R3", "R4")))
-        )
-        return TheoremReport("theorem1", ops.revision.name, ops.contraction.name, sig, claims)
+        rows = [(claim, (sem, *syn)) for claim, sem, syn, _, _ in _THEOREM1]
+        return _skipped("theorem1", ops, sig, rows, "both", reason)
 
-    def search(pid: str) -> Counterexample | None:
-        return search_counterexample(pid, ops, sig, jobs=jobs)
-
-    s1_cex = search("S1")
-    r1_cex = search("R1")
-    s1_holds = s1_cex is None
-    r1_clean = r1_cex is None
-    witnesses1 = tuple(c for c in (s1_cex, r1_cex) if c is not None)
-    claim1 = ClaimResult(
-        "theorem1.1", ops.revision.name, ops.contraction.name, ("S1", "R1"), "both",
-        CONSISTENT if s1_holds == r1_clean else INCONSISTENT,
-        ("S1 holds exhaustively; " if s1_holds else "S1 fails at some instance; ")
-        + f"R1 counterexample {'absent' if r1_clean else 'found'}",
-        witnesses1,
-    )
-
-    s2_cex = search("S2")
-    r_cexs = {pid: search(pid) for pid in ("R2", "R3", "R4")}
-    s2_holds = s2_cex is None
-    r_clean = all(c is None for c in r_cexs.values())
-    witnesses2 = tuple(c for c in (s2_cex, *r_cexs.values()) if c is not None)
-    failing = [pid for pid, c in r_cexs.items() if c is not None]
-    claim2 = ClaimResult(
-        "theorem1.2", ops.revision.name, ops.contraction.name, ("S2", "R2", "R3", "R4"), "both",
-        CONSISTENT if s2_holds == r_clean else INCONSISTENT,
-        ("S2 holds exhaustively; " if s2_holds else "S2 fails at some instance; ")
-        + ("R2-R4 counterexamples absent" if r_clean else "counterexamples found for " + ", ".join(failing)),
-        witnesses2,
-    )
-    return TheoremReport(
-        "theorem1", ops.revision.name, ops.contraction.name, sig, (claim1, claim2)
-    )
+    claims = []
+    for claim, sem, syn, absent, found in _THEOREM1:
+        cexs = _searches(ops, sig, (sem, *syn), jobs)
+        holds = cexs[sem] is None
+        failing = [pid for pid in syn if cexs[pid] is not None]
+        claims.append(_claim(
+            ops, claim, (sem, *syn), "both",
+            CONSISTENT if holds == (not failing) else INCONSISTENT,
+            (f"{sem} holds exhaustively; " if holds else f"{sem} fails at some instance; ")
+            + (found.format(failing=", ".join(failing)) if failing else absent),
+            cexs.values(),
+        ))
+    return _report("theorem1", ops, sig, claims)
 
 
 def _corollary1_check(pair, s, a, b):
@@ -161,25 +182,20 @@ _COROLLARY1 = Postulate(
 def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Equality of revise-then-contract with plain contraction whenever the
     input's negation is not believed."""
-    missing = [pid for pid in ("S1", "S2")
-               if search_counterexample(pid, ops, sig, jobs=jobs) is not None]
+    pids = ("S1", "S2")
+    missing = [pid for pid, c in _searches(ops, sig, pids, jobs).items() if c is not None]
     if missing:
-        claim = ClaimResult(
-            "corollary1", ops.revision.name, ops.contraction.name,
-            ("S1", "S2"), "equality", SKIPPED,
-            "precondition failed: " + ", ".join(missing) + " violated",
-        )
-        return TheoremReport("corollary1", ops.revision.name, ops.contraction.name, sig, (claim,))
+        reason = "precondition failed: " + ", ".join(missing) + " violated"
+        return _skipped("corollary1", ops, sig, [("corollary1", pids)], "equality", reason)
 
     (r,) = _scan([_COROLLARY1], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
-    claim = ClaimResult(
-        "corollary1", ops.revision.name, ops.contraction.name,
-        ("S1", "S2"), "equality",
+    claim = _claim(
+        ops, "corollary1", pids, "equality",
         CONSISTENT if r.fails == 0 else INCONSISTENT,
         f"{r.holds + r.fails} applicable instances, {r.vacuous} inapplicable, {r.fails} violations",
-        (r.counterexample,) if r.counterexample else (),
+        (r.counterexample,),
     )
-    return TheoremReport("corollary1", ops.revision.name, ops.contraction.name, sig, (claim,))
+    return _report("corollary1", ops, sig, (claim,))
 
 
 def _co_occurring(premise: str, conclusion: str, input_unbelieved: bool, pair, s, a, b):
@@ -205,70 +221,42 @@ def _implication_claim(
     )
     (r,) = _scan([post], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     scope = "applicable instances" if input_unbelieved else "instances"
-    return ClaimResult(
-        claim, ops.revision.name, ops.contraction.name, (premise, conclusion),
+    return _claim(
+        ops, claim, (premise, conclusion),
         "instance implication (input not believed)" if input_unbelieved else "instance implication",
         CONSISTENT if r.fails == 0 else INCONSISTENT,
         f"{r.holds + r.fails} {scope} with {premise} holding; {r.fails} had {conclusion} failing",
-        (r.counterexample,) if r.counterexample else (),
+        (r.counterexample,),
     )
 
 
 @_pool_scope()
 def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """The seven-item profile relating the recovery-style postulates."""
-    rev, con = ops.revision.name, ops.contraction.name
     reason = _agm_precondition(ops, sig, jobs=jobs)
     if reason is not None:
-        claims = tuple(
-            ClaimResult(f"observation1.{i}", rev, con, (), "item", SKIPPED, reason)
-            for i in range(1, 8)
-        )
-        return TheoremReport("observation1", rev, con, sig, claims)
+        rows = [(f"observation1.{i}", ()) for i in range(1, 8)]
+        return _skipped("observation1", ops, sig, rows, "item", reason)
 
-    claims = []
-
-    r3_cex = search_counterexample("R3", ops, sig, jobs=jobs)
-    claims.append(ClaimResult(
-        "observation1.1", rev, con, ("R3",), "record", RECORDED,
-        "R3 holds exhaustively" if r3_cex is None else "R3 counterexample found",
-        (r3_cex,) if r3_cex else (),
+    r3, r6, r7, r8 = _searches(ops, sig, ("R3", "R6", "R7", "R8"), jobs).values()
+    return _report("observation1", ops, sig, (
+        _claim(ops, "observation1.1", ("R3",), "record", RECORDED,
+               "R3 holds exhaustively" if r3 is None else "R3 counterexample found", (r3,)),
+        _implication_claim("observation1.2", ops, sig, jobs, "R2", "R9"),
+        _implication_claim("observation1.3", ops, sig, jobs, "R1", "R5"),
+        _claim(ops, "observation1.4", ("R6", "R3"), "co-satisfaction",
+               CONSISTENT if (r6 is None) == (r3 is None) else INCONSISTENT,
+               f"R6 {'clean' if r6 is None else 'fails'}, R3 {'clean' if r3 is None else 'fails'}",
+               (r6, r3)),
+        _claim(ops, "observation1.5", ("R7",), "counterexample existence",
+               CONSISTENT if r7 is not None else INCONSISTENT,
+               "R7 counterexample found (it contradicts inclusion and success)"
+               if r7 is not None else "no R7 counterexample found", (r7,)),
+        _implication_claim("observation1.6", ops, sig, jobs, "R5", "R1", input_unbelieved=True),
+        _claim(ops, "observation1.7", ("R8",), "counterexample absence",
+               CONSISTENT if r8 is None else INCONSISTENT,
+               "R8 holds exhaustively" if r8 is None else "R8 counterexample found", (r8,)),
     ))
-
-    claims.append(_implication_claim("observation1.2", ops, sig, jobs, "R2", "R9"))
-    claims.append(_implication_claim("observation1.3", ops, sig, jobs, "R1", "R5"))
-
-    r6_cex = search_counterexample("R6", ops, sig, jobs=jobs)
-    same = (r6_cex is None) == (r3_cex is None)
-    claims.append(ClaimResult(
-        "observation1.4", rev, con, ("R6", "R3"), "co-satisfaction",
-        CONSISTENT if same else INCONSISTENT,
-        f"R6 {'clean' if r6_cex is None else 'fails'}, R3 {'clean' if r3_cex is None else 'fails'}",
-        tuple(c for c in (r6_cex, r3_cex) if c is not None),
-    ))
-
-    r7_cex = search_counterexample("R7", ops, sig, jobs=jobs)
-    claims.append(ClaimResult(
-        "observation1.5", rev, con, ("R7",), "counterexample existence",
-        CONSISTENT if r7_cex is not None else INCONSISTENT,
-        "R7 counterexample found (it contradicts inclusion and success)"
-        if r7_cex else "no R7 counterexample found",
-        (r7_cex,) if r7_cex else (),
-    ))
-
-    claims.append(_implication_claim(
-        "observation1.6", ops, sig, jobs, "R5", "R1", input_unbelieved=True
-    ))
-
-    r8_cex = search_counterexample("R8", ops, sig, jobs=jobs)
-    claims.append(ClaimResult(
-        "observation1.7", rev, con, ("R8",), "counterexample absence",
-        CONSISTENT if r8_cex is None else INCONSISTENT,
-        "R8 holds exhaustively" if r8_cex is None else "R8 counterexample found",
-        (r8_cex,) if r8_cex else (),
-    ))
-
-    return TheoremReport("observation1", rev, con, sig, tuple(claims))
 
 
 @_pool_scope()
@@ -282,14 +270,11 @@ def verify_hansson(
         con = get_contraction(con)
     ops = OperatorPair(get_revision("natural"), con)
     antecedent_ids = ("PC1", "PC2", "PC3", "PC4", "PC5", "CORE")
-    antecedent_cexs = {
-        pid: search_counterexample(pid, ops, sig, jobs=jobs) for pid in antecedent_ids
-    }
-    recovery_cex = search_counterexample("PC6", ops, sig, jobs=jobs)
-    failing = [pid for pid, c in antecedent_cexs.items() if c is not None]
-    antecedent_ok = not failing
-    recovery_ok = recovery_cex is None
-    if antecedent_ok:
+    pids = antecedent_ids + ("PC6",)
+    cexs = _searches(ops, sig, pids, jobs)
+    failing = [pid for pid in antecedent_ids if cexs[pid] is not None]
+    recovery_ok = cexs["PC6"] is None
+    if not failing:
         status = CONSISTENT if recovery_ok else INCONSISTENT
         detail = (
             "antecedent postulates hold exhaustively; recovery "
@@ -302,12 +287,8 @@ def verify_hansson(
             + ("holds" if recovery_ok else "also fails")
             + "; implication not refuted"
         )
-    witnesses = tuple(c for c in (*antecedent_cexs.values(), recovery_cex) if c is not None)
-    claim = ClaimResult(
-        "hansson", ops.revision.name, con.name, antecedent_ids + ("PC6",),
-        "implication", status, detail, witnesses,
-    )
-    return TheoremReport("hansson", ops.revision.name, con.name, sig, (claim,))
+    claim = _claim(ops, "hansson", pids, "implication", status, detail, cexs.values())
+    return _report("hansson", ops, sig, (claim,))
 
 
 # --- the worked example ------------------------------------------------------

@@ -3,8 +3,9 @@ import json
 import jsonschema
 import pytest
 
+from beliefrev import cli
 from beliefrev.cli import main
-from beliefrev.logic import Signature
+from beliefrev.logic import MAX_FORMULA_DEPTH, Signature
 from beliefrev.reporting import (
     GEORGE_REPORT_SCHEMA,
     SUITE_REPORT_SCHEMA,
@@ -206,13 +207,50 @@ def test_jobs_do_not_change_theorem_output(capsys, command, pair):
     assert first == second
 
 
-def test_text_and_json_report_same_verdict(capsys):
-    code_t, text, _ = run_cli(capsys, "check", "--atoms", "p,q", "--postulate", "PC6")
-    code_j, payload, _ = run_json(capsys, "check", "--atoms", "p,q", "--postulate", "PC6",
-                                  "--format", "json")
-    assert code_t == code_j == 0
-    assert "PC6" in text and "ok" in text
-    assert payload["results"][0]["fails"] == 0
+def _statuses(payload: dict) -> list[tuple[str, str]]:
+    """(name, status) of each suite result or harness claim in a JSON report."""
+    if "claims" in payload:
+        return [(c["claim"], c["status"]) for c in payload["claims"]]
+    return [(r["postulate"], "ok" if r["fails"] == 0 else "FAIL") for r in payload["results"]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "--postulate", "PC6"), 0),
+    (("theorem1", "--op", "reverse"), 0),
+    (("observation1",), 0),
+    (("corollary1", "--op", "reverse"), 1),
+    (("hansson", "--cop", "drastic"), 0),
+], ids=lambda p: "-".join(a.lstrip("-") for a in p) if isinstance(p, tuple) else str(p))
+def test_text_and_json_report_same_verdict(capsys, argv, code):
+    args = (*argv, "--atoms", "p,q")
+    code_t, text, _ = run_cli(capsys, *args)
+    code_j, payload, _ = run_json(capsys, *args, "--format", "json")
+    assert code_t == code_j == code
+    # one status line, indented by exactly two spaces, per result or claim
+    rows = [line.split() for line in text.splitlines()
+            if line.startswith("  ") and line[2] != " "]
+    statuses = _statuses(payload)
+    assert len(rows) == len(statuses)
+    for words, (name, status) in zip(rows, statuses):
+        assert words[0] == name and status in words
+
+
+def test_harness_commands_call_the_module_attributes(capsys, monkeypatch):
+    """Tracing swaps the harnesses on the cli module, so handlers must look
+    them up at call time, not bind them at import."""
+    calls = []
+    for name in ("verify_theorem1", "verify_hansson"):
+        original = getattr(cli, name)
+
+        def recorder(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorder)
+    assert main(["theorem1", "--atoms", "p"]) == 0
+    assert main(["hansson", "--atoms", "p"]) == 0
+    capsys.readouterr()
+    assert calls == ["verify_theorem1", "verify_hansson"]
 
 
 def test_repeated_invocations_identical(capsys):
@@ -242,6 +280,32 @@ def test_unknown_atom_exits_two(capsys):
     code, _, err = run_cli(capsys, "models", "--atoms", "p,q", "zebra")
     assert code == 2
     assert "zebra" in err
+
+
+@pytest.mark.parametrize("formula", [
+    "!" * 1000 + "p",
+    "(" * 200 + "p" + ")" * 200,
+    " & ".join(["p"] * 1000),
+], ids=["negations", "parentheses", "flat-chain"])
+def test_deep_formula_exits_two(capsys, formula):
+    code, out, err = run_cli(capsys, "models", "--atoms", "p", formula)
+    assert code == 2
+    assert not out
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: formula nested too deeply: more than {MAX_FORMULA_DEPTH}")
+
+
+def test_constant_atom_name_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "models", "--atoms", "true,q", "true")
+    assert code == 2
+    assert not out
+    assert "reserved atom name 'true'" in err
+    path = tmp_path / "reserved.txt"
+    path.write_text("atoms: true q\n00: 0\n01: 0\n10: 1\n11: 1\n")
+    code, out, err = run_cli(capsys, "revise", "--state", str(path), "true")
+    assert code == 2
+    assert not out
+    assert "bad atoms line: reserved atom name 'true'" in err
 
 
 def test_oversize_signature_exits_two(capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from beliefrev.logic import (
     FALSE,
+    MAX_FORMULA_DEPTH,
     TRUE,
     And,
     Atom,
@@ -45,6 +46,10 @@ def test_signature_validation():
         Signature(("P",))
     with pytest.raises(ValueError):
         Signature(tuple(f"a{i}" for i in range(17)))
+    # the parser reads these words as constants, so an atom so named is unreachable
+    for word in ("true", "false"):
+        with pytest.raises(ValueError, match="reserved atom name"):
+            Signature(("p", word))
 
 
 def test_bitstring_convention():
@@ -144,6 +149,38 @@ def test_parse_precedence_and_associativity():
 def test_parse_constants():
     assert models(parse_formula("true", PQ), PQ) == WorldSet.full(PQ)
     assert models(parse_formula("false", PQ), PQ) == WorldSet.empty(PQ)
+
+
+def _deep(shape: str, depth: int) -> str:
+    """A formula over p of the given nesting depth in one of four shapes."""
+    if shape == "negations":
+        return "!" * depth + "p"
+    if shape == "parentheses":
+        return "(" * depth + "p" + ")" * depth
+    if shape == "flat-chain":
+        return " & ".join(["p"] * (depth + 1))
+    return " -> ".join(["p"] * (depth + 1))  # right-nested implications
+
+
+@pytest.mark.parametrize("shape", ["negations", "parentheses", "flat-chain", "implications"])
+def test_formula_at_depth_bound_evaluates_consistently(shape):
+    f = parse_formula(_deep(shape, MAX_FORMULA_DEPTH), PQ)
+    assert set(models(f, PQ)) == {v for v in PQ.valuations() if satisfies(f, v, PQ)}
+
+
+# the position is that of the token opening the first level too many
+@pytest.mark.parametrize("shape, position", [
+    ("negations", MAX_FORMULA_DEPTH),
+    ("parentheses", MAX_FORMULA_DEPTH),
+    ("flat-chain", 4 * MAX_FORMULA_DEPTH + 2),
+    ("implications", 5 * MAX_FORMULA_DEPTH + 2),
+])
+def test_formula_past_depth_bound_is_a_syntax_error(shape, position):
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply") as exc:
+        parse_formula(_deep(shape, MAX_FORMULA_DEPTH + 1), PQ)
+    assert exc.value.position == position
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula(_deep(shape, 1000), PQ)
 
 
 # --- models --------------------------------------------------------------------
