@@ -6,8 +6,8 @@ from the worked example's initial ordering), plus one sha256 over the full outpu
 operators, one over every n=2 verdict (status, note and trace) of the R, S, C
 and CORE postulates, one over every n=2 verdict of the AGM postulates
 PC1-PC8 and PR1-PR8, and the state streams: one over the exhaustive
-enumeration at n = 1, 2 and 3 and one per seeded sample.  A refactor that
-keeps behaviour keeps every digest.
+enumeration at n = 1, 2 and 3 and one per seeded sample, and one sha256 per
+published report schema.  A refactor that keeps behaviour keeps every digest.
 After an intended change of behaviour, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -30,6 +30,7 @@ from beliefrev.cli import _build_parser, run
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import ABSURD, CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
 from beliefrev.postulates import Instance, check_instance, iter_instances
+from beliefrev.reporting import GEORGE_REPORT_SCHEMA, SUITE_REPORT_SCHEMA, THEOREM_REPORT_SCHEMA
 from beliefrev.states import enumerate_states, normalize, sample_states, state_to_text
 from beliefrev.theorems import GEORGE_ATOMS, GEORGE_INITIAL
 
@@ -209,6 +210,31 @@ def state_stream_digests() -> dict:
     return {"enumerate": {"count": total, "sha256": digest.hexdigest()}, "sample": samples}
 
 
+SCHEMAS = {
+    "suite": SUITE_REPORT_SCHEMA,
+    "theorem": THEOREM_REPORT_SCHEMA,
+    "george": GEORGE_REPORT_SCHEMA,
+}
+
+
+def _sorted_required(node):
+    """A copy of a schema with every ``required`` list sorted: the order in
+    which required keys are listed does not change the contract."""
+    if isinstance(node, dict):
+        return {key: sorted(value) if key == "required" else _sorted_required(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_sorted_required(item) for item in node]
+    return node
+
+
+def schema_digests() -> dict[str, str]:
+    """One sha256 per published report schema over its sorted-key JSON."""
+    return {name: hashlib.sha256(json.dumps(_sorted_required(schema), sort_keys=True)
+                                 .encode()).hexdigest()
+            for name, schema in SCHEMAS.items()}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -245,6 +271,10 @@ def test_state_streams_match_golden(golden):
     assert state_stream_digests() == golden["state_streams"]
 
 
+def test_schemas_match_golden(golden):
+    assert schema_digests() == golden["schemas"]
+
+
 def record() -> None:
     golden = {
         "cli": {" ".join(argv): _run(argv) for argv in ARGVS},
@@ -255,6 +285,7 @@ def record() -> None:
         count, digest = table()
         golden[key] = {"count": count, "sha256": digest}
     golden["state_streams"] = state_stream_digests()
+    golden["schemas"] = schema_digests()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
 
 
