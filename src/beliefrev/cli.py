@@ -33,6 +33,7 @@ from .reporting import (
     suite_report_text,
     theorem_report_json,
     theorem_report_text,
+    trace_lines,
 )
 from .states import (
     RankedState,
@@ -169,7 +170,7 @@ def _cmd_change(args) -> int:
     a = models(parse_formula(args.formula, state.sig), state.sig)
     outcome = (get_revision if revise else get_contraction)(name)(state, a)
     label = f"{args.command} by {args.formula}"
-    entry = outcome_entry(label, outcome, state.sig)
+    entry = outcome_entry(label, outcome)
     payload = {"operator": name, "formula": args.formula, "result": entry}
     if outcome is ABSURD:
         text = f"{label} [{name}]: absurd (no ranked state; belief set inconsistent)"
@@ -201,19 +202,15 @@ def _cmd_seq(args) -> int:
     pair = make_pair(args.op, args.cop)
     trace = apply_sequence(pair, state, [(kind, w) for kind, _, w in parsed])
     labels = ["initial"] + [f"{kind} by {formula}" for kind, formula, _ in parsed]
-    entries = [outcome_entry(label, out, state.sig) for label, out in zip(labels, trace)]
+    pairs = list(zip(labels, trace))
+    entries = [outcome_entry(label, out) for label, out in pairs]
     payload = {
         "operator_pair": {"revision": args.op, "contraction": args.cop},
         "signature": {"atoms": list(state.sig.atoms)},
         "trace": entries,
         "final_belief": entries[-1]["belief"],
     }
-    lines = [f"sequence [{args.op}+{args.cop}]:"]
-    for entry in entries:
-        if entry["absurd"]:
-            lines.append(f"  {entry['label']}: absurd")
-        else:
-            lines.append(f"  {entry['label']}: belief set {' '.join(entry['belief'])}")
+    lines = [f"sequence [{args.op}+{args.cop}]:", *trace_lines(pairs, "  ")]
     final = trace[-1]
     if final is not ABSURD:
         lines.append("final state:")

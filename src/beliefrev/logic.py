@@ -78,6 +78,9 @@ class Signature:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.atoms, str):
+            # tuple("pq") would silently make one atom per character
+            raise TypeError(f"atoms must be a sequence of names, not the string {self.atoms!r}")
         if not isinstance(self.atoms, tuple):
             object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:

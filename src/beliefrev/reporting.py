@@ -1,22 +1,24 @@
 """Report serialization: JSON structures, their schemas, and text rendering.
 
 Text and JSON renderings of a report are derived from the same objects and
-carry identical verdicts.  Counterexamples embed the starting state as state
-file text plus the input bitstrings and the belief-set bitstrings of every
-intermediate state, so they can be replayed from the report alone.
+carry identical verdicts.  Every report object carries all of its keys, null
+where a key does not apply, and each published schema requires every key it
+states.  Counterexamples embed the starting state as state file text plus the
+input bitstrings and the belief-set bitstrings of every intermediate state, so
+they can be replayed from the report alone.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from .operators import ABSURD, RevisionOutcome
-from .postulates import Counterexample, SuiteReport, Verdict, _bits
+from .postulates import Counterexample, SuiteReport, _bits
 from .states import RankedState, belief_set, state_to_text
 from .theorems import GeorgeResult, TheoremReport
 
 
-def outcome_entry(label: str, outcome: RevisionOutcome, sig) -> dict[str, Any]:
+def outcome_entry(label: str, outcome: RevisionOutcome) -> dict[str, Any]:
     if outcome is ABSURD:
         return {"label": label, "absurd": True, "state": None, "belief": []}
     assert isinstance(outcome, RankedState)
@@ -28,16 +30,7 @@ def outcome_entry(label: str, outcome: RevisionOutcome, sig) -> dict[str, Any]:
     }
 
 
-def verdict_json(verdict: Verdict, sig) -> dict[str, Any]:
-    return {
-        "status": verdict.status,
-        "note": verdict.note,
-        "trace": [outcome_entry(label, out, sig) for label, out in verdict.trace],
-    }
-
-
 def counterexample_json(cex: Counterexample) -> dict[str, Any]:
-    sig = cex.instance.state.sig
     return {
         "postulate": cex.postulate,
         "operators": {"revision": cex.revision, "contraction": cex.contraction},
@@ -46,7 +39,11 @@ def counterexample_json(cex: Counterexample) -> dict[str, Any]:
             "a": cex.instance.a.bitstrings(),
             "b": cex.instance.b.bitstrings() if cex.instance.b is not None else None,
         },
-        "verdict": verdict_json(cex.verdict, sig),
+        "verdict": {
+            "status": cex.verdict.status,
+            "note": cex.verdict.note,
+            "trace": [outcome_entry(label, out) for label, out in cex.verdict.trace],
+        },
     }
 
 
@@ -128,6 +125,15 @@ def george_json(result: GeorgeResult) -> dict[str, Any]:
 # --- text rendering ----------------------------------------------------------
 
 
+def trace_lines(pairs: Iterable[tuple[str, RevisionOutcome]], indent: str) -> list[str]:
+    """One 'label: absurd' or 'label: belief set ...' line per (label, outcome)."""
+    return [
+        f"{indent}{label}: absurd" if outcome is ABSURD
+        else f"{indent}{label}: belief set {' '.join(belief_set(outcome).bitstrings())}"
+        for label, outcome in pairs
+    ]
+
+
 def _counterexample_text(cex: Counterexample, indent: str = "    ") -> list[str]:
     lines = [f"{indent}counterexample ({cex.revision}+{cex.contraction}):"]
     state_lines = state_to_text(cex.instance.state).strip().splitlines()
@@ -135,12 +141,7 @@ def _counterexample_text(cex: Counterexample, indent: str = "    ") -> list[str]
     lines.append(f"{indent}  input a: {' '.join(cex.instance.a.bitstrings()) or '(empty)'}")
     if cex.instance.b is not None:
         lines.append(f"{indent}  input b: {' '.join(cex.instance.b.bitstrings()) or '(empty)'}")
-    for label, outcome in cex.verdict.trace:
-        if outcome is ABSURD:
-            lines.append(f"{indent}  {label}: absurd")
-        else:
-            bits = " ".join(belief_set(outcome).bitstrings())
-            lines.append(f"{indent}  {label}: belief set {bits}")
+    lines += trace_lines(cex.verdict.trace, indent + "  ")
     if cex.verdict.note:
         lines.append(f"{indent}  note: {cex.verdict.note}")
     return lines
@@ -203,166 +204,92 @@ def george_text(result: GeorgeResult) -> str:
 
 # --- published JSON schemas ----------------------------------------------------
 
-_COUNTEREXAMPLE_SCHEMA = {
-    "type": ["object", "null"],
-    "properties": {
-        "postulate": {"type": "string"},
-        "operators": {
-            "type": "object",
-            "properties": {
-                "revision": {"type": "string"},
-                "contraction": {"type": "string"},
-            },
-            "required": ["revision", "contraction"],
-        },
-        "state": {"type": "string"},
-        "inputs": {
-            "type": "object",
-            "properties": {
-                "a": {"type": "array", "items": {"type": "string"}},
-                "b": {
-                    "type": ["array", "null"],
-                    "items": {"type": "string"},
-                },
-            },
-            "required": ["a", "b"],
-        },
-        "verdict": {
-            "type": "object",
-            "properties": {
-                "status": {"enum": ["holds", "fails", "vacuous"]},
-                "note": {"type": "string"},
-                "trace": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "label": {"type": "string"},
-                            "absurd": {"type": "boolean"},
-                            "state": {"type": ["string", "null"]},
-                            "belief": {"type": "array", "items": {"type": "string"}},
-                        },
-                        "required": ["label", "absurd", "state", "belief"],
-                    },
-                },
-            },
-            "required": ["status", "note", "trace"],
-        },
-    },
-    "required": ["postulate", "operators", "state", "inputs", "verdict"],
-}
 
-_ENVELOPE_PROPERTIES = {
-    "operator_pair": {
-        "type": "object",
-        "properties": {
-            "revision": {"type": "string"},
-            "contraction": {"type": "string"},
-        },
-        "required": ["revision", "contraction"],
-    },
-    "signature": {
-        "type": "object",
-        "properties": {"atoms": {"type": "array", "items": {"type": "string"}}},
-        "required": ["atoms"],
-    },
-}
+def _object(types="object", /, **properties) -> dict[str, Any]:
+    """An object schema that states each key once and requires every key."""
+    return {"type": types, "properties": properties, "required": list(properties)}
 
-SUITE_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        **_ENVELOPE_PROPERTIES,
-        "mode": {"enum": ["exhaustive", "sample"]},
-        "seed": {"type": ["integer", "null"]},
-        "samples": {"type": ["integer", "null"]},
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "postulate": {"type": "string"},
-                    "checked": {"type": "integer"},
-                    "holds": {"type": "integer"},
-                    "vacuous": {"type": "integer"},
-                    "fails": {"type": "integer"},
-                    "counterexample": _COUNTEREXAMPLE_SCHEMA,
-                },
-                "required": ["postulate", "checked", "holds", "vacuous", "fails", "counterexample"],
-            },
-        },
-    },
-    "required": ["operator_pair", "signature", "mode", "seed", "samples", "results"],
-}
 
-THEOREM_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        **_ENVELOPE_PROPERTIES,
-        "title": {"type": "string"},
-        "ok": {"type": "boolean"},
-        "claims": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "claim": {"type": "string"},
-                    "operators": _ENVELOPE_PROPERTIES["operator_pair"],
-                    "postulates": {"type": "array", "items": {"type": "string"}},
-                    "direction": {"type": "string"},
-                    "status": {"type": "string"},
-                    "detail": {"type": "string"},
-                    "witnesses": {"type": "array", "items": _COUNTEREXAMPLE_SCHEMA},
-                },
-                "required": [
-                    "claim", "operators", "postulates", "direction",
-                    "status", "detail", "witnesses",
-                ],
-            },
-        },
-    },
-    "required": ["title", "operator_pair", "signature", "ok", "claims"],
-}
+def _report_schema(**properties) -> dict[str, Any]:
+    return {"$schema": "http://json-schema.org/draft-07/schema#", **_object(**properties)}
 
-GEORGE_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "operator": {"type": "string"},
-        "signature": _ENVELOPE_PROPERTIES["signature"],
-        "ok": {"type": "boolean"},
-        "stages": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "label": {"type": "string"},
-                    "table": {"type": "object", "additionalProperties": {"type": "integer"}},
-                    "belief": {"type": "array", "items": {"type": "string"}},
-                    "match": {"type": "boolean"},
-                    "diff": {"type": "array", "items": {"type": "string"}},
-                    "s1": {"type": ["boolean", "null"]},
-                    "s2": {"type": ["boolean", "null"]},
-                },
-                "required": ["label", "table", "belief", "match", "diff", "s1", "s2"],
-            },
-        },
-        "gun_possession_believed": {"type": "boolean"},
-        "gun_possession_expected": {"type": "boolean"},
-        "c2": {
-            "type": "object",
-            "properties": {
-                "status": {"type": "string"},
-                "expected": {"type": "string"},
-                "two_step_belief": {"type": "array", "items": {"type": "string"}},
-                "direct_belief": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["status", "expected", "two_step_belief", "direct_belief"],
-        },
-    },
-    "required": [
-        "operator", "signature", "ok", "stages",
-        "gun_possession_believed", "gun_possession_expected", "c2",
-    ],
-}
+
+_STRING = {"type": "string"}
+_STRINGS = {"type": "array", "items": _STRING}
+_BOOLEAN = {"type": "boolean"}
+_INTEGER = {"type": "integer"}
+_OPERATORS = _object(revision=_STRING, contraction=_STRING)
+_SIGNATURE = _object(atoms=_STRINGS)
+
+_COUNTEREXAMPLE_SCHEMA = _object(
+    ["object", "null"],
+    postulate=_STRING,
+    operators=_OPERATORS,
+    state=_STRING,
+    inputs=_object(a=_STRINGS, b={"type": ["array", "null"], "items": _STRING}),
+    verdict=_object(
+        status={"enum": ["holds", "fails", "vacuous"]},
+        note=_STRING,
+        trace={"type": "array", "items": _object(
+            label=_STRING,
+            absurd=_BOOLEAN,
+            state={"type": ["string", "null"]},
+            belief=_STRINGS,
+        )},
+    ),
+)
+
+SUITE_REPORT_SCHEMA = _report_schema(
+    operator_pair=_OPERATORS,
+    signature=_SIGNATURE,
+    mode={"enum": ["exhaustive", "sample"]},
+    seed={"type": ["integer", "null"]},
+    samples={"type": ["integer", "null"]},
+    results={"type": "array", "items": _object(
+        postulate=_STRING,
+        checked=_INTEGER,
+        holds=_INTEGER,
+        vacuous=_INTEGER,
+        fails=_INTEGER,
+        counterexample=_COUNTEREXAMPLE_SCHEMA,
+    )},
+)
+
+THEOREM_REPORT_SCHEMA = _report_schema(
+    title=_STRING,
+    operator_pair=_OPERATORS,
+    signature=_SIGNATURE,
+    ok=_BOOLEAN,
+    claims={"type": "array", "items": _object(
+        claim=_STRING,
+        operators=_OPERATORS,
+        postulates=_STRINGS,
+        direction=_STRING,
+        status=_STRING,
+        detail=_STRING,
+        witnesses={"type": "array", "items": _COUNTEREXAMPLE_SCHEMA},
+    )},
+)
+
+GEORGE_REPORT_SCHEMA = _report_schema(
+    operator=_STRING,
+    signature=_SIGNATURE,
+    ok=_BOOLEAN,
+    stages={"type": "array", "items": _object(
+        label=_STRING,
+        table={"type": "object", "additionalProperties": _INTEGER},
+        belief=_STRINGS,
+        match=_BOOLEAN,
+        diff=_STRINGS,
+        s1={"type": ["boolean", "null"]},
+        s2={"type": ["boolean", "null"]},
+    )},
+    gun_possession_believed=_BOOLEAN,
+    gun_possession_expected=_BOOLEAN,
+    c2=_object(
+        status=_STRING,
+        expected=_STRING,
+        two_step_belief=_STRINGS,
+        direct_belief=_STRINGS,
+    ),
+)

@@ -212,13 +212,10 @@ def parse_state_text(text: str) -> RankedState:
             raise StateFileError(str(exc)) from exc
         if bits in entries:
             raise StateFileError(f"duplicate valuation {bits}")
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise StateFileError(f"bad rank {rank_text!r} for valuation {bits}") from None
-        if rank < 0:
-            raise StateFileError(f"negative rank for valuation {bits}")
-        entries[bits] = rank
+        # ASCII digits only: int() would also take "1_0", "+1" and non-ASCII digits
+        if not (rank_text.isascii() and rank_text.isdigit()):
+            raise StateFileError(f"bad rank {rank_text!r} for valuation {bits}")
+        entries[bits] = int(rank_text)
     try:
         return normalize(sig, entries)
     except ValueError as exc:

@@ -61,6 +61,38 @@ def test_check_r7_exits_one_with_record(capsys):
     assert all("belief" in entry for entry in cex["verdict"]["trace"])
 
 
+def _key_paths(node, path=()):
+    """The path of every object key in a JSON value, at every depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from _key_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, item in enumerate(node):
+            yield from _key_paths(item, (*path, index))
+
+
+def test_suite_schema_requires_every_key(capsys):
+    """Every key of a report is required: deleting any one, at any depth, of
+    a failing suite report with counterexamples makes it invalid."""
+    _, payload, _ = run_json(capsys, "check", "--atoms", "p,q", "--op", "reverse",
+                             "--cop", "drastic", "--postulate", "all", "--format", "json")
+    validator = jsonschema.Draft7Validator(SUITE_REPORT_SCHEMA)
+    validator.validate(payload)
+    paths = list(_key_paths(payload))
+    assert any(path[-1] == "b" for path in paths) and any(path[-1] == "trace" for path in paths)
+    loose = []
+    for *parents, key in paths:
+        owner = payload
+        for step in parents:
+            owner = owner[step]
+        value = owner.pop(key)
+        if validator.is_valid(payload):  # no ValidationError without this key
+            loose.append((*parents, key))
+        owner[key] = value
+    assert loose == []
+
+
 def test_seq_flatten_final_belief(capsys, state_file):
     code, payload, _ = run_json(
         capsys, "seq", "--state", state_file, "--op", "flatten",

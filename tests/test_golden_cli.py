@@ -24,6 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import jsonschema
 import pytest
 
 from beliefrev.cli import _build_parser, run
@@ -91,7 +92,8 @@ def _argvs() -> list[tuple[str, ...]]:
 ARGVS = _argvs()
 
 
-def _run(argv: tuple[str, ...]) -> dict:
+def _output(argv: tuple[str, ...]) -> tuple[int, str]:
+    """Exit code and standard output of one CLI run."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         state = Path(tmp, "initial.txt")
@@ -99,7 +101,11 @@ def _run(argv: tuple[str, ...]) -> dict:
         argv = [str(state) if a == STATE else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
-    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return code, out.getvalue()
+
+
+def _entry(code: int, out: str) -> dict:
+    return {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
 def operator_table_digest() -> str:
@@ -215,6 +221,12 @@ SCHEMAS = {
     "theorem": THEOREM_REPORT_SCHEMA,
     "george": GEORGE_REPORT_SCHEMA,
 }
+# the schema of each report command's JSON output (exit 2 prints no report)
+COMMAND_SCHEMAS = {
+    "check": SUITE_REPORT_SCHEMA,
+    **dict.fromkeys(("theorem1", "corollary1", "observation1", "hansson"), THEOREM_REPORT_SCHEMA),
+    "george": GEORGE_REPORT_SCHEMA,
+}
 
 
 def _sorted_required(node):
@@ -242,7 +254,12 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_cli_output_matches_golden(golden, argv):
-    assert _run(argv) == golden["cli"][" ".join(argv)]
+    code, out = _output(argv)
+    assert _entry(code, out) == golden["cli"][" ".join(argv)]
+    # every JSON report of the same run also meets its published schema
+    schema = COMMAND_SCHEMAS.get(argv[0])
+    if schema is not None and argv[-1] == "json" and code != 2:
+        jsonschema.validate(json.loads(out), schema)
 
 
 def test_every_command_has_golden_argv(golden):
@@ -277,7 +294,7 @@ def test_schemas_match_golden(golden):
 
 def record() -> None:
     golden = {
-        "cli": {" ".join(argv): _run(argv) for argv in ARGVS},
+        "cli": {" ".join(argv): _entry(*_output(argv)) for argv in ARGVS},
         "operator_table": operator_table_digest(),
     }
     for key, table in (("verdict_table", verdict_table_digest),

@@ -52,6 +52,14 @@ def test_signature_validation():
             Signature(("p", word))
 
 
+def test_signature_rejects_a_bare_string():
+    # a string iterates by character, so "pq" must not become the atoms p and q
+    for text in ("pq", "p"):
+        with pytest.raises(TypeError, match="not the string"):
+            Signature(text)
+    assert Signature(["p", "q"]).atoms == ("p", "q")
+
+
 def test_bitstring_convention():
     # first atom is the leftmost digit: "100" means r true, g and s false
     v = RGS.valuation_of("100")

@@ -218,6 +218,10 @@ def test_state_text_comments_order_and_normalization():
     "atoms: p q\n00: 0\n01: 0\n10: 0\n11: x",
     "atoms: p q\n00: 0\n01: 0\n10: 0\n11: -2",
     "atoms: p q\n000: 0\n01: 0\n10: 0\n11: 0",
+    # int() would read these as 10, 1 and 1: ranks are ASCII decimal digits only
+    "atoms: p q\n00: 0\n01: 0\n10: 0\n11: 1_0",
+    "atoms: p q\n00: 0\n01: 0\n10: 0\n11: +1",
+    "atoms: p q\n00: 0\n01: 0\n10: 0\n11: \u0661",
 ])
 def test_state_text_errors(text):
     with pytest.raises(StateFileError):
