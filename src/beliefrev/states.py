@@ -212,10 +212,14 @@ def parse_state_text(text: str) -> RankedState:
             raise StateFileError(str(exc)) from exc
         if bits in entries:
             raise StateFileError(f"duplicate valuation {bits}")
-        # ASCII digits only: int() would also take "1_0", "+1" and non-ASCII digits
-        if not (rank_text.isascii() and rank_text.isdigit()):
-            raise StateFileError(f"bad rank {rank_text!r} for valuation {bits}")
-        entries[bits] = int(rank_text)
+        # ASCII digits only: int() would also take "1_0", "+1" and non-ASCII
+        # digits; it still refuses more digits than its conversion limit
+        try:
+            if not (rank_text.isascii() and rank_text.isdigit()):
+                raise ValueError(rank_text)
+            entries[bits] = int(rank_text)
+        except ValueError:
+            raise StateFileError(f"bad rank {rank_text!r} for valuation {bits}") from None
     try:
         return normalize(sig, entries)
     except ValueError as exc:

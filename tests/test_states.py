@@ -222,6 +222,8 @@ def test_state_text_comments_order_and_normalization():
     "atoms: p q\n00: 0\n01: 0\n10: 0\n11: 1_0",
     "atoms: p q\n00: 0\n01: 0\n10: 0\n11: +1",
     "atoms: p q\n00: 0\n01: 0\n10: 0\n11: \u0661",
+    # more digits than int() converts by default
+    "atoms: p q\n00: 0\n01: 0\n10: 0\n11: " + "9" * 5000,
 ])
 def test_state_text_errors(text):
     with pytest.raises(StateFileError):
