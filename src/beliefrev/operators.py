@@ -138,6 +138,11 @@ def drastic_withdrawal(s: RankedState, a: WorldSet) -> RankedState:
 
 @dataclass(frozen=True)
 class RevisionOperator:
+    """A named revision function.  It must be world-neutral:
+    fn(pi.s, pi.a) == pi.fn(s, a) for every permutation pi of the valuations,
+    with ABSURD mapped to ABSURD.  Postulate scans rely on it to decide one
+    instance per symmetry class; every built-in operator complies."""
+
     name: str
     fn: Callable[[RankedState, WorldSet], RevisionOutcome] = field(compare=False)
 
@@ -147,6 +152,10 @@ class RevisionOperator:
 
 @dataclass(frozen=True)
 class ContractionOperator:
+    """A named contraction function, world-neutral in the same sense as
+    RevisionOperator: fn(pi.s, pi.a) == pi.fn(s, a) for every permutation pi
+    of the valuations."""
+
     name: str
     fn: Callable[[RankedState, WorldSet], RankedState] = field(compare=False)
 

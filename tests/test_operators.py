@@ -20,10 +20,12 @@ from beliefrev.operators import (
     reverse_revision,
 )
 from beliefrev.states import (
+    RankedState,
     belief_set,
     enumerate_states,
     min_worlds,
     normalize,
+    sample_states,
     state_equal,
     uniform_state,
 )
@@ -241,6 +243,41 @@ def test_sequence_absurd_contraction_rejected(start):
         apply_sequence(pair, start, [("revise", empty), ("revise", empty)])
     with pytest.raises(ValueError):
         apply_sequence(pair, start, [("mutate", empty)])
+
+
+# --- neutrality: the contract that lets scans decide one instance per orbit -------------
+
+
+def _swap_state(s, v):
+    ranks = list(s.ranks)
+    ranks[v], ranks[v + 1] = ranks[v + 1], ranks[v]
+    return RankedState(s.sig, tuple(ranks))
+
+
+def _swap_mask(mask, v):
+    # exchange bits v and v + 1
+    pair = (mask >> v) & 3
+    return mask & ~(3 << v) | ((pair >> 1) | (pair & 1) << 1) << v
+
+
+@pytest.mark.parametrize("sig, states", [
+    (PQ, enumerate_states(PQ)),
+    (RGS, sample_states(RGS, 16, seed=11)),
+], ids=["n2-all", "n3-sampled"])
+@pytest.mark.parametrize("op", [*REVISION_OPERATORS.values(), *CONTRACTION_OPERATORS.values()],
+                         ids=lambda op: op.name)
+def test_operators_commute_with_valuation_swaps(op, sig, states):
+    # op(pi.s, pi.a) == pi.op(s, a) for every adjacent transposition pi of
+    # the valuations, which generate every permutation; inputs include the
+    # empty one, whose revision is ABSURD on both sides
+    for s in states:
+        for mask in range(sig.full_mask + 1):
+            a = WorldSet(sig, mask)
+            out = op(s, a)
+            for v in range(sig.num_valuations - 1):
+                moved = op(_swap_state(s, v), WorldSet(sig, _swap_mask(mask, v)))
+                assert moved == (ABSURD if out is ABSURD else _swap_state(out, v)), (
+                    op.name, s.ranks, mask, v)
 
 
 # --- exhaustive invariants at n = 2 ------------------------------------------------------

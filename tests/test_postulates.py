@@ -3,20 +3,24 @@ import os
 import pickle
 import pickletools
 import time
+import tracemalloc
+from functools import partial
 
 import pytest
 
-from beliefrev import postulates
+from beliefrev import postulates, theorems
 from beliefrev.cli import run as cli_run
 from beliefrev.logic import Signature, WorldSet, models, parse_formula
-from beliefrev.operators import make_pair
+from beliefrev.operators import CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
 from beliefrev.postulates import (
     ALL_POSTULATE_IDS,
     FAILS,
     HOLDS,
     POSTULATES,
     VACUOUS,
+    Counterexample,
     Instance,
+    PostulateResult,
     check_instance,
     iter_instances,
     run_suite,
@@ -243,10 +247,12 @@ def test_suite_rejects_unknown_postulate():
 
 
 def test_parallel_suite_matches_sequential():
-    for pair in (NATURAL, make_pair("reverse", "drastic")):
-        seq = run_suite(pair, P, ALL_POSTULATE_IDS)
-        par = run_suite(pair, P, ALL_POSTULATE_IDS, jobs=2)
-        assert seq.results == par.results, pair
+    # at n = 2 each pool chunk keeps its own orbit memo
+    for sig in (P, PQ):
+        for pair in (NATURAL, make_pair("reverse", "drastic")):
+            seq = run_suite(pair, sig, ALL_POSTULATE_IDS)
+            par = run_suite(pair, sig, ALL_POSTULATE_IDS, jobs=2)
+            assert seq.results == par.results, (sig, pair)
 
 
 def test_registry_rows_reach_workers_as_registry_objects():
@@ -394,6 +400,108 @@ def test_instance_level_observation_implications():
                 assert r5 == HOLDS
             if not base.issubset(a) and r5 == HOLDS and r1 != VACUOUS:
                 assert r1 == HOLDS
+
+
+# --- the orbit memo against deciding every instance -------------------------------
+
+
+def _decide_every_instance(pid, pair, instances, verdict_of) -> PostulateResult:
+    """The scan without its memo: every instance decided, in stream order."""
+    checked = holds = vacuous = fails = 0
+    first = None
+    for inst in instances:
+        verdict = verdict_of(inst)
+        checked += 1
+        if verdict.status == HOLDS:
+            holds += 1
+        elif verdict.status == VACUOUS:
+            vacuous += 1
+        else:
+            fails += 1
+            if first is None:
+                first = Counterexample(pid, pair.revision.name, pair.contraction.name,
+                                       inst, verdict)
+    return PostulateResult(pid, checked, holds, vacuous, fails, first)
+
+
+def _brute_force_suite(pair, sig, pids, states):
+    return tuple(
+        _decide_every_instance(pid, pair, iter_instances(pid, sig, states),
+                               partial(check_instance, pid, pair))
+        for pid in pids
+    )
+
+
+ARITY2_IDS = [pid for pid, post in POSTULATES.items() if post.arity == 2]
+ALL_PAIRS = [make_pair(rev, con) for rev in REVISION_OPERATORS for con in CONTRACTION_OPERATORS]
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_memoized_suite_matches_brute_force_arity2(pair):
+    states = list(enumerate_states(PQ))
+    assert run_suite(pair, PQ, ARITY2_IDS).results == _brute_force_suite(
+        pair, PQ, ARITY2_IDS, states)
+
+
+@pytest.mark.parametrize("pair, pids", [
+    *[(make_pair(rev, "natural-con"), ["C1", "C2", "C3", "C4", "PR7", "PR8"])
+      for rev in REVISION_OPERATORS],
+    *[(make_pair("natural", con), ["PC7", "PC8"]) for con in CONTRACTION_OPERATORS],
+], ids=lambda x: x.name if hasattr(x, "name") else "-".join(x))
+def test_memoized_suite_matches_brute_force_arity3(pair, pids):
+    states = list(enumerate_states(PQ))
+    assert run_suite(pair, PQ, pids).results == _brute_force_suite(pair, PQ, pids, states)
+
+
+@pytest.mark.parametrize("pair", [NATURAL, make_pair("reverse", "drastic")],
+                         ids=lambda pair: pair.name)
+def test_memoized_sampled_n3_matches_brute_force(pair):
+    pids = ["R6", "PR5", "CORE"]
+    kwargs = dict(mode="sample", samples=12, seed=3)
+    states = list(sample_states(RGS, 12, seed=3))
+    assert run_suite(pair, RGS, pids, **kwargs).results == _brute_force_suite(
+        pair, RGS, pids, states)
+
+
+def _derived_claims():
+    yield theorems._COROLLARY1
+    for premise, conclusion, unbelieved in (("R2", "R9", False), ("R1", "R5", False),
+                                            ("R5", "R1", True)):
+        # the postulates observation1 items 2, 3 and 6 scan
+        yield postulates.Postulate(
+            conclusion, 2, partial(theorems._co_occurring, premise, conclusion, unbelieved),
+            f"{conclusion} wherever {premise} holds")
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_memoized_derived_claims_match_a_direct_loop(pair):
+    states = list(enumerate_states(PQ))
+    for post in _derived_claims():
+        (scanned,) = postulates._scan([post], pair, PQ, enumerate_states(PQ),
+                                      stop_at_first=False, jobs=1)
+        direct = _decide_every_instance(
+            post.pid, pair, (Instance(s, WorldSet(PQ, m)) for s in states
+                             for m in range(1, PQ.full_mask + 1)),
+            lambda inst: post.check(pair, inst.state, inst.a, inst.b))
+        assert scanned == direct, post.summary
+
+
+def test_orbit_memo_eviction_keeps_results(monkeypatch):
+    pair = make_pair("reverse", "drastic")
+    uncapped = run_suite(pair, PQ).results
+    monkeypatch.setattr(postulates, "_ORBIT_MEMO_LIMIT", 8)
+    assert run_suite(pair, PQ).results == uncapped
+
+
+def test_orbit_memo_memory_is_bounded():
+    # three sampled n=3 states hold 61,043 C2 orbits, more than the memo keeps
+    tracemalloc.start()
+    try:
+        run_suite(NATURAL, RGS, ["C2"], mode="sample", samples=3, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_iter_instances_counts():
