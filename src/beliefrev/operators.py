@@ -149,6 +149,14 @@ class RevisionOperator:
     def __call__(self, s: RankedState, a: WorldSet) -> RevisionOutcome:
         return self.fn(s, a)
 
+    def __reduce__(self):
+        # a registry operator pickles by name and unpickles as the registry's
+        # own object (even a wrapper whose fn is a closure); any other
+        # operator pickles by value, its fn by reference
+        if REVISION_OPERATORS.get(self.name) is self:
+            return get_revision, (self.name,)
+        return type(self), (self.name, self.fn)
+
 
 @dataclass(frozen=True)
 class ContractionOperator:
@@ -161,6 +169,11 @@ class ContractionOperator:
 
     def __call__(self, s: RankedState, a: WorldSet) -> RankedState:
         return self.fn(s, a)
+
+    def __reduce__(self):
+        if CONTRACTION_OPERATORS.get(self.name) is self:
+            return get_contraction, (self.name,)
+        return type(self), (self.name, self.fn)
 
 
 @dataclass(frozen=True)

@@ -49,16 +49,22 @@ instance is always decided, so counts, counterexamples and traces are those
 of deciding every instance.  At n = 2 a full suite decides 8,776 of its
 162,000 instances: 74 orbits per arity-2 postulate and 875 per arity-3 one.
 
-With jobs > 1 the states are split into chunks scanned in a process pool and
-reduced in order.  A command has one pool: the outermost call (a harness,
-suite or search) starts it lazily at its first parallel scan and shuts it down
-on exit, and every nested suite and search runs on it, so the workers keep
+A scan maps _scan_postulate over (postulate, chunk) tasks and reduces each
+postulate's chunks in order: at jobs = 1 one chunk, the stream itself, under
+the builtin map; with jobs > 1, jobs chunks of the states on a process pool.
+Pool tasks carry the operator pair by value (registry operators and rows by
+name), so any other operator or postulate needs a module-level function; a
+scan refuses one that does not pickle with a ValueError before it touches the
+pool.  A command has one pool: the outermost call (a harness, suite or
+search) starts it lazily at its first parallel scan and shuts it down on
+exit, and every nested suite and search runs on it, so the workers keep
 their operator caches across the command's scans.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -73,7 +79,6 @@ from .operators import (
     OperatorPair,
     RevisionOutcome,
     apply_sequence,
-    make_pair,
     outcome_belief_set,
 )
 from .states import (
@@ -646,9 +651,9 @@ def _state_stream(
 
 def _scan_postulate(
     post: Postulate,
+    states: Iterable[RankedState],
     pair: OperatorPair,
     sig: Signature,
-    states: Iterable[RankedState],
     stop_at_first: bool,
 ) -> tuple[int, int, int, int, Counterexample | None]:
     if post is POSTULATES.get(post.pid):
@@ -686,14 +691,6 @@ def _scan_postulate(
                 if stop_at_first:
                     break
     return checked, holds, vacuous, fails, first
-
-
-def _scan_worker(args) -> tuple[int, int, int, int, Counterexample | None]:
-    post, rev_name, con_name, atoms, rank_vectors, stop_at_first = args
-    sig = Signature(tuple(atoms))
-    pair = make_pair(rev_name, con_name)
-    states = [RankedState(sig, tuple(vec)) for vec in rank_vectors]
-    return _scan_postulate(post, pair, sig, states, stop_at_first)
 
 
 class _CommandPool:
@@ -735,39 +732,15 @@ def _pool_scope() -> Iterator[_CommandPool]:
         pool.close()
 
 
-def _scan_parallel(
-    posts: Sequence[Postulate],
-    pair: OperatorPair,
-    sig: Signature,
-    states: Sequence[RankedState],
-    stop_at_first: bool,
-    pool: ProcessPoolExecutor,
-    jobs: int,
-) -> list[tuple[int, int, int, int, Counterexample | None]]:
-    chunk_size = max(1, (len(states) + jobs - 1) // jobs)
-    chunks = [[s.ranks for s in states[i:i + chunk_size]]
-              for i in range(0, len(states), chunk_size)]
-    tasks = [
-        (post, pair.revision.name, pair.contraction.name, sig.atoms, chunk, stop_at_first)
-        for post in posts for chunk in chunks
-    ]
-    # every postulate's chunks are queued before any result is read, so the
-    # pool does not drain between postulates; chunks are reduced in order, so
-    # each reported counterexample is the globally first one
-    outcomes = pool.map(_scan_worker, tasks)
-    rows = []
-    for _ in posts:
-        checked = holds = vacuous = fails = 0
-        first: Counterexample | None = None
-        for c, h, v, f, cex in islice(outcomes, len(chunks)):
-            checked += c
-            holds += h
-            vacuous += v
-            fails += f
-            if first is None and cex is not None:
-                first = cex
-        rows.append((checked, holds, vacuous, fails, first))
-    return rows
+def _check_picklable(pair: OperatorPair, posts: Sequence[Postulate]) -> None:
+    # A task that fails to pickle inside the pool leaves the executor's
+    # shutdown waiting forever (CPython 3.11), so a pooled scan checks first.
+    for obj in (pair.revision, pair.contraction, *posts):
+        try:
+            pickle.dumps(obj)
+        except Exception as err:
+            raise ValueError(f"{obj!r} cannot be pickled for a pool worker "
+                             f"(jobs > 1 needs module-level functions): {err}") from err
 
 
 def _scan(
@@ -784,14 +757,26 @@ def _scan(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        with _pool_scope() as pool:
-            rows = _scan_parallel(
-                posts, pair, sig, list(stream), stop_at_first, pool.executor(jobs), jobs
-            )
-    else:
-        rows = [_scan_postulate(post, pair, sig, stream, stop_at_first) for post in posts]
-    return [PostulateResult(post.pid, *row) for post, row in zip(posts, rows)]
+    scan = partial(_scan_postulate, pair=pair, sig=sig, stop_at_first=stop_at_first)
+    with _pool_scope() as pool:
+        if jobs == 1:
+            chunks, scan_map = [stream], map
+        else:
+            states = list(stream)
+            size = max(1, (len(states) + jobs - 1) // jobs)
+            chunks = [states[i:i + size] for i in range(0, len(states), size)]
+            _check_picklable(pair, posts)
+            scan_map = pool.executor(jobs).map
+        # every postulate's chunks are queued before any result is read, so the
+        # pool does not drain between postulates; chunks are reduced in order,
+        # so each reported counterexample is the first one in the stream
+        outcomes = scan_map(scan, [post for post in posts for _ in chunks], chunks * len(posts))
+        rows = [list(islice(outcomes, len(chunks))) for _ in posts]
+    return [
+        PostulateResult(post.pid, *(sum(part[i] for part in parts) for i in range(4)),
+                        next((part[4] for part in parts if part[4] is not None), None))
+        for post, parts in zip(posts, rows)
+    ]
 
 
 def search_counterexample(

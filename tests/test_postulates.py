@@ -2,16 +2,30 @@ import multiprocessing
 import os
 import pickle
 import pickletools
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from beliefrev import postulates, theorems
 from beliefrev.cli import run as cli_run
 from beliefrev.logic import Signature, WorldSet, models, parse_formula
-from beliefrev.operators import CONTRACTION_OPERATORS, REVISION_OPERATORS, make_pair
+from beliefrev.operators import (
+    CONTRACTION_OPERATORS,
+    REVISION_OPERATORS,
+    ContractionOperator,
+    OperatorPair,
+    RevisionOperator,
+    drastic_withdrawal,
+    make_pair,
+    natural_contraction,
+    natural_revision,
+)
 from beliefrev.postulates import (
     ALL_POSTULATE_IDS,
     FAILS,
@@ -27,6 +41,7 @@ from beliefrev.postulates import (
     search_counterexample,
 )
 from beliefrev.states import belief_set, enumerate_states, min_worlds, normalize, sample_states
+from beliefrev.theorems import verify_hansson
 
 P = Signature(("p",))
 PQ = Signature(("p", "q"))
@@ -257,9 +272,55 @@ def test_parallel_suite_matches_sequential():
 
 def test_registry_rows_reach_workers_as_registry_objects():
     # pool workers decide a registry postulate through check_instance only
-    # if it unpickles as the registry's own row
-    for post in POSTULATES.values():
-        assert pickle.loads(pickle.dumps(post)) is post
+    # if it unpickles as the registry's own row; registry operators travel
+    # by name the same way
+    for obj in (*POSTULATES.values(), *REVISION_OPERATORS.values(),
+                *CONTRACTION_OPERATORS.values()):
+        assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+def test_swapped_registry_operators_pickle_by_name(monkeypatch):
+    # a registry entry swapped for a wrapper whose fn is a closure, as the
+    # benchmark's tracer does, still pickles: by name, not by value
+    def wrapped(op):
+        def fn(s, a):
+            return op.fn(s, a)
+        return type(op)(op.name, fn)
+
+    for table in (REVISION_OPERATORS, CONTRACTION_OPERATORS):
+        for name, op in list(table.items()):
+            monkeypatch.setitem(table, name, wrapped(op))
+            assert pickle.loads(pickle.dumps(table[name])) is table[name]
+        # the replaced original is no longer an entry, so it pickles by value
+        assert pickle.loads(pickle.dumps(op)).fn is op.fn
+
+
+def test_library_operators_pickle_by_value():
+    # an operator outside the registry, even one named like a registry
+    # entry, pickles by value with its fn by reference
+    for op in (RevisionOperator("mine", natural_revision),
+               ContractionOperator("natural-con", drastic_withdrawal)):
+        back = pickle.loads(pickle.dumps(op))
+        assert (type(back), back.name, back.fn) == (type(op), op.name, op.fn)
+
+
+@pytest.mark.parametrize("fn", [natural_contraction, drastic_withdrawal],
+                         ids=lambda fn: fn.__name__)
+def test_library_contraction_gives_the_same_hansson_report_under_jobs(monkeypatch, fn):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    mine = ContractionOperator("mine", fn)
+    sequential = verify_hansson(mine, PQ, jobs=1)
+    assert verify_hansson(mine, PQ, jobs=2) == sequential
+    assert multiprocessing.active_children() == []
+
+
+def test_library_revision_gives_the_same_suite_under_jobs(monkeypatch):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    pair = OperatorPair(RevisionOperator("mine", natural_revision), CONTRACTION_OPERATORS["drastic"])
+    sequential = run_suite(pair, PQ)
+    assert run_suite(pair, PQ, jobs=2) == sequential
+    cexs = [r.counterexample for r in sequential.results if r.counterexample is not None]
+    assert cexs and {(c.revision, c.contraction) for c in cexs} == {("mine", "drastic")}
 
 
 def test_value_objects_pickle_as_constructor_arguments():
@@ -362,6 +423,61 @@ def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
                              stop_at_first=False, jobs=2)
     assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
     assert multiprocessing.active_children() == []
+
+
+_UNPICKLABLE_SCANS = """
+import multiprocessing
+from beliefrev import postulates
+from beliefrev.logic import Signature
+from beliefrev.operators import OperatorPair, RevisionOperator, get_contraction, make_pair
+from beliefrev.postulates import HOLDS, Postulate, Verdict, _pool_scope, _scan, run_suite
+from beliefrev.states import enumerate_states
+
+postulates.os.cpu_count = lambda: 2
+P, PQ = Signature(("p",)), Signature(("p", "q"))
+lam_op = OperatorPair(RevisionOperator("lam_op", lambda s, a: s), get_contraction("natural-con"))
+lam_post = Postulate("lam_post", 2, lambda pair, s, a, b: Verdict(HOLDS), "")
+
+
+def scan_lam_post():
+    _scan([lam_post], make_pair(), PQ, enumerate_states(PQ), stop_at_first=False, jobs=2)
+
+
+def after_a_pooled_suite(scan):
+    with _pool_scope():
+        run_suite(make_pair(), P, ["R7"], jobs=2)  # starts the shared pool
+        scan()
+
+
+for name, scan in (
+    ("lam_op", lambda: run_suite(lam_op, PQ, ["R7"], jobs=2)),
+    ("lam_post", scan_lam_post),
+    ("lam_post", lambda: after_a_pooled_suite(scan_lam_post)),
+):
+    try:
+        scan()
+    except ValueError as err:
+        print(name, repr(name) in str(err), multiprocessing.active_children())
+"""
+
+
+def test_unpicklable_tasks_raise_instead_of_hanging():
+    # a task that fails to pickle inside the pool hangs the pool's shutdown,
+    # so the scans run in their own process group, killed after 60 s
+    src = str(Path(postulates.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _UNPICKLABLE_SCANS], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a scan with an unpicklable task hung")
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["lam_op True []", "lam_post True []", "lam_post True []"]
 
 
 # --- cross-postulate invariants ------------------------------------------------------
