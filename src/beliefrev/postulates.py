@@ -41,17 +41,24 @@ dedicated PR6 instance checks.
 
 Every postulate and operator is world-neutral (see Postulate), so a verdict's
 status depends only on the instance's orbit under permutations of the
-valuations.  A scan therefore decides each orbit once: it keys every instance
-by its orbit (per level, the number of worlds in each input class) and counts
-later instances of a decided orbit from a memo of statuses, which holds at
-most _ORBIT_MEMO_LIMIT keys and is cleared when full.  The first failing
-instance is always decided, so counts, counterexamples and traces are those
-of deciding every instance.  At n = 2 a full suite decides 8,776 of its
-162,000 instances: 74 orbits per arity-2 postulate and 875 per arity-3 one.
+valuations.  A scan therefore decides each orbit once.  It splits its
+postulates into groups of one arity and walks each group's instance stream
+once, keying every instance by its orbit (per level, the number of worlds in
+each input class).  At the first instance of an orbit it decides every
+member of the group; later instances are counted from a memo mapping the key
+to its row, the members' statuses, interned once per distinct row.  The memo
+holds at most _ORBIT_MEMO_LIMIT keys and is cleared when full.  Each instance adds one
+to its row's tally, and the members' counts are folded from the tally at the
+end.  A member's first failing instance is always decided, so counts,
+counterexamples and traces are those of deciding every instance.  At n = 2 a
+full suite walks its 162,000 instances in two streams (1,125 arity-2 and
+16,875 arity-3 instances) and decides 8,776: 74 orbits per arity-2 postulate
+and 875 per arity-3 one.  A search is a group of one that stops at its first
+failure.
 
-A scan maps _scan_postulate over (postulate, chunk) tasks and reduces each
-postulate's chunks in order: at jobs = 1 one chunk, the stream itself, under
-the builtin map; with jobs > 1, jobs chunks of the states on a process pool.
+A scan maps _scan_group over (group, chunk) tasks and reduces each group's
+chunks in order: at jobs = 1 one chunk, the stream itself, under the builtin
+map; with jobs > 1, jobs chunks of the states on a process pool.
 Pool tasks carry the operator pair by value (registry operators and rows by
 name), so any other operator or postulate needs a module-level function; a
 scan refuses one that does not pickle with a ValueError before it touches the
@@ -649,48 +656,71 @@ def _state_stream(
     raise ValueError(f"unknown mode {mode!r} (expected 'exhaustive' or 'sample')")
 
 
-def _scan_postulate(
-    post: Postulate,
+def _decider(post: Postulate, pair: OperatorPair) -> Callable[[Instance], Verdict]:
+    if post is POSTULATES.get(post.pid):
+        return partial(check_instance, post.pid, pair)
+    # a derived claim (a harness's own check) has no registry entry for
+    # check_instance to look up, so it is evaluated directly
+    return lambda inst: post.check(pair, inst.state, inst.a, inst.b)
+
+
+def _scan_group(
+    group: Sequence[Postulate],
     states: Iterable[RankedState],
     pair: OperatorPair,
     sig: Signature,
     stop_at_first: bool,
-) -> tuple[int, int, int, int, Counterexample | None]:
-    if post is POSTULATES.get(post.pid):
-        verdict_of = partial(check_instance, post.pid, pair)
-    else:
-        # a derived claim (a harness's own check) has no registry entry for
-        # check_instance to look up, so it is evaluated directly
-        def verdict_of(inst: Instance) -> Verdict:
-            return post.check(pair, inst.state, inst.a, inst.b)
-    checked = holds = vacuous = fails = 0
-    first: Counterexample | None = None
-    memo: dict[int, str] = {}  # orbit key -> status
-    for key, s, a, b in _keyed_instances(post.arity, sig, states):
-        status = memo.get(key)
-        if status is None:
+) -> list[tuple[int, int, int, int, Counterexample | None]]:
+    """(checked, holds, vacuous, fails, first counterexample) per member of a
+    group of postulates of one arity, from one walk of their instances.  With
+    stop_at_first the walk ends once every member has failed."""
+    decide = [_decider(post, pair) for post in group]
+    firsts: list[Counterexample | None] = [None] * len(group)
+    # a status row holds one status per member; each distinct row is interned
+    # with an index, and the memo and the tally refer to rows by that index
+    # (a tuple does not cache its hash, so keying the tally by the row itself
+    # would rehash it at every instance)
+    rows: dict[tuple[str, ...], int] = {}
+    memo: dict[int, int] = {}  # orbit key -> row index
+    tally: list[int] = []  # row index -> instances
+    stop = False
+    for key, s, a, b in _keyed_instances(group[0].arity, sig, states):
+        i = memo.get(key)
+        if i is None:
             inst = Instance(s, a, b)
-            verdict = verdict_of(inst)
-            status = verdict.status
+            verdicts, statuses = [], []
+            # a plain loop: before Python 3.12 a comprehension is a function
+            # call, paid here once per orbit
+            for verdict_of in decide:
+                verdict = verdict_of(inst)
+                verdicts.append(verdict)
+                statuses.append(verdict.status)
+            row = tuple(statuses)
+            i = rows.setdefault(row, len(tally))
+            if i == len(tally):
+                tally.append(0)
             if len(memo) >= _ORBIT_MEMO_LIMIT:
                 memo.clear()
-            memo[key] = status
-        checked += 1
-        if status == HOLDS:
-            holds += 1
-        elif status == VACUOUS:
-            vacuous += 1
-        else:
-            fails += 1
-            if first is None:
-                # a hit on a failing key follows an earlier failure of its
-                # orbit, so the first failure was decided just above
-                first = Counterexample(
-                    post.pid, pair.revision.name, pair.contraction.name, inst, verdict
-                )
-                if stop_at_first:
-                    break
-    return checked, holds, vacuous, fails, first
+            memo[key] = i
+            if FAILS in row:
+                # a hit on a failing row follows an earlier failure of its
+                # orbit, so each member's first failure is decided here
+                for m, verdict in enumerate(verdicts):
+                    if verdict.status == FAILS and firsts[m] is None:
+                        firsts[m] = Counterexample(
+                            group[m].pid, pair.revision.name, pair.contraction.name,
+                            inst, verdict)
+                stop = stop_at_first and all(firsts)
+        tally[i] += 1
+        if stop:
+            break
+    results = []
+    for m, first in enumerate(firsts):
+        counts = dict.fromkeys((HOLDS, VACUOUS, FAILS), 0)
+        for row, i in rows.items():
+            counts[row[m]] += tally[i]
+        results.append((sum(counts.values()), counts[HOLDS], counts[VACUOUS], counts[FAILS], first))
+    return results
 
 
 class _CommandPool:
@@ -752,12 +782,17 @@ def _scan(
     jobs: int,
 ) -> list[PostulateResult]:
     """Scan postulates over one state stream; every search (a list of one),
-    suite and harness claim runs through here.  jobs is capped at the CPU
-    count; above 1 the scan runs on the command's pool."""
+    suite and harness claim runs through here.  The distinct postulates of
+    one arity form a group, scanned by one walk.  jobs is capped at the CPU
+    count; above 1 the scan runs on the command's pool.  Results follow
+    posts, duplicates included."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    scan = partial(_scan_postulate, pair=pair, sig=sig, stop_at_first=stop_at_first)
+    distinct = list(dict.fromkeys(posts))
+    groups = [[post for post in distinct if post.arity == arity]
+              for arity in dict.fromkeys(post.arity for post in distinct)]
+    scan = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
     with _pool_scope() as pool:
         if jobs == 1:
             chunks, scan_map = [stream], map
@@ -765,18 +800,21 @@ def _scan(
             states = list(stream)
             size = max(1, (len(states) + jobs - 1) // jobs)
             chunks = [states[i:i + size] for i in range(0, len(states), size)]
-            _check_picklable(pair, posts)
+            _check_picklable(pair, distinct)
             scan_map = pool.executor(jobs).map
-        # every postulate's chunks are queued before any result is read, so the
-        # pool does not drain between postulates; chunks are reduced in order,
-        # so each reported counterexample is the first one in the stream
-        outcomes = scan_map(scan, [post for post in posts for _ in chunks], chunks * len(posts))
-        rows = [list(islice(outcomes, len(chunks))) for _ in posts]
-    return [
-        PostulateResult(post.pid, *(sum(part[i] for part in parts) for i in range(4)),
-                        next((part[4] for part in parts if part[4] is not None), None))
-        for post, parts in zip(posts, rows)
-    ]
+        # every group's chunks are queued before any result is read, so the
+        # pool does not drain between groups; chunks are reduced in order, so
+        # each reported counterexample is the first one in the stream
+        outcomes = scan_map(scan, [group for group in groups for _ in chunks],
+                            chunks * len(groups))
+        results = {}
+        for group in groups:
+            parts = list(islice(outcomes, len(chunks)))
+            for post, member in zip(group, zip(*parts)):
+                results[post] = PostulateResult(
+                    post.pid, *(sum(part[i] for part in member) for i in range(4)),
+                    next((part[4] for part in member if part[4] is not None), None))
+    return [results[post] for post in posts]
 
 
 def search_counterexample(
@@ -811,6 +849,9 @@ def run_suite(
 ) -> SuiteReport:
     """Per-postulate summary over the full instance space (counts every
     instance, recording the first counterexample per postulate)."""
+    if isinstance(postulates, str):
+        # iterating "R1" would ask for postulates "R" and "1"
+        raise TypeError(f"postulates must be a sequence of ids, not the string {postulates!r}")
     pids = postulates if postulates is not None else ALL_POSTULATE_IDS
     posts = [_postulate(pid) for pid in pids]
     stream = _state_stream(sig, mode, samples, seed, allow_large)

@@ -620,6 +620,65 @@ def test_orbit_memo_memory_is_bounded():
     assert peak <= 4 * 2**20, peak
 
 
+# --- one walk per arity group against one scan per postulate ----------------------
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_grouped_suite_matches_singleton_scans(monkeypatch, pair):
+    singles = tuple(run_suite(pair, PQ, [pid]).results[0] for pid in ALL_POSTULATE_IDS)
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    grouped = {"jobs=1": run_suite(pair, PQ).results, "jobs=2": run_suite(pair, PQ, jobs=2).results}
+    # at 8 keys the memo is cleared many times inside each group's walk
+    monkeypatch.setattr(postulates, "_ORBIT_MEMO_LIMIT", 8)
+    grouped["evicting"] = run_suite(pair, PQ).results
+    first_verdicts = [r.counterexample and r.counterexample.verdict for r in singles]
+    assert any(first_verdicts)
+    for how, results in grouped.items():
+        assert results == singles, how
+        # each first counterexample's verdict, its trace included
+        assert [r.counterexample and r.counterexample.verdict for r in results] == first_verdicts
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_results_follow_the_requested_order(monkeypatch, jobs):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    pids = ["C2", "R1", "C2", "PC7", "R1"]
+    results = run_suite(REVERSE, PQ, pids, jobs=jobs).results
+    assert [r.postulate for r in results] == pids
+    assert results[0] == results[2] and results[1] == results[4]
+    assert results == tuple(run_suite(REVERSE, PQ, [pid]).results[0] for pid in pids)
+    assert run_suite(REVERSE, PQ, [], jobs=jobs).results == ()
+
+
+def test_suite_rejects_a_bare_postulate_string():
+    with pytest.raises(TypeError, match="not the string 'R1'"):
+        run_suite(NATURAL, PQ, "R1")
+
+
+def test_suite_walks_once_per_arity(monkeypatch):
+    walks, checks = [], []
+    keyed, check = postulates._keyed_instances, postulates.check_instance
+
+    def counted_walk(arity, sig, states):
+        walks.append(arity)
+        return keyed(arity, sig, states)
+
+    def counted_check(pid, ops, inst):
+        checks.append(pid)
+        return check(pid, ops, inst)
+
+    monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
+    monkeypatch.setattr(postulates, "check_instance", counted_check)
+    for pair in (NATURAL, make_pair("reverse", "drastic")):
+        walks.clear()
+        checks.clear()
+        run_suite(pair, PQ)
+        assert sorted(walks) == [2, 3]
+        # 74 orbits for each of 24 arity-2 rows, 875 for each of 8 arity-3 rows
+        assert len(checks) == 74 * 24 + 875 * 8 == 8776
+
+
 def test_iter_instances_counts():
     states = list(enumerate_states(PQ))
     assert sum(1 for _ in iter_instances("R1", PQ, states)) == 75 * 15
