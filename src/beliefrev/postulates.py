@@ -62,10 +62,10 @@ map; with jobs > 1, jobs chunks of the states on a process pool.
 Pool tasks carry the operator pair by value (registry operators and rows by
 name), so any other operator or postulate needs a module-level function; a
 scan refuses one that does not pickle with a ValueError before it touches the
-pool.  A command has one pool: the outermost call (a harness, suite or
-search) starts it lazily at its first parallel scan and shuts it down on
-exit, and every nested suite and search runs on it, so the workers keep
-their operator caches across the command's scans.
+pool.  A command makes at most one scan (a harness decides all its
+postulates and claims together), so it has at most one pool: the scan starts
+it when jobs > 1 and shuts it down before it returns, cancelling what is
+still queued if a worker raised.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
@@ -723,45 +721,6 @@ def _scan_group(
     return results
 
 
-class _CommandPool:
-    """The worker pool of one command, started by its first scan with
-    jobs > 1 and shared by every later one, so workers keep their operator
-    caches across the command's scans."""
-
-    def __init__(self) -> None:
-        self._executor: ProcessPoolExecutor | None = None
-
-    def executor(self, jobs: int) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=jobs)
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-
-
-_ACTIVE_POOL: ContextVar[_CommandPool | None] = ContextVar("beliefrev_pool", default=None)
-
-
-@contextmanager
-def _pool_scope() -> Iterator[_CommandPool]:
-    """Yield the active command pool.  The outermost scope creates it and
-    shuts it down on exit; nested scopes (a harness's suites and searches)
-    join it.  Also usable as a decorator on a command's entry function."""
-    pool = _ACTIVE_POOL.get()
-    if pool is not None:
-        yield pool
-        return
-    pool = _CommandPool()
-    token = _ACTIVE_POOL.set(pool)
-    try:
-        yield pool
-    finally:
-        _ACTIVE_POOL.reset(token)
-        pool.close()
-
-
 def _check_picklable(pair: OperatorPair, posts: Sequence[Postulate]) -> None:
     # A task that fails to pickle inside the pool leaves the executor's
     # shutdown waiting forever (CPython 3.11), so a pooled scan checks first.
@@ -782,10 +741,10 @@ def _scan(
     jobs: int,
 ) -> list[PostulateResult]:
     """Scan postulates over one state stream; every search (a list of one),
-    suite and harness claim runs through here.  The distinct postulates of
+    suite and harness runs through here.  The distinct postulates of
     one arity form a group, scanned by one walk.  jobs is capped at the CPU
-    count; above 1 the scan runs on the command's pool.  Results follow
-    posts, duplicates included."""
+    count; above 1 the scan runs on a process pool of its own, shut down
+    before it returns.  Results follow posts, duplicates included."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -793,15 +752,17 @@ def _scan(
     groups = [[post for post in distinct if post.arity == arity]
               for arity in dict.fromkeys(post.arity for post in distinct)]
     scan = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
-    with _pool_scope() as pool:
-        if jobs == 1:
-            chunks, scan_map = [stream], map
-        else:
-            states = list(stream)
-            size = max(1, (len(states) + jobs - 1) // jobs)
-            chunks = [states[i:i + size] for i in range(0, len(states), size)]
-            _check_picklable(pair, distinct)
-            scan_map = pool.executor(jobs).map
+    pool = None
+    if jobs == 1:
+        chunks, scan_map = [stream], map
+    else:
+        states = list(stream)
+        size = max(1, (len(states) + jobs - 1) // jobs)
+        chunks = [states[i:i + size] for i in range(0, len(states), size)]
+        _check_picklable(pair, distinct)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        scan_map = pool.map
+    try:
         # every group's chunks are queued before any result is read, so the
         # pool does not drain between groups; chunks are reduced in order, so
         # each reported counterexample is the first one in the stream
@@ -814,6 +775,9 @@ def _scan(
                 results[post] = PostulateResult(
                     post.pid, *(sum(part[i] for part in member) for i in range(4)),
                     next((part[4] for part in member if part[4] is not None), None))
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return [results[post] for post in posts]
 
 

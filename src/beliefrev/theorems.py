@@ -8,9 +8,10 @@ claim is reported "consistent-with-theorem", never "proved": both directions
 of each biconditional are evaluated per operator pair over every enumerable
 instance, which is the strongest finite test available.
 
-Every harness reads its postulates' first counterexamples from one ordered
-``_searches`` call (or scans a derived postulate with ``_scan``) and builds
-each claim with ``_claim``, which names the operator pair and keeps the
+Every harness makes one exhaustive scan, ``_decide``, of the registry
+postulates it reads (its preconditions included) and its derived claims, and
+reads each claim's counts and first counterexample from that one result.
+``_claim`` builds each claim, naming the operator pair and keeping the
 witnesses that were found, in order.  When a precondition fails (the
 reformulated AGM postulates for theorem1 and observation1, S1 and S2 for
 corollary1) ``_skipped`` reports every claim as skipped with the reason.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .logic import Signature, WorldSet, parse_formula, models
 from .operators import (
@@ -40,15 +41,18 @@ from .postulates import (
     Counterexample,
     Instance,
     Postulate,
+    PostulateResult,
     Verdict,
     _bits,
-    _pool_scope,
+    _postulate,
     _scan,
+    _state_stream,
     check_instance,
-    run_suite,
-    search_counterexample,
 )
-from .states import RankedState, belief_set, believes, enumerate_states, normalize
+# No harness calls these; the benchmark's tracer (perfbench/tracing.py) swaps
+# them on this module by name, so they stay importable from here.
+from .postulates import run_suite, search_counterexample  # noqa: F401
+from .states import RankedState, belief_set, believes, normalize
 
 CONSISTENT = "consistent-with-theorem"
 INCONSISTENT = "inconsistent-with-theorem"
@@ -88,15 +92,6 @@ class TheoremReport:
         return not any(c.status in (INCONSISTENT, SKIPPED) for c in self.claims)
 
 
-def _agm_precondition(ops: OperatorPair, sig: Signature, jobs: int = 1) -> str | None:
-    """Reason string if the pair fails the reformulated postulates, else None."""
-    report = run_suite(ops, sig, _AGM_IDS, jobs=jobs)
-    failing = [r.postulate for r in report.results if r.fails]
-    if failing:
-        return "operator pair does not satisfy the reformulated postulates: " + ", ".join(failing)
-    return None
-
-
 def _claim(
     ops: OperatorPair, claim: str, pids: tuple[str, ...], direction: str, status: str,
     detail: str, cexs: Iterable[Counterexample | None] = (),
@@ -119,10 +114,28 @@ def _skipped(title: str, ops: OperatorPair, sig: Signature,
                                      for claim, pids in rows))
 
 
-def _searches(ops: OperatorPair, sig: Signature, pids: Iterable[str],
-              jobs: int) -> dict[str, Counterexample | None]:
-    """First counterexample (or None) for each postulate, searched in order."""
-    return {pid: search_counterexample(pid, ops, sig, jobs=jobs) for pid in pids}
+def _decide(
+    ops: OperatorPair, sig: Signature, jobs: int, pids: tuple[str, ...],
+    derived: Sequence[Postulate] = (),
+) -> tuple[dict[str, PostulateResult], list[PostulateResult]]:
+    """Everything a harness reads, from one exhaustive scan: the registry
+    postulates' results by id, then the derived claims' results in order."""
+    stream = _state_stream(sig, "exhaustive", None, None, allow_large=False)
+    results = _scan([*map(_postulate, pids), *derived], ops, sig, stream,
+                    stop_at_first=False, jobs=jobs)
+    return dict(zip(pids, results)), results[len(pids):]
+
+
+def _failing(results: dict[str, PostulateResult], pids: Iterable[str]) -> list[str]:
+    return [pid for pid in pids if results[pid].fails]
+
+
+def _agm_reason(results: dict[str, PostulateResult]) -> str | None:
+    """Reason string if the pair fails the reformulated postulates, else None."""
+    failing = _failing(results, _AGM_IDS)
+    if failing:
+        return "operator pair does not satisfy the reformulated postulates: " + ", ".join(failing)
+    return None
 
 
 # (claim, semantic postulate, syntactic postulates, detail when no syntactic
@@ -134,26 +147,25 @@ _THEOREM1 = (
 )
 
 
-@_pool_scope()
 def verify_theorem1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Check both biconditionals: R1 clean iff S1 holds, and R2-R4 clean iff
     S2 holds, each decided exhaustively per operator pair."""
-    reason = _agm_precondition(ops, sig, jobs=jobs)
+    rows = [(claim, (sem, *syn)) for claim, sem, syn, _, _ in _THEOREM1]
+    results, _ = _decide(ops, sig, jobs, _AGM_IDS + tuple(pid for _, pids in rows for pid in pids))
+    reason = _agm_reason(results)
     if reason is not None:
-        rows = [(claim, (sem, *syn)) for claim, sem, syn, _, _ in _THEOREM1]
         return _skipped("theorem1", ops, sig, rows, "both", reason)
 
     claims = []
     for claim, sem, syn, absent, found in _THEOREM1:
-        cexs = _searches(ops, sig, (sem, *syn), jobs)
-        holds = cexs[sem] is None
-        failing = [pid for pid in syn if cexs[pid] is not None]
+        holds = not results[sem].fails
+        failing = _failing(results, syn)
         claims.append(_claim(
             ops, claim, (sem, *syn), "both",
             CONSISTENT if holds == (not failing) else INCONSISTENT,
             (f"{sem} holds exhaustively; " if holds else f"{sem} fails at some instance; ")
             + (found.format(failing=", ".join(failing)) if failing else absent),
-            cexs.values(),
+            (results[pid].counterexample for pid in (sem, *syn)),
         ))
     return _report("theorem1", ops, sig, claims)
 
@@ -178,17 +190,16 @@ _COROLLARY1 = Postulate(
 )
 
 
-@_pool_scope()
 def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Equality of revise-then-contract with plain contraction whenever the
     input's negation is not believed."""
     pids = ("S1", "S2")
-    missing = [pid for pid, c in _searches(ops, sig, pids, jobs).items() if c is not None]
+    results, (r,) = _decide(ops, sig, jobs, pids, [_COROLLARY1])
+    missing = _failing(results, pids)
     if missing:
         reason = "precondition failed: " + ", ".join(missing) + " violated"
         return _skipped("corollary1", ops, sig, [("corollary1", pids)], "equality", reason)
 
-    (r,) = _scan([_COROLLARY1], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     claim = _claim(
         ops, "corollary1", pids, "equality",
         CONSISTENT if r.fails == 0 else INCONSISTENT,
@@ -209,17 +220,21 @@ def _co_occurring(premise: str, conclusion: str, input_unbelieved: bool, pair, s
     return check_instance(conclusion, pair, inst)
 
 
+# observation1's instance implications: (claim, premise, conclusion, whether
+# the input must be unbelieved)
+_IMPLICATIONS = (
+    ("observation1.2", "R2", "R9", False),
+    ("observation1.3", "R1", "R5", False),
+    ("observation1.6", "R5", "R1", True),
+)
+
+
 def _implication_claim(
-    claim: str, ops: OperatorPair, sig: Signature, jobs: int,
-    premise: str, conclusion: str, input_unbelieved: bool = False,
+    ops: OperatorPair, claim: str, premise: str, conclusion: str, input_unbelieved: bool,
+    r: PostulateResult,
 ) -> ClaimResult:
     """Instance-level implication: wherever the premise holds, the conclusion
     does not fail.  Witnesses carry the conclusion's postulate id."""
-    post = Postulate(
-        conclusion, 2, partial(_co_occurring, premise, conclusion, input_unbelieved),
-        f"{conclusion} wherever {premise} holds",
-    )
-    (r,) = _scan([post], ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
     scope = "applicable instances" if input_unbelieved else "instances"
     return _claim(
         ops, claim, (premise, conclusion),
@@ -230,20 +245,27 @@ def _implication_claim(
     )
 
 
-@_pool_scope()
 def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """The seven-item profile relating the recovery-style postulates."""
-    reason = _agm_precondition(ops, sig, jobs=jobs)
+    implications = [
+        Postulate(conclusion, 2, partial(_co_occurring, premise, conclusion, unbelieved),
+                  f"{conclusion} wherever {premise} holds")
+        for _, premise, conclusion, unbelieved in _IMPLICATIONS
+    ]
+    results, implied = _decide(ops, sig, jobs, _AGM_IDS + ("R3", "R6", "R7", "R8"), implications)
+    reason = _agm_reason(results)
     if reason is not None:
         rows = [(f"observation1.{i}", ()) for i in range(1, 8)]
         return _skipped("observation1", ops, sig, rows, "item", reason)
 
-    r3, r6, r7, r8 = _searches(ops, sig, ("R3", "R6", "R7", "R8"), jobs).values()
+    r3, r6, r7, r8 = (results[pid].counterexample for pid in ("R3", "R6", "R7", "R8"))
+    item2, item3, item6 = (_implication_claim(ops, *row, r)
+                           for row, r in zip(_IMPLICATIONS, implied))
     return _report("observation1", ops, sig, (
         _claim(ops, "observation1.1", ("R3",), "record", RECORDED,
                "R3 holds exhaustively" if r3 is None else "R3 counterexample found", (r3,)),
-        _implication_claim("observation1.2", ops, sig, jobs, "R2", "R9"),
-        _implication_claim("observation1.3", ops, sig, jobs, "R1", "R5"),
+        item2,
+        item3,
         _claim(ops, "observation1.4", ("R6", "R3"), "co-satisfaction",
                CONSISTENT if (r6 is None) == (r3 is None) else INCONSISTENT,
                f"R6 {'clean' if r6 is None else 'fails'}, R3 {'clean' if r3 is None else 'fails'}",
@@ -252,14 +274,13 @@ def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> The
                CONSISTENT if r7 is not None else INCONSISTENT,
                "R7 counterexample found (it contradicts inclusion and success)"
                if r7 is not None else "no R7 counterexample found", (r7,)),
-        _implication_claim("observation1.6", ops, sig, jobs, "R5", "R1", input_unbelieved=True),
+        item6,
         _claim(ops, "observation1.7", ("R8",), "counterexample absence",
                CONSISTENT if r8 is None else INCONSISTENT,
                "R8 holds exhaustively" if r8 is None else "R8 counterexample found", (r8,)),
     ))
 
 
-@_pool_scope()
 def verify_hansson(
     con: ContractionOperator | str, sig: Signature, jobs: int = 1
 ) -> TheoremReport:
@@ -271,9 +292,9 @@ def verify_hansson(
     ops = OperatorPair(get_revision("natural"), con)
     antecedent_ids = ("PC1", "PC2", "PC3", "PC4", "PC5", "CORE")
     pids = antecedent_ids + ("PC6",)
-    cexs = _searches(ops, sig, pids, jobs)
-    failing = [pid for pid in antecedent_ids if cexs[pid] is not None]
-    recovery_ok = cexs["PC6"] is None
+    results, _ = _decide(ops, sig, jobs, pids)
+    failing = _failing(results, antecedent_ids)
+    recovery_ok = not results["PC6"].fails
     if not failing:
         status = CONSISTENT if recovery_ok else INCONSISTENT
         detail = (
@@ -287,7 +308,8 @@ def verify_hansson(
             + ("holds" if recovery_ok else "also fails")
             + "; implication not refuted"
         )
-    claim = _claim(ops, "hansson", pids, "implication", status, detail, cexs.values())
+    claim = _claim(ops, "hansson", pids, "implication", status, detail,
+                   (results[pid].counterexample for pid in pids))
     return _report("hansson", ops, sig, (claim,))
 
 

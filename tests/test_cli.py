@@ -353,6 +353,14 @@ def test_exhaustive_n3_check_requires_flag(capsys):
     assert "gated" in err
 
 
+@pytest.mark.parametrize("command", ["theorem1", "corollary1", "observation1", "hansson"])
+def test_exhaustive_n3_harness_is_gated(capsys, command):
+    code, out, err = run_cli(capsys, command, "--atoms", "p,q,r")
+    assert code == 2
+    assert out == ""
+    assert "gated" in err
+
+
 def test_bad_steps_exit_two(capsys, state_file):
     code, _, err = run_cli(capsys, "seq", "--state", state_file, "--steps", "revise!r")
     assert code == 2

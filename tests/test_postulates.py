@@ -416,21 +416,20 @@ def _raise_in_worker(pair, s, a, b):
 def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     post = postulates.Postulate("raises", 2, _raise_in_worker, "always raises")
+    # the raising group is read first, while C2's chunks are still queued
     with pytest.raises(RuntimeError, match="check raised in process") as err:
-        with postulates._pool_scope():
-            run_suite(NATURAL, P, ["R7"], jobs=2)  # starts the shared pool
-            postulates._scan([post], NATURAL, PQ, enumerate_states(PQ),
-                             stop_at_first=False, jobs=2)
+        postulates._scan([post, postulates.POSTULATES["C2"]], NATURAL, PQ,
+                         enumerate_states(PQ), stop_at_first=False, jobs=2)
     assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
     assert multiprocessing.active_children() == []
 
 
 _UNPICKLABLE_SCANS = """
 import multiprocessing
-from beliefrev import postulates
+from beliefrev import postulates, theorems
 from beliefrev.logic import Signature
 from beliefrev.operators import OperatorPair, RevisionOperator, get_contraction, make_pair
-from beliefrev.postulates import HOLDS, Postulate, Verdict, _pool_scope, _scan, run_suite
+from beliefrev.postulates import HOLDS, Postulate, Verdict, _scan, run_suite
 from beliefrev.states import enumerate_states
 
 postulates.os.cpu_count = lambda: 2
@@ -443,16 +442,10 @@ def scan_lam_post():
     _scan([lam_post], make_pair(), PQ, enumerate_states(PQ), stop_at_first=False, jobs=2)
 
 
-def after_a_pooled_suite(scan):
-    with _pool_scope():
-        run_suite(make_pair(), P, ["R7"], jobs=2)  # starts the shared pool
-        scan()
-
-
 for name, scan in (
     ("lam_op", lambda: run_suite(lam_op, PQ, ["R7"], jobs=2)),
     ("lam_post", scan_lam_post),
-    ("lam_post", lambda: after_a_pooled_suite(scan_lam_post)),
+    ("lam_op", lambda: theorems.verify_theorem1(lam_op, P, jobs=2)),
 ):
     try:
         scan()
@@ -477,7 +470,7 @@ def test_unpicklable_tasks_raise_instead_of_hanging():
         proc.communicate()
         pytest.fail("a scan with an unpicklable task hung")
     assert proc.returncode == 0, err
-    assert out.splitlines() == ["lam_op True []", "lam_post True []", "lam_post True []"]
+    assert out.splitlines() == ["lam_op True []", "lam_post True []", "lam_op True []"]
 
 
 # --- cross-postulate invariants ------------------------------------------------------
@@ -581,8 +574,7 @@ def test_memoized_sampled_n3_matches_brute_force(pair):
 
 def _derived_claims():
     yield theorems._COROLLARY1
-    for premise, conclusion, unbelieved in (("R2", "R9", False), ("R1", "R5", False),
-                                            ("R5", "R1", True)):
+    for _, premise, conclusion, unbelieved in theorems._IMPLICATIONS:
         # the postulates observation1 items 2, 3 and 6 scan
         yield postulates.Postulate(
             conclusion, 2, partial(theorems._co_occurring, premise, conclusion, unbelieved),

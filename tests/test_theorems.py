@@ -1,5 +1,6 @@
 import pytest
 
+from beliefrev import postulates, theorems
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import ContractionOperator, make_pair, natural_contraction
 from beliefrev.postulates import FAILS, HOLDS, check_instance
@@ -153,6 +154,40 @@ def test_hansson_accepts_duplicate_of_natural_contraction():
     clone = ContractionOperator("natural-clone", lambda s, a: natural_contraction(s, a))
     report = verify_hansson(clone, PQ)
     assert report.claims[0].status == CONSISTENT
+
+
+# --- one scan per harness ---------------------------------------------------------------
+
+
+NATURAL = make_pair("natural", "natural-con")
+DRASTIC = make_pair("natural", "drastic")
+
+
+@pytest.mark.parametrize("verify, target, skipped", [
+    (verify_theorem1, NATURAL, False),
+    (verify_theorem1, DRASTIC, True),
+    (verify_corollary1, NATURAL, False),
+    (verify_corollary1, DRASTIC, False),
+    (verify_corollary1, make_pair("reverse", "natural-con"), True),
+    (verify_observation1, NATURAL, False),
+    (verify_observation1, DRASTIC, True),
+    (verify_hansson, "natural-con", False),
+    (verify_hansson, "drastic", False),
+], ids=lambda v: getattr(v, "__name__", getattr(v, "name", v)))
+def test_each_harness_is_one_scan(monkeypatch, verify, target, skipped):
+    # both bindings count, so a suite or search inside a harness would too
+    scans = []
+    scan = postulates._scan
+
+    def counting(posts, *args, **kwargs):
+        scans.append([post.pid for post in posts])
+        return scan(posts, *args, **kwargs)
+
+    monkeypatch.setattr(postulates, "_scan", counting)
+    monkeypatch.setattr(theorems, "_scan", counting)
+    report = verify(target, PQ)
+    assert len(scans) == 1
+    assert all(c.status == SKIPPED for c in report.claims) == skipped
 
 
 # --- the worked example ----------------------------------------------------------------
