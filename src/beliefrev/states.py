@@ -14,7 +14,13 @@ first half of the valuations is followed by the lex-ordered suffixes over
 0..k-1 that cover the levels the prefix missed, which is lexicographic order
 on the whole rank vector.  Sampled streams draw each rank exactly as
 Random.randrange(2**n) does, so a seed names the same states as a per-rank
-randrange sampler.  Every yielded state is validated by RankedState.
+randrange sampler: a rank is the top n + 1 bits of one 32-bit generator word,
+accepted iff the word's top bit is 0.  For n <= 7 the words are drawn in
+blocks and each state's ranks are filtered and compacted as bytes, with
+bytes.translate; for n >= 8 a rank no longer fits a byte and each is drawn
+on its own.  Draw-exactness rests on CPython's getrandbits word order and
+on randrange drawing n + 1 bits, as CPython 3.10-3.12 do.  Every yielded
+state is validated by RankedState.
 """
 
 from __future__ import annotations
@@ -36,31 +42,35 @@ def _level_set(levels: int) -> frozenset[int]:
     return frozenset(range(levels))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RankedState:
     """Normalized rank function over all valuations of the signature.
 
-    The hash is computed on the first __hash__ and kept, so building a state
-    computes no hash and every later cache lookup reuses it.  Equality tests
-    identity first, then the ranks, then the signature.  A pickle
-    carries only the constructor arguments (__reduce__): unpickling re-runs
-    the validation and the hash is recomputed in the receiving process.
+    The constructor is written out so that building a state is one frame:
+    it converts ranks to a tuple, checks the length and the contiguity, and
+    sets the fields.  The hash is computed on the first __hash__ and kept, so
+    building a state computes no hash and every later cache lookup reuses it.
+    Equality tests identity first, then the ranks, then the signature.  A
+    pickle carries only the constructor arguments (__reduce__): unpickling
+    re-runs the validation and the hash is recomputed in the receiving
+    process.
     """
 
     sig: Signature
     ranks: tuple[int, ...]
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        ranks = self.ranks
+    def __init__(self, sig: Signature, ranks: Iterable[int]):
         if not isinstance(ranks, tuple):
             ranks = tuple(ranks)
-            object.__setattr__(self, "ranks", ranks)
-        if len(ranks) != self.sig.num_valuations:
-            raise ValueError(f"expected {self.sig.num_valuations} ranks, got {len(ranks)}")
+        if len(ranks) != sig.num_valuations:
+            raise ValueError(f"expected {sig.num_valuations} ranks, got {len(ranks)}")
         used = set(ranks)
         if used != _level_set(len(used)):
             raise ValueError("ranks not normalized: must cover 0..k contiguously")
+        _set_sig(self, sig)
+        _set_ranks(self, ranks)
+        _set_hash(self, None)
 
     def __eq__(self, other):
         if self is other:
@@ -73,7 +83,7 @@ class RankedState:
         h = self._hash
         if h is None:
             h = hash((self.sig, self.ranks))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __reduce__(self):
@@ -89,6 +99,13 @@ class RankedState:
     def __repr__(self) -> str:
         levels = ["{" + ",".join(self.level(r).bitstrings()) + "}" for r in range(self.num_levels)]
         return f"RankedState({' < '.join(levels)})"
+
+
+# The slot setters: the frozen dataclass's own __setattr__ refuses every
+# assignment, and a bound slot setter costs about half of object.__setattr__
+_set_sig = RankedState.sig.__set__
+_set_ranks = RankedState.ranks.__set__
+_set_hash = RankedState._hash.__set__
 
 
 @lru_cache(maxsize=65536)
@@ -276,13 +293,68 @@ def _exhaustive_iter(sig: Signature) -> Iterator[RankedState]:
                 yield RankedState(sig, prefix + suffix)
 
 
+# A rank draw is n + 1 bits, so up to n = 7 it is drawn and compacted as a byte
+_BYTE_PATH_MAX_ATOMS = 7
+# at most 64 KiB of generator output per refill
+_BLOCK_WORDS = 1 << 14
+# A state's compaction table is kept, keyed by its set of used ranks, only
+# while such sets are few and repeat: 2**8 - 1 of them at n = 3, against
+# 2**16 - 1 at n = 4, so the memo never holds more than 255 tables
+_MEMO_MAX_ATOMS = 3
+_IDENT = bytes(range(256))
+
+
 def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
+    if sig.n > _BYTE_PATH_MAX_ATOMS:
+        return _sampled_rank_iter(sig, count, seed)
+    return _sampled_byte_iter(sig, count, seed)
+
+
+def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
     # the accepted draws of one seeded generator, taken total at a time
     total = sig.num_valuations
     getrandbits = random.Random(seed).getrandbits
     draws = filter(total.__gt__, map(getrandbits, repeat(total.bit_length())))
     for _ in range(count):
         yield normalize(sig, list(islice(draws, total)))
+
+
+def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
+    """The draws of _sampled_rank_iter, made a block of words at a time.
+
+    getrandbits(32 * W) holds W successive 32-bit words, the first in the
+    lowest bits, so byte 4i + 3 of its little-endian bytes is the top byte of
+    word i.  A per-rank draw is a word's top n + 1 bits and is accepted iff
+    it is below 2**n, that is iff the word's top bit is 0: one translate
+    deletes the rejected top bytes and shifts the rest down to their ranks.
+    Each state's distinct ranks, sorted, are mapped to 0..k by one more
+    translate.
+    """
+    total = sig.num_valuations
+    to_rank = bytes(b >> (7 - sig.n) for b in range(256))
+    rejected = _IDENT[128:]
+    getrandbits = random.Random(seed).getrandbits
+    tables: dict[frozenset[int], bytes] = {}
+    memoize = sig.n <= _MEMO_MAX_ATOMS
+    pending = b""
+    while count:
+        # about half the words are accepted; a short block is topped up by
+        # the next one, and draws past the last state are never used
+        words = min(2 * (count * total - len(pending)) + 64, _BLOCK_WORDS)
+        block = getrandbits(32 * words).to_bytes(4 * words, "little")
+        draws = pending + block[3::4].translate(to_rank, rejected)
+        stop = min(len(draws) // total, count) * total
+        for start in range(0, stop, total):
+            raw = draws[start:start + total]
+            used = frozenset(raw)
+            table = tables.get(used)
+            if table is None:
+                table = bytes.maketrans(bytes(sorted(used)), _IDENT[:len(used)])
+                if memoize:
+                    tables[used] = table
+            yield RankedState(sig, tuple(raw.translate(table)))
+        count -= stop // total
+        pending = draws[stop:]
 
 
 @dataclass
@@ -333,7 +405,15 @@ def sample_states(sig: Signature, count: int, seed: int) -> StateStream:
     A rank is getrandbits((2**n).bit_length()), redrawn while it is at least
     2**n: the draw Random.randrange(2**n) makes, so the stream equals
     normalize(sig, [rng.randrange(2**n) for each valuation]) state by state.
+    That draw is the top n + 1 bits of one 32-bit generator word, and it is
+    accepted iff the word's top bit is 0.  For n <= 7 a rank fits a byte:
+    words are drawn in blocks and their top bytes filtered and compacted as
+    bytes.  For n >= 8 each rank is drawn on its own.  The seed must be a
+    natural number: Random seeds by absolute value, so seed -s would draw
+    the states of seed s.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a natural number, got {seed}")
     return StateStream(sig, "sampled", count, seed)

@@ -164,6 +164,17 @@ def test_enumerate_sample_mode(capsys):
     assert payload["samples"] == 100 and 1 <= payload["distinct"] <= 75
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--atoms", "p,q", "--mode", "sample", "--samples", "10"),
+    ("check", "--atoms", "p,q", "--postulate", "R1", "--mode", "sample", "--samples", "10"),
+], ids=["enumerate", "check"])
+def test_negative_seed_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-5")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a natural number" in err
+
+
 # --- harness commands ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from beliefrev import states
 from beliefrev.logic import Signature, SignatureMismatchError, TRUE, WorldSet, parse_formula
 from beliefrev.operators import natural_revision
 from beliefrev.states import (
@@ -107,11 +109,26 @@ def test_normalize_error_messages_and_order():
 
 
 def test_ranked_state_requires_normalized_ranks():
-    with pytest.raises(ValueError):
-        RankedState(PQ, (0, 2, 2, 0))
-    for ranks in ((0, 1, 0), (0, 1, 0, 1, 0)):
-        with pytest.raises(ValueError, match="expected 4 ranks"):
+    for ranks in ((0, 2, 2, 0), (1, 1, 1, 1), (0, 1, 0, -1)):
+        with pytest.raises(ValueError, match=r"^ranks not normalized: must cover 0\.\.k contiguously$"):
             RankedState(PQ, ranks)
+    for ranks in ((0, 1, 0), (0, 1, 0, 1, 0)):
+        with pytest.raises(ValueError, match=rf"^expected 4 ranks, got {len(ranks)}$"):
+            RankedState(PQ, ranks)
+
+
+def test_ranked_state_constructor_fields():
+    for make in (list, iter, lambda r: (x for x in r)):
+        s = RankedState(PQ, make([0, 1, 1, 0]))
+        assert s.ranks == (0, 1, 1, 0) and type(s.ranks) is tuple
+        assert s.sig is PQ
+    for name, value in (("sig", RGS), ("ranks", (0, 0, 0, 0)), ("_hash", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+    assert s.ranks == (0, 1, 1, 0) and s._hash is None
+    assert dataclasses.replace(s, ranks=[1, 0, 0, 0]) == RankedState(PQ, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="not normalized"):
+        dataclasses.replace(s, ranks=(0, 2, 0, 0))
 
 
 def test_state_built_five_ways_is_one_cache_key():
@@ -343,19 +360,60 @@ def test_sample_covers_every_weak_order_at_n2():
     assert seen == {s.ranks for s in enumerate_states(PQ)}
 
 
-@pytest.mark.parametrize("sig", [Signature(("p",)), PQ, RGS], ids=["n1", "n2", "n3"])
-def test_sample_matches_randrange_reference(sig):
+def atoms(n):
+    return Signature(tuple(f"a{i}" for i in range(n)))
+
+
+# n = 7 is the widest signature whose ranks are drawn as bytes; n = 8 draws
+# each rank on its own
+@pytest.mark.parametrize("n, count", [(1, 200), (2, 200), (3, 200), (4, 50), (7, 5), (8, 2)],
+                         ids=["n1", "n2", "n3", "n4", "n7", "n8"])
+def test_sample_matches_randrange_reference(n, count):
+    sig = atoms(n)
     total = sig.num_valuations
-    for seed in range(10):
+    for seed in (*range(10), 2**40 + 3):
         rng = random.Random(seed)
         expected = [normalize(sig, [rng.randrange(total) for _ in range(total)])
-                    for _ in range(200)]
-        assert list(sample_states(sig, 200, seed)) == expected
+                    for _ in range(count)]
+        assert list(sample_states(sig, count, seed)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_sample_prefix_is_independent_of_count(n):
+    # draws come in blocks sized from the states still to make, so a longer
+    # stream refills at other points; about half the words are accepted
+    total = 2 ** n
+    per_block = states._BLOCK_WORDS // (2 * total)
+    longest = 4 * per_block
+    full = [s.ranks for s in sample_states(atoms(n), longest, 5)]
+    for count in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3, longest - 1):
+        assert [s.ranks for s in sample_states(atoms(n), count, 5)] == full[:count]
+
+
+def test_sample_memory_is_bounded_at_n7():
+    # the draw buffer is refilled a block at a time and no compaction table
+    # is kept at n = 7, so the peak stays flat however many states stream by
+    stream = sample_states(atoms(7), 2000, 1)
+    tracemalloc.start()
+    try:
+        for _ in stream:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_sample_requires_positive_count():
     with pytest.raises(ValueError):
         sample_states(PQ, 0, 1)
+
+
+def test_sample_rejects_negative_seed():
+    # Random seeds by absolute value: -5 would draw the states of seed 5
+    with pytest.raises(ValueError, match=r"^seed must be a natural number, got -5$"):
+        sample_states(PQ, 10, -5)
+    assert len(list(sample_states(PQ, 10, 0))) == 10
 
 
 # --- properties --------------------------------------------------------------------
