@@ -33,6 +33,10 @@ MAX_ATOMS = 16
 # limit at this depth.
 MAX_FORMULA_DEPTH = 100
 
+# Entries of the dnf_of and models memos.  Every input at n <= 3 (256 world
+# sets) fits; the memos hold the formulas, which grow with the world count.
+_ROUND_TRIP_MEMO = 1024
+
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 # The parser reads these words as constants, so they cannot name atoms.
@@ -264,12 +268,12 @@ class Formula:
         return formula_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Formula):
     value: bool
 
@@ -278,30 +282,30 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -330,8 +334,11 @@ def satisfies(f: Formula, valuation: int, sig: Signature) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@lru_cache(maxsize=_ROUND_TRIP_MEMO)
 def models(f: Formula, sig: Signature) -> WorldSet:
-    """The set of valuations satisfying f, computed bit-parallel."""
+    """The set of valuations satisfying f, computed bit-parallel.
+
+    Memoized in a bounded LRU: equal formulas give one WorldSet object."""
     return WorldSet(sig, _model_mask(f, sig))
 
 
@@ -354,19 +361,25 @@ def _model_mask(f: Formula, sig: Signature) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@lru_cache(maxsize=None)
+def _literals(sig: Signature) -> tuple[tuple[Formula, Formula], ...]:
+    # (negative, positive) literal of each atom, shared by every minterm
+    return tuple((Not(Atom(name)), Atom(name)) for name in sig.atoms)
+
+
+@lru_cache(maxsize=_ROUND_TRIP_MEMO)
 def dnf_of(w: WorldSet, sig: Signature) -> Formula:
     """Canonical full-DNF formula whose model set is exactly w.
 
     One minterm per world, minterms in valuation order; the empty set maps to
-    the constant false.  Deterministic, so equal WorldSets give equal ASTs.
+    the constant false.  Deterministic, so equal WorldSets give equal ASTs;
+    memoized in a bounded LRU, so they also give one AST object.
     """
-    minterms = []
-    for v in w:
-        literals: list[Formula] = [
-            Atom(name) if sig.atom_true(v, i) else Not(Atom(name))
-            for i, name in enumerate(sig.atoms)
-        ]
-        minterms.append(reduce(And, literals))
+    literals = _literals(sig)
+    minterms = [
+        reduce(And, [pair[sig.atom_true(v, i)] for i, pair in enumerate(literals)])
+        for v in w
+    ]
     if not minterms:
         return FALSE
     return reduce(Or, minterms)

@@ -7,33 +7,34 @@ the prior state.  Revising by the empty WorldSet has no ranked-state
 representation, so it yields the distinguished ABSURD marker, whose belief
 set is the inconsistent theory (no models).
 
-Every built-in operator is a guard plus one re-ranking: each valuation v gets
-a key that reads only v's old rank and whether v lies in world sets built
-from the input and the ranks alone, and the distinct keys in sorted order
-become the new ranks (_reorder).  No operator looks at which valuation v is,
-so every one of them commutes with any permutation of the valuations applied
-to both state and input.
+Every built-in operator is a guard plus one re-ranking of whole levels: it
+reads the state's level masks (each rank's set of valuations, ordered by
+rank), builds a list of new level masks from them with set operations on the
+input and world sets derived from the input and the ranks alone, and the
+non-empty masks in order become ranks 0, 1, ... (_from_levels).  No operator
+looks at which valuation sits in a level, so every one of them commutes with
+any permutation of the valuations applied to both state and input.
 
-  natural   minimal input-worlds (0, 0), every other valuation (1, rank):
-            the minimal input-worlds move to rank 0, the rest keep their
-            relative preorder from rank 1.
-  flatten   tier index: 0 for the minimal input-worlds, 1 for the minimal
-            worlds of the complement, 2 for everything else; empty tiers
-            drop out.
-  lex       (v not in input, rank): all input-worlds below all
-            complement-worlds, relative order preserved within each block.
-  reverse   (0, rank) inside the input, (1, -rank) outside: complement
-            worlds go strictly above with their relative order reversed.
-            Faithful by construction, but engineered to break the
-            minimal-countermodel stability conditions S1/S2.
+  natural   [min(a)] + [level - min(a) for each level]: the minimal
+            input-worlds move to rank 0, the rest keep their relative
+            preorder from rank 1.
+  flatten   [min(a), min(!a), everything else]: empty tiers drop out.
+  lex       [level & a for each level] + [level - a for each level]: all
+            input-worlds below all complement-worlds, relative order
+            preserved within each block.
+  reverse   [level & a for each level] + [level - a for each level, top level
+            first]: complement worlds go strictly above with their relative
+            order reversed.  Faithful by construction, but engineered to break
+            the minimal-countermodel stability conditions S1/S2.
 
-  natural-con   believed, non-tautological input: the natural key with the
-                old belief set plus the minimal worlds of the complement as
-                the low set.  Otherwise the state is returned unchanged
-                (vacuity strengthened to state identity).
-  drastic       withdrawal: a believed input gets one constant key, which
-                wipes the ordering flat (belief set becomes the theory of no
-                information); otherwise the state is unchanged.
+  natural-con   believed, non-tautological input: natural's levels with the
+                old belief set plus min(!a) as the low set.  Otherwise the
+                state is returned unchanged (vacuity strengthened to state
+                identity).
+  drastic       withdrawal: a believed input leaves one level holding every
+                valuation, which wipes the ordering flat (belief set becomes
+                the theory of no information); otherwise the state is
+                unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Union
 
 from .logic import Signature, WorldSet
-from .states import RankedState, belief_set, min_worlds, uniform_state
+from .states import RankedState, _level_masks, belief_set, min_worlds, uniform_state
 
 _CACHE_SIZE = 65536
 
@@ -78,17 +79,25 @@ def outcome_belief_set(outcome: RevisionOutcome, sig: Signature) -> WorldSet:
     return belief_set(outcome)
 
 
-def _reorder(s: RankedState, key: Callable[[int, int], object]) -> RankedState:
-    """Re-rank every valuation v by key(v, rank of v): equal keys share a
-    level, and the distinct keys in sorted order become ranks 0, 1, ..."""
-    keys = [key(v, rank) for v, rank in enumerate(s.ranks)]
-    dense = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return RankedState(s.sig, tuple(dense[k] for k in keys))
+def _from_levels(sig: Signature, levels: Iterable[int]) -> RankedState:
+    """The state whose ranks list the non-empty level masks in order: each
+    valuation gets the index of its mask among the non-empty ones."""
+    ranks = [0] * sig.num_valuations
+    rank = 0
+    for mask in levels:
+        if mask:
+            while mask:
+                low = mask & -mask
+                ranks[low.bit_length() - 1] = rank
+                mask ^= low
+            rank += 1
+    return RankedState(sig, ranks)
 
 
-def _lowered(s: RankedState, low_mask: int) -> RankedState:
-    """The worlds of low_mask at rank 0, the rest in their old order above."""
-    return _reorder(s, lambda v, rank: (0, 0) if (low_mask >> v) & 1 else (1, rank))
+def _lowered(s: RankedState, low: int) -> RankedState:
+    """The worlds of low at rank 0, the rest in their old order above."""
+    # (~low).__and__ maps each level to level & ~low without a Python frame
+    return _from_levels(s.sig, (low, *map((~low).__and__, _level_masks(s))))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -104,21 +113,25 @@ def flatten_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
         return ABSURD
     tier0 = min_worlds(s, a).mask
     tier1 = min_worlds(s, a.complement()).mask
-    return _reorder(s, lambda v, rank: 0 if (tier0 >> v) & 1 else 1 if (tier1 >> v) & 1 else 2)
+    return _from_levels(s.sig, (tier0, tier1, s.sig.full_mask & ~tier0 & ~tier1))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def lexicographic_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, rank))
+    levels = _level_masks(s)
+    return _from_levels(s.sig, (*map(a.mask.__and__, levels),
+                                *map((~a.mask).__and__, levels)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def reverse_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
     if not a:
         return ABSURD
-    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, -rank))
+    levels = _level_masks(s)
+    return _from_levels(s.sig, (*map(a.mask.__and__, levels),
+                                *map((~a.mask).__and__, reversed(levels))))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -133,7 +146,7 @@ def natural_contraction(s: RankedState, a: WorldSet) -> RankedState:
 def drastic_withdrawal(s: RankedState, a: WorldSet) -> RankedState:
     if not belief_set(s).issubset(a):
         return s
-    return _reorder(s, lambda v, rank: 0)
+    return uniform_state(s.sig)
 
 
 @dataclass(frozen=True)

@@ -44,17 +44,19 @@ status depends only on the instance's orbit under permutations of the
 valuations.  A scan therefore decides each orbit once.  It splits its
 postulates into groups of one arity and walks each group's instance stream
 once, keying every instance by its orbit (per level, the number of worlds in
-each input class).  At the first instance of an orbit it decides every
-member of the group; later instances are counted from a memo mapping the key
-to its row, the members' statuses, interned once per distinct row.  The memo
-holds at most _ORBIT_MEMO_LIMIT keys and is cleared when full.  Each instance adds one
-to its row's tally, and the members' counts are folded from the tally at the
-end.  A member's first failing instance is always decided, so counts,
-counterexamples and traces are those of deciding every instance.  At n = 2 a
-full suite walks its 162,000 instances in two streams (1,125 arity-2 and
-16,875 arity-3 instances) and decides 8,776: 74 orbits per arity-2 postulate
-and 875 per arity-3 one.  A search is a group of one that stops at its first
-failure.
+each input class).  A state's keys come from tables of partial sums indexed by
+input mask, built a block of masks at a time by list comprehensions, and only
+as far as the walk reaches.  At the first instance of an orbit it decides
+every member of the group; later instances are counted from a memo mapping the
+key to its row, the members' statuses, interned once per distinct row.  The
+memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared when full.  Each
+instance adds one to its row's tally, and the members' counts are folded from
+the tally at the end.  A member's first failing instance is always decided, so
+counts, counterexamples and traces are those of deciding every instance.
+At n = 2 a full suite walks its 162,000 instances in two streams (1,125
+arity-2 and 16,875 arity-3 instances) and decides 8,776: 74 orbits per
+arity-2 postulate and 875 per arity-3 one.  A search is a group of one that
+stops at its first failure.
 
 A scan maps _scan_group over (group, chunk) tasks and reduces each group's
 chunks in order: at jobs = 1 one chunk, the stream itself, under the builtin
@@ -75,7 +77,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
@@ -105,6 +107,10 @@ MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 # Entries of one scan's orbit memo before it is cleared: every orbit at n = 2
 # (875 at arity 3) and every arity-2 orbit at n = 3 (11,016) fit.
 _ORBIT_MEMO_LIMIT = 1 << 14
+
+# Bits of one block of a state's key table, 128 KiB: at n = 16, where a key can
+# be over a megabit wide, a block holds one or a few masks instead of 256.
+_KEY_BLOCK_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -572,6 +578,28 @@ def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
 # --- search and suites -----------------------------------------------------------
 
 
+def _key_blocks(
+    base: int, step: int, shift: int, ranks: tuple[int, ...], low_worlds: int
+) -> Iterator[list[int]]:
+    """Partial key sums base + sum of step << (rank * shift) over the worlds
+    of each mask, for masks 0, 1, 2, ... in order, 2**low_worlds masks per
+    block.  The first block is built by doubling over the low worlds, one
+    list comprehension per world; each later block adds the sum over its
+    high worlds to the first, so a block is built only when it is reached."""
+    block = [base]
+    for rank in ranks[:low_worlds]:
+        inc = step << rank * shift
+        block += [key + inc for key in block]
+    yield block
+    offsets = [0]  # per block, the sum over its high worlds
+    for j in range(1, 1 << (len(ranks) - low_worlds)):
+        low = j & -j
+        offsets.append(offsets[j ^ low]
+                       + (step << ranks[low_worlds + low.bit_length() - 1] * shift))
+        offset = offsets[j]
+        yield [key + offset for key in block]
+
+
 def _keyed_instances(
     arity: int, sig: Signature, states: Iterable[RankedState]
 ) -> Iterator[tuple[int, RankedState, WorldSet, WorldSet | None]]:
@@ -582,9 +610,11 @@ def _keyed_instances(
     class (in a or not; at arity 3 also in b or not) into n + 1 bits per
     count, under one leading sentinel bit.  Two instances share a key
     exactly when one permutation of the valuations maps one onto the other.
-    A key is the sum of per-world field increments over the input's worlds,
-    so each state keeps tables of partial sums indexed by input mask, grown
-    entry by entry as the masks are reached.
+    A state's base key (every world in its level's first class) is read
+    from its per-level counts in one pass over the key's bits.  A key is
+    the base plus per-world field increments over the input's worlds, so
+    each state keeps tables of partial sums indexed by input mask, built a
+    block of masks at a time as the masks are reached (_key_blocks).
     """
     width = sig.n + 1  # bits per count: a count reaches 2**n
     shift = width << (arity - 1)  # bits per level: 2 or 4 counts
@@ -606,30 +636,32 @@ def _keyed_instances(
 
     for s in states:
         ranks = s.ranks
-
-        def grow(sums: list[int], step: int) -> int:
-            # the entry for mask len(sums): the entry without its lowest
-            # world plus that world's increment in its level's field
-            m = len(sums)
-            low = m & -m
-            sums.append(sums[m ^ low] + (step << ranks[low.bit_length() - 1] * shift))
-            return sums[m]
-
-        # every world starts in its level's first class; the sentinel bit
-        # sits above the top level
-        by_a = [sum(1 << r * shift for r in ranks) + (1 << s.num_levels * shift)]
+        counts = [0] * s.num_levels
+        for rank in ranks:
+            counts[rank] += 1
+        # the sentinel bit, then each level's field from the top level down,
+        # its count in the first class
+        base = int("1" + "".join(format(c, f"0{shift}b") for c in reversed(counts)), 2)
+        # a block holds 2**low_worlds keys: 256, or fewer where that many
+        # keys would pass _KEY_BLOCK_BITS
+        fit = (_KEY_BLOCK_BITS // base.bit_length()).bit_length() - 1
+        low_worlds = max(0, min(8, len(ranks), fit))
+        keys_a = chain.from_iterable(_key_blocks(base, a_step, shift, ranks, low_worlds))
+        next(keys_a)  # the empty input
         if arity == 2:
-            for a in inputs():
-                yield grow(by_a, a_step), s, a, None
+            for key, a in zip(keys_a, inputs()):
+                yield key, s, a, None
             continue
-        by_b, by_ab = [0], [0]
-        for a in inputs():
-            key_a = grow(by_a, a_step)
+        blocks_b = _key_blocks(0, b_step, shift, ranks, low_worlds)
+        blocks_ab = _key_blocks(0, ab_step, shift, ranks, low_worlds)
+        by_b, by_ab = list(next(blocks_b)), list(next(blocks_ab))
+        for key_a, a in zip(keys_a, inputs()):
             for b in inputs():
-                if b.mask == len(by_b):
-                    grow(by_b, b_step)
-                    grow(by_ab, ab_step)
-                yield key_a + by_b[b.mask] + by_ab[a.mask & b.mask], s, a, b
+                m = b.mask
+                if m == len(by_b):
+                    by_b += next(blocks_b)
+                    by_ab += next(blocks_ab)
+                yield key_a + by_b[m] + by_ab[a.mask & m], s, a, b
 
 
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -271,6 +274,43 @@ def test_dnf_roundtrip_exhaustive_small():
 def test_dnf_deterministic():
     w = ws(PQ, "01", "10")
     assert dnf_of(w, PQ) == dnf_of(WorldSet.from_bitstrings(PQ, ["10", "01"]), PQ)
+
+
+def test_round_trip_memos_are_bounded():
+    # dnf_of and models are memoized in LRUs with a finite size, and the memo
+    # hands equal world sets and equal formulas the same answer
+    for memoized in (dnf_of, models):
+        assert memoized.cache_info().maxsize is not None
+    for mask in range(RGS.full_mask + 1):
+        w, same = WorldSet(RGS, mask), WorldSet(Signature(("r", "g", "s")), mask)
+        assert w is not same
+        f = dnf_of(w, RGS)
+        assert dnf_of(same, RGS) == f and dnf_of(same, same.sig) is f
+        assert models(f, RGS) == w
+        assert models(parse_formula(formula_text(f), RGS), RGS) == w
+
+
+_NODES = [
+    Atom("r"), TRUE, FALSE, Not(Atom("g")), And(Atom("r"), Not(Atom("s"))),
+    Or(TRUE, Atom("g")), Implies(Atom("r"), FALSE), Iff(Not(Atom("s")), Atom("g")),
+]
+
+
+@pytest.mark.parametrize("f", _NODES, ids=lambda f: type(f).__name__ + ":" + str(f))
+def test_formula_nodes_are_slotted_values(f):
+    fields = tuple(getattr(f, x.name) for x in dataclasses.fields(f))
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(f, dataclasses.fields(f)[0].name, None)
+    # equality and hashing by fields, as a plain frozen dataclass has them
+    twin = type(f)(*fields)
+    assert twin == f and twin is not f and hash(twin) == hash(f) == hash(fields)
+    assert f != Atom("q") and {f: 1}[twin] == 1
+    assert str(f) == formula_text(f) == str(parse_formula(str(f), RGS))
+    assert repr(f).startswith(type(f).__name__ + "(")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(f, protocol))
+        assert back == f and hash(back) == hash(f) and str(back) == str(f)
 
 
 # --- property tests --------------------------------------------------------------

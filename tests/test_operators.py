@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -278,6 +280,87 @@ def test_operators_commute_with_valuation_swaps(op, sig, states):
                 moved = op(_swap_state(s, v), WorldSet(sig, _swap_mask(mask, v)))
                 assert moved == (ABSURD if out is ABSURD else _swap_state(out, v)), (
                     op.name, s.ranks, mask, v)
+
+
+# --- level-mask operators against per-valuation re-ranking ---------------------------------
+# The operators re-rank whole levels.  The oracle re-ranks valuation by
+# valuation: each valuation gets a key from its old rank and its membership
+# in world sets built from the input, and the distinct keys in sorted order
+# become the new ranks.
+
+
+def _reorder(s, key):
+    keys = [key(v, rank) for v, rank in enumerate(s.ranks)]
+    dense = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return RankedState(s.sig, tuple(dense[k] for k in keys))
+
+
+def _lowered(s, low_mask):
+    return _reorder(s, lambda v, rank: (0, 0) if (low_mask >> v) & 1 else (1, rank))
+
+
+def _natural_oracle(s, a):
+    return ABSURD if not a else _lowered(s, min_worlds(s, a).mask)
+
+
+def _flatten_oracle(s, a):
+    if not a:
+        return ABSURD
+    tier0 = min_worlds(s, a).mask
+    tier1 = min_worlds(s, a.complement()).mask
+    return _reorder(s, lambda v, rank: 0 if (tier0 >> v) & 1 else 1 if (tier1 >> v) & 1 else 2)
+
+
+def _lex_oracle(s, a):
+    if not a:
+        return ABSURD
+    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, rank))
+
+
+def _reverse_oracle(s, a):
+    if not a:
+        return ABSURD
+    return _reorder(s, lambda v, rank: (0, rank) if (a.mask >> v) & 1 else (1, -rank))
+
+
+def _natural_con_oracle(s, a):
+    current = belief_set(s)
+    if not current.issubset(a) or a.mask == s.sig.full_mask:
+        return s
+    return _lowered(s, current.mask | min_worlds(s, a.complement()).mask)
+
+
+def _drastic_oracle(s, a):
+    return _reorder(s, lambda v, rank: 0) if belief_set(s).issubset(a) else s
+
+
+ORACLES = {
+    "natural": _natural_oracle, "flatten": _flatten_oracle, "lex": _lex_oracle,
+    "reverse": _reverse_oracle, "natural-con": _natural_con_oracle, "drastic": _drastic_oracle,
+}
+ALL_OPERATORS = {**REVISION_OPERATORS, **CONTRACTION_OPERATORS}
+
+
+def _seeded_masks(sig, count, seed):
+    rng = random.Random(seed)
+    return [0, sig.full_mask, *(rng.getrandbits(sig.num_valuations) for _ in range(count))]
+
+
+@pytest.mark.parametrize("sig, states, masks", [
+    (PQ, enumerate_states(PQ), range(PQ.full_mask + 1)),
+    (RGS, sample_states(RGS, 24, seed=5), range(RGS.full_mask + 1)),
+    (Signature(tuple("abcd")), sample_states(Signature(tuple("abcd")), 12, seed=6),
+     _seeded_masks(Signature(tuple("abcd")), 60, seed=6)),
+    (Signature(tuple("abcdefghi")), sample_states(Signature(tuple("abcdefghi")), 3, seed=7),
+     _seeded_masks(Signature(tuple("abcdefghi")), 12, seed=7)),
+], ids=["n2-all", "n3-sampled", "n4-sampled", "n9-sampled"])
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_level_operators_match_per_valuation_reranking(name, sig, states, masks):
+    op, oracle = ALL_OPERATORS[name], ORACLES[name]
+    for s in states:
+        for mask in masks:
+            a = WorldSet(sig, mask)
+            assert op(s, a) == oracle(s, a), (name, s.ranks, mask)
 
 
 # --- exhaustive invariants at n = 2 ------------------------------------------------------

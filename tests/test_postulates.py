@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -669,6 +670,108 @@ def test_suite_walks_once_per_arity(monkeypatch):
         assert sorted(walks) == [2, 3]
         # 74 orbits for each of 24 arity-2 rows, 875 for each of 8 arity-3 rows
         assert len(checks) == 74 * 24 + 875 * 8 == 8776
+
+
+# --- orbit keys: block-built tables against entry-by-entry sums ------------------------
+
+
+def _keyed_instances_oracle(arity, sig, states):
+    """The orbit-key walk with each state's base key summed over its worlds
+    and its tables grown one mask at a time."""
+    width = sig.n + 1
+    shift = width << (arity - 1)
+    a_step = (1 << (shift >> 1)) - 1
+    b_step = (1 << width) - 1
+    ab_step = a_step * b_step
+    built = []
+
+    def inputs():
+        for i in range(sig.full_mask):
+            if i == len(built):
+                built.append(WorldSet(sig, i + 1))
+            yield built[i]
+
+    for s in states:
+        ranks = s.ranks
+
+        def grow(sums, step):
+            m = len(sums)
+            low = m & -m
+            sums.append(sums[m ^ low] + (step << ranks[low.bit_length() - 1] * shift))
+            return sums[m]
+
+        by_a = [sum(1 << r * shift for r in ranks) + (1 << s.num_levels * shift)]
+        if arity == 2:
+            for a in inputs():
+                yield grow(by_a, a_step), s, a, None
+            continue
+        by_b, by_ab = [0], [0]
+        for a in inputs():
+            key_a = grow(by_a, a_step)
+            for b in inputs():
+                if b.mask == len(by_b):
+                    grow(by_b, b_step)
+                    grow(by_ab, ab_step)
+                yield key_a + by_b[b.mask] + by_ab[a.mask & b.mask], s, a, b
+
+
+def _keyed(walk, arity, sig, states, limit=None):
+    return [(key, s.ranks, a.mask, b and b.mask)
+            for key, s, a, b in islice(walk(arity, sig, states), limit)]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("sig, states, limit", [
+    (PQ, list(enumerate_states(PQ)), None),
+    (RGS, list(sample_states(RGS, 12, seed=4)), None),
+    (Signature(tuple("abcd")), list(sample_states(Signature(tuple("abcd")), 2, seed=4)), 70_000),
+    (Signature(tuple("abcdefghi")), list(sample_states(Signature(tuple("abcdefghi")), 1, seed=4)),
+     3_000),
+], ids=["n2-all", "n3-sampled", "n4-sampled", "n9-sampled"])
+def test_orbit_keys_match_entry_by_entry_sums(arity, sig, states, limit):
+    # one state at a time, each cut at the limit, so that every state is reached
+    for s in states:
+        assert _keyed(postulates._keyed_instances, arity, sig, [s], limit) == _keyed(
+            _keyed_instances_oracle, arity, sig, [s], limit)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_orbit_key_tables_are_built_lazily(arity):
+    # at n = 5 a state has 2**32 - 1 inputs, so a walk that built whole
+    # tables up front would not finish; the first keys need one block each
+    sig = Signature(tuple("abcde"))
+    states = list(sample_states(sig, 2, seed=9))
+    tracemalloc.start()
+    try:
+        keys = _keyed(postulates._keyed_instances, arity, sig, states, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    assert keys == _keyed(_keyed_instances_oracle, arity, sig, states, 1000)
+
+
+def test_sixteen_atom_base_key_is_linear_in_its_width():
+    # a sampled n = 16 state has tens of thousands of levels, so its key is
+    # over a megabit wide; summing 2**16 such ints took seconds
+    sig = Signature(tuple("abcdefghijklmnop"))
+    (s,) = sample_states(sig, 1, seed=0)
+    start = time.process_time()
+    key, _, a, b = next(postulates._keyed_instances(2, sig, [s]))
+    elapsed = time.process_time() - start
+    assert (a.mask, b) == (1, None)
+    # decode: the sentinel bit, then one field of two (n + 1)-bit counts per
+    # level from the top level down, (worlds outside a, worlds in a)
+    width = sig.n + 1
+    bits = format(key, "b")
+    assert len(bits) == 1 + s.num_levels * 2 * width and bits[0] == "1"
+    counts = [0] * s.num_levels
+    for rank in s.ranks:
+        counts[rank] += 1
+    fields = [bits[1 + i * 2 * width:1 + (i + 1) * 2 * width] for i in range(s.num_levels)]
+    assert [(int(f[width:], 2), int(f[:width], 2)) for f in reversed(fields)] == [
+        (c - (r == s.ranks[0]), int(r == s.ranks[0])) for r, c in enumerate(counts)]
+    assert elapsed < 1.0, elapsed
 
 
 def test_iter_instances_counts():
