@@ -260,20 +260,50 @@ def expand(k: WorldSet, a: WorldSet) -> WorldSet:
 
 
 class Formula:
-    """Base class for propositional AST nodes."""
+    """Base class for propositional AST nodes.
 
-    __slots__ = ()
+    A node is a slotted frozen value.  Its hash, the hash of its fields as a
+    frozen dataclass has it, is computed when it is built (its children's
+    hashes are already cached) and kept in the _hash slot, so a memo lookup keyed by a formula costs the same
+    however deep the formula is.  A pickle carries only the constructor
+    arguments (__reduce__), so the salted hash never travels.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        _set_formula_hash(self, hash(self._fields()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __str__(self) -> str:
         return formula_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+_set_formula_hash = Formula._hash.__set__
+
+
+def _node(cls):
+    # a frozen dataclass with eq would get a field hash of its own, replacing
+    # the cached one
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Const(Formula):
     value: bool
 
@@ -282,30 +312,30 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula

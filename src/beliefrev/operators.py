@@ -7,13 +7,22 @@ the prior state.  Revising by the empty WorldSet has no ranked-state
 representation, so it yields the distinguished ABSURD marker, whose belief
 set is the inconsistent theory (no models).
 
-Every built-in operator is a guard plus one re-ranking of whole levels: it
-reads the state's level masks (each rank's set of valuations, ordered by
-rank), builds a list of new level masks from them with set operations on the
-input and world sets derived from the input and the ranks alone, and the
-non-empty masks in order become ranks 0, 1, ... (_from_levels).  No operator
-looks at which valuation sits in a level, so every one of them commutes with
-any permutation of the valuations applied to both state and input.
+Every built-in operator is one level transform, a function on ints
+(levels, a, full) -> levels, or None for ABSURD.  levels lists a state's level
+masks (each rank's set of valuations, lowest rank first, none empty), a is the
+input mask and full the mask of every valuation.  A transform guards on the
+input and the belief set, then re-ranks whole levels: it builds new level
+masks from the old ones with set operations on the input and on world sets
+derived from the input and the levels alone, and keeps the non-empty ones in
+order.  The operator's RankedState function is _from_levels of its transform
+applied to _level_masks, memoized; postulate scans call the transform itself,
+which level_transform finds by the function (_TRANSFORMS).  No transform
+looks at which valuation sits in a level, so every operator commutes with any
+permutation of the valuations applied to both state and input.
+
+Any other fn (a library function, or a wrapper around a built-in) reaches the
+same interface through level_transform's adapter: it rebuilds the state and
+the input, calls fn and reads the outcome's levels.
 
   natural   [min(a)] + [level - min(a) for each level]: the minimal
             input-worlds move to rank 0, the rest keep their relative
@@ -41,10 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .logic import Signature, WorldSet
-from .states import RankedState, _level_masks, belief_set, min_worlds, uniform_state
+from .logic import Signature, SignatureMismatchError, WorldSet
+from .states import RankedState, _first_hit, _level_masks, belief_set, uniform_state
 
 _CACHE_SIZE = 65536
 
@@ -71,6 +80,9 @@ ABSURD = _Absurd()
 
 RevisionOutcome = Union[RankedState, _Absurd]
 
+Levels = tuple[int, ...]
+LevelTransform = Callable[[Levels, int, int], Optional[Levels]]
+
 
 def outcome_belief_set(outcome: RevisionOutcome, sig: Signature) -> WorldSet:
     """Belief set of an outcome; the absurd state believes everything."""
@@ -80,73 +92,121 @@ def outcome_belief_set(outcome: RevisionOutcome, sig: Signature) -> WorldSet:
 
 
 def _from_levels(sig: Signature, levels: Iterable[int]) -> RankedState:
-    """The state whose ranks list the non-empty level masks in order: each
-    valuation gets the index of its mask among the non-empty ones."""
+    """The state whose ranks list the level masks in order: each valuation
+    gets the index of its mask."""
     ranks = [0] * sig.num_valuations
-    rank = 0
-    for mask in levels:
-        if mask:
-            while mask:
-                low = mask & -mask
-                ranks[low.bit_length() - 1] = rank
-                mask ^= low
-            rank += 1
+    for rank, mask in enumerate(levels):
+        while mask:
+            low = mask & -mask
+            ranks[low.bit_length() - 1] = rank
+            mask ^= low
     return RankedState(sig, ranks)
 
 
-def _lowered(s: RankedState, low: int) -> RankedState:
+# --- level transforms -----------------------------------------------------------
+# Plain loops: on a few small masks they beat map and filter over int.__and__.
+
+
+def _lowered(levels: Levels, low: int) -> Levels:
     """The worlds of low at rank 0, the rest in their old order above."""
-    # (~low).__and__ maps each level to level & ~low without a Python frame
-    return _from_levels(s.sig, (low, *map((~low).__and__, _level_masks(s))))
+    out = [low]
+    for level in levels:
+        level &= ~low
+        if level:
+            out.append(level)
+    return tuple(out)
+
+
+def _split(levels: Levels, a: int) -> tuple[list[int], list[int]]:
+    """The non-empty parts of the levels inside a and outside a, in order."""
+    inside, outside = [], []
+    for level in levels:
+        if level & a:
+            inside.append(level & a)
+        if level & ~a:
+            outside.append(level & ~a)
+    return inside, outside
+
+
+def _natural(levels: Levels, a: int, full: int) -> Levels | None:
+    if not a:
+        return None
+    return _lowered(levels, _first_hit(levels, a))
+
+
+def _flatten(levels: Levels, a: int, full: int) -> Levels | None:
+    if not a:
+        return None
+    tier0 = _first_hit(levels, a)
+    tier1 = _first_hit(levels, full & ~a)
+    return tuple(filter(None, (tier0, tier1, full & ~tier0 & ~tier1)))
+
+
+def _lex(levels: Levels, a: int, full: int) -> Levels | None:
+    if not a:
+        return None
+    inside, outside = _split(levels, a)
+    return (*inside, *outside)
+
+
+def _reverse(levels: Levels, a: int, full: int) -> Levels | None:
+    if not a:
+        return None
+    inside, outside = _split(levels, a)
+    return (*inside, *reversed(outside))
+
+
+def _natural_con(levels: Levels, a: int, full: int) -> Levels:
+    base = levels[0]
+    if base & ~a or a == full:
+        return levels
+    return _lowered(levels, base | _first_hit(levels, full & ~a))
+
+
+def _drastic(levels: Levels, a: int, full: int) -> Levels:
+    return levels if levels[0] & ~a else (full,)
+
+
+def _apply(transform: LevelTransform, s: RankedState, a: WorldSet) -> RevisionOutcome:
+    """A transform as a function of states: the same state when it keeps the
+    levels, else the state of the levels it returns."""
+    if a.sig is not s.sig and a.sig != s.sig:
+        raise SignatureMismatchError(f"signature mismatch: {s.sig.atoms} vs {a.sig.atoms}")
+    levels = _level_masks(s)
+    out = transform(levels, a.mask, s.sig.full_mask)
+    if out is None:
+        return ABSURD
+    return s if out is levels else _from_levels(s.sig, out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def natural_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
-    if not a:
-        return ABSURD
-    return _lowered(s, min_worlds(s, a).mask)
+    return _apply(_natural, s, a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def flatten_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
-    if not a:
-        return ABSURD
-    tier0 = min_worlds(s, a).mask
-    tier1 = min_worlds(s, a.complement()).mask
-    return _from_levels(s.sig, (tier0, tier1, s.sig.full_mask & ~tier0 & ~tier1))
+    return _apply(_flatten, s, a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def lexicographic_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
-    if not a:
-        return ABSURD
-    levels = _level_masks(s)
-    return _from_levels(s.sig, (*map(a.mask.__and__, levels),
-                                *map((~a.mask).__and__, levels)))
+    return _apply(_lex, s, a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def reverse_revision(s: RankedState, a: WorldSet) -> RevisionOutcome:
-    if not a:
-        return ABSURD
-    levels = _level_masks(s)
-    return _from_levels(s.sig, (*map(a.mask.__and__, levels),
-                                *map((~a.mask).__and__, reversed(levels))))
+    return _apply(_reverse, s, a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def natural_contraction(s: RankedState, a: WorldSet) -> RankedState:
-    current = belief_set(s)
-    if not current.issubset(a) or a.mask == s.sig.full_mask:
-        return s
-    return _lowered(s, current.mask | min_worlds(s, a.complement()).mask)
+    return _apply(_natural_con, s, a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def drastic_withdrawal(s: RankedState, a: WorldSet) -> RankedState:
-    if not belief_set(s).issubset(a):
-        return s
-    return uniform_state(s.sig)
+    return _apply(_drastic, s, a)
 
 
 @dataclass(frozen=True)
@@ -165,7 +225,7 @@ class RevisionOperator:
     def __reduce__(self):
         # a registry operator pickles by name and unpickles as the registry's
         # own object (even a wrapper whose fn is a closure); any other
-        # operator pickles by value, its fn by reference
+        # operator pickles by value, its functions by reference
         if REVISION_OPERATORS.get(self.name) is self:
             return get_revision, (self.name,)
         return type(self), (self.name, self.fn)
@@ -232,7 +292,46 @@ def make_pair(revision: str = "natural", contraction: str = "natural-con") -> Op
     return OperatorPair(get_revision(revision), get_contraction(contraction))
 
 
+# Each built-in operator function's level transform, the body it applies.
+_TRANSFORMS: dict[Callable, LevelTransform] = {
+    natural_revision: _natural,
+    flatten_revision: _flatten,
+    lexicographic_revision: _lex,
+    reverse_revision: _reverse,
+    natural_contraction: _natural_con,
+    drastic_withdrawal: _drastic,
+}
+
+
+def level_transform(
+    op: RevisionOperator | ContractionOperator, sig: Signature
+) -> LevelTransform:
+    """op as a level transform over sig: the transform of a built-in fn, or
+    else the adapter that calls op.fn on the state and the input the masks
+    stand for and returns the outcome's level masks (None for ABSURD)."""
+    fn = op.fn
+    try:
+        return _TRANSFORMS[fn]
+    except (KeyError, TypeError):  # TypeError: fn is not hashable
+        pass
+
+    def adapted(levels: Levels, a: int, full: int) -> Levels | None:
+        out = fn(_from_levels(sig, levels), WorldSet(sig, a))
+        return None if out is ABSURD else _level_masks(out)
+
+    return adapted
+
+
 Step = tuple[str, WorldSet]  # ("revise" | "contract", input)
+
+
+def _restart(kind: str, a: int) -> None:
+    """Let a step follow the absurd state, which restarts from the uniform
+    state, only if it revises by a satisfiable input a (a mask)."""
+    if kind == "contract":
+        raise UnsupportedSequenceError("cannot contract the absurd state")
+    if not a:
+        raise UnsupportedSequenceError("cannot revise the absurd state by an unsatisfiable input")
 
 
 def apply_sequence(
@@ -242,25 +341,20 @@ def apply_sequence(
 
     The trace includes the initial state.  Revising the absurd state by a
     satisfiable input restarts from the uniform state; contracting it, or
-    revising it by the empty WorldSet again, is unsupported.
+    revising it by the empty WorldSet again, is unsupported (_restart).
     """
     trace: list[RevisionOutcome] = [s]
     current: RevisionOutcome = s
     for kind, a in steps:
         if kind == "revise":
-            if current is ABSURD:
-                if not a:
-                    raise UnsupportedSequenceError(
-                        "cannot revise the absurd state by an unsatisfiable input"
-                    )
-                current = ops.revision(uniform_state(a.sig), a)
-            else:
-                current = ops.revision(current, a)
+            op = ops.revision
         elif kind == "contract":
-            if current is ABSURD:
-                raise UnsupportedSequenceError("cannot contract the absurd state")
-            current = ops.contraction(current, a)
+            op = ops.contraction
         else:
             raise ValueError(f"unknown step kind {kind!r}")
+        if current is ABSURD:
+            _restart(kind, a.mask)
+            current = uniform_state(a.sig)
+        current = op(current, a)
         trace.append(current)
     return trace

@@ -14,24 +14,29 @@ is checked as M(K2) <= M(K1); closure (PC1/PR1) holds structurally.  An
 instance verdict is "vacuous" exactly when the postulate's antecedent is
 false there, so "holds" never silently means "antecedent false".
 
-Every postulate is a registry row, and rows of one shape share a check.  PC
-rows contract and PR rows revise.  PC2-PC4, PC6 and PR2-PR4 are single-change
-rows: a guard on the base and the input (input believed, unbelieved, a
-tautology, or consistent with the base; none for PC2/PR2/PR3), one step by the
-input, and a test on the base, the input and the belief set after it.  PC1/PR1
-share the closure check, PC5/PR5 compare the states after the input and after
-its DNF rebuild, and PR7/PR8 compare revising by a & b with expanding the
-revision by a with b.  PC7, PC8 and PR6 keep checks of their own.  The R, S
-and C postulates have one check per family.  An R row is a guard on what is
-believed (input believed, unbelieved, agnostic or negation believed; none for
-R1/R5), a revise/contract sequence over a and !a, and one containment between
-the model sets base, seq (after the sequence) and direct (after plain
-contraction).  S1/S2 forbid demoting or promoting a minimal countermodel; a C
-row is a guard plus a test on the two-step and direct belief sets.  CORE is
-decided in closed form: with lost = M(kept) minus M(K) and free the worlds
-outside a and M(K), it is vacuous if nothing is lost, fails on class M(K) if
-M(K) is not within a, holds if lost is within free, and otherwise fails on
-class M(K) plus free.
+Every postulate is a registry row, and rows of one shape share a rule.  A
+rule decides one instance on ints: the state's level masks, the input masks
+and the level transforms of the pair's operators (see operators).  It returns
+the status, the note, the masks the note names and the chains of steps it
+took; the row's check, which returns a Verdict, renders the note and turns
+the outcomes of the chains into the trace's states (_verdict_of), so each
+family has one body.  PC rows contract and PR rows revise.  PC2-PC4, PC6 and
+PR2-PR4 are single-change rows: a guard on the base and the input (input
+believed, unbelieved, a tautology, or consistent with the base; none for
+PC2/PR2/PR3), one step by the input, and a test on the base, the input and the
+belief set after it.  PC1/PR1 share the closure rule, PC5/PR5 compare the
+states after the input and after its DNF rebuild, and PR7/PR8 compare revising
+by a & b with expanding the revision by a with b.  PC7, PC8 and PR6 keep rules
+of their own.  The R, S and C postulates have one rule per family.  An R row
+is a guard on what is believed (input believed, unbelieved, agnostic or
+negation believed; none for R1/R5), a revise/contract sequence over a and !a,
+and one containment between the model sets base, seq (after the sequence) and
+direct (after plain contraction).  S1/S2 forbid demoting or promoting a
+minimal countermodel; a C row is a guard plus a test on the two-step and
+direct belief sets.  CORE is decided in closed form: with lost = M(kept) minus
+M(K) and free the worlds outside a and M(K), it is vacuous if nothing is lost,
+fails on class M(K) if M(K) is not within a, holds if lost is within free, and
+otherwise fails on class M(K) plus free.
 
 Search and suite evaluation iterate states in enumeration order and input
 WorldSets in numeric mask order, so the first counterexample is reproducible.
@@ -46,17 +51,22 @@ postulates into groups of one arity and walks each group's instance stream
 once, keying every instance by its orbit (per level, the number of worlds in
 each input class).  A state's keys come from tables of partial sums indexed by
 input mask, built a block of masks at a time by list comprehensions, and only
-as far as the walk reaches.  At the first instance of an orbit it decides
-every member of the group; later instances are counted from a memo mapping the
-key to its row, the members' statuses, interned once per distinct row.  The
-memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared when full.  Each
-instance adds one to its row's tally, and the members' counts are folded from
-the tally at the end.  A member's first failing instance is always decided, so
-counts, counterexamples and traces are those of deciding every instance.
+as far as the walk reaches.  At the first instance of an orbit it calls every
+member's rule for its status alone; the members share one run of operator
+outcomes per instance (_Run), so a chain that several rows take, such as
+revise-then-contract, is computed once.  Later instances are counted from a
+memo mapping the key to its row, the members' statuses, interned once per
+distinct row.  The memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared
+when full.  Each instance adds one to its row's tally, and the members' counts
+are folded from the tally at the end.  A member's first failing instance is
+always decided, and only there is its Verdict built, through check_instance,
+so counts, counterexamples and traces are those of checking every instance.
 At n = 2 a full suite walks its 162,000 instances in two streams (1,125
-arity-2 and 16,875 arity-3 instances) and decides 8,776: 74 orbits per
-arity-2 postulate and 875 per arity-3 one.  A search is a group of one that
-stops at its first failure.
+arity-2 and 16,875 arity-3 instances) and makes 8,776 decisions: 74 orbits
+per arity-2 postulate and 875 per arity-3 one.  A search is a group of one
+that stops at its first failure.  A derived claim of a harness has no rule;
+it is decided by its check, and the verdict of its first failure is the one
+reported.
 
 A scan maps _scan_group over (group, chunk) tasks and reduces each group's
 chunks in order: at jobs = 1 one chunk, the stream itself, under the builtin
@@ -85,17 +95,17 @@ from .operators import (
     ABSURD,
     OperatorPair,
     RevisionOutcome,
-    apply_sequence,
-    outcome_belief_set,
+    _from_levels,
+    _restart,
+    level_transform,
 )
 from .states import (
     RankedState,
     StateStream,
-    belief_set,
+    _first_hit,
+    _level_masks,
     enumerate_states,
-    min_worlds,
     sample_states,
-    state_equal,
 )
 
 HOLDS = "holds"
@@ -162,129 +172,203 @@ class SuiteReport:
 
 
 @lru_cache(maxsize=4096)
+def _mask_bits(sig: Signature, mask: int) -> str:
+    # each world set is rendered once: n = 2 has 16 of them, n = 3 has 256
+    return "{" + ",".join(WorldSet(sig, mask).bitstrings()) + "}"
+
+
 def _bits(ws: WorldSet) -> str:
-    # trace labels stay eager (HOLDS verdicts keep full traces) but each
-    # world set is rendered once: n = 2 has 16 of them, n = 3 has 256
-    return "{" + ",".join(ws.bitstrings()) + "}"
+    return _mask_bits(ws.sig, ws.mask)
 
 
-def _verdict(ok: bool, trace=(), note: str = "") -> Verdict:
-    return Verdict(HOLDS if ok else FAILS, tuple(trace), note)
+_UNSET = object()
 
 
-def _seq_trace(pair: OperatorPair, s: RankedState, steps) -> tuple:
-    outcomes = apply_sequence(pair, s, steps)
-    labels = ["start"] + [f"{kind} {_bits(ws)}" for kind, ws in steps]
-    return tuple(zip(labels, outcomes))
+class _Run:
+    """A state as the rules read it, with the pair's level transforms (by
+    step kind).
+
+    levels is the state's level masks, base its belief set and full the mask
+    of every valuation.  after(chain) is the levels after a chain of steps
+    from the state, None for ABSURD; a step is (kind, mask) or (kind, mask,
+    trace label).  A chain continues from ABSURD by apply_sequence's rules.
+    Every chain asked for is memoized, and a chain one step longer than a
+    memoized one runs only its last step, so the rules of a group share each
+    outcome of the instance; clear the memo before the next instance.  A
+    step that carries a label is a memo key of its own, decided afresh.
+    """
+
+    __slots__ = ("sig", "levels", "base", "full", "transforms", "memo")
+
+    def __init__(self, sig: Signature, levels: tuple[int, ...], transforms: dict):
+        self.sig = sig
+        self.levels = levels
+        self.base = levels[0]
+        self.full = sig.full_mask
+        self.transforms = transforms
+        self.memo: dict = {}
+
+    def after(self, chain: tuple[tuple, ...]) -> tuple[int, ...] | None:
+        memo = self.memo
+        out = memo.get(chain, _UNSET)
+        if out is _UNSET:
+            out = memo.get(chain[:-1], _UNSET) if len(chain) > 1 else _UNSET
+            if out is _UNSET:
+                out, steps = self.levels, chain
+            else:
+                steps = chain[-1:]
+            full, transforms = self.full, self.transforms
+            for step in steps:
+                kind, a = step[0], step[1]
+                if out is None:
+                    _restart(kind, a)
+                    out = (full,)
+                out = transforms[kind](out, a, full)
+            memo[chain] = out
+        return out
 
 
-def _rebuilt(a: WorldSet) -> WorldSet:
+def _transforms(pair: OperatorPair, sig: Signature) -> dict:
+    return {"revise": level_transform(pair.revision, sig),
+            "contract": level_transform(pair.contraction, sig)}
+
+
+def _beliefs(levels: tuple[int, ...] | None) -> int:
+    """The belief set of an outcome's levels; ABSURD believes everything."""
+    return 0 if levels is None else levels[0]
+
+
+def _rebuilt(sig: Signature, a: int) -> int:
     # Same model set reconstructed through the canonical DNF round trip.
-    return models(dnf_of(a, a.sig), a.sig)
+    return models(dnf_of(WorldSet(sig, a), sig), sig).mask
+
+
+# The state of an outcome's levels, for traces: the outcomes of the instances
+# checked one by one recur as the operators' own memoized results do.
+_state_of = lru_cache(maxsize=4096)(_from_levels)
+
+
+def _trace(run: _Run, s: RankedState, chains) -> tuple:
+    """The trace of a rule's chains: the start state, then one line per step
+    of each chain, its outcome read from the run's memo.  A step may carry a
+    label template in place of "{kind} {input}"."""
+    if not chains:
+        return ()
+    sig = run.sig
+    lines = [("start", s)]
+    for chain in chains:
+        for i, step in enumerate(chain, 1):
+            kind, bits = step[0], _mask_bits(sig, step[1])
+            label = f"{kind} {bits}" if len(step) == 2 else step[2].format(kind=kind, input=bits)
+            levels = run.after(chain[:i])
+            lines.append((label, ABSURD if levels is None else _state_of(sig, levels)))
+    return tuple(lines)
+
+
+def _verdict_of(rule: Callable, pair: OperatorPair, s: RankedState, a: WorldSet,
+                b: WorldSet | None) -> Verdict:
+    """A row's check, derived from its rule: the rule's status, its note with
+    the masks it names rendered, and the outcomes of its chains as the trace."""
+    sig = s.sig
+    run = _Run(sig, _level_masks(s), _transforms(pair, sig))
+    status, note, masks, chains = rule(run, a.mask, None if b is None else b.mask)
+    if masks:
+        note = note.format(**{name: _mask_bits(sig, m) for name, m in masks.items()})
+    return Verdict(status, _trace(run, s, chains), note)
 
 
 # --- AGM postulates -----------------------------------------------------------
-# A single-change row tests holds(base, a, out) on the belief set out after one
+# A rule (run, a, b) decides one instance on masks and returns (status, note,
+# masks, chains): the note's placeholders name masks, and the outcomes of the
+# chains of (kind, mask) steps from the state are the trace's states.  A
+# single-change row tests holds(base, a, out) on the belief set out after one
 # step by a; its fail note may name {base}, {out} and {recovered} (out meet a).
 
 
-def _believed(base, a):
-    return None if base.issubset(a) else "input not believed"
+def _believed(base, a, full):
+    return "input not believed" if base & ~a else None
 
 
-def _unbelieved(base, a):
-    return "input already believed" if base.issubset(a) else None
+def _unbelieved(base, a, full):
+    return None if base & ~a else "input already believed"
 
 
-def _contingent(base, a):
-    return "input is a tautology" if a.mask == a.sig.full_mask else None
+def _contingent(base, a, full):
+    return "input is a tautology" if a == full else None
 
 
-def _consistent(base, a):
+def _consistent(base, a, full):
     return None if base & a else "negation of input believed"
 
 
-def _change(kind, guard, holds, note, pair, s, a, b):
-    base = belief_set(s)
-    vacuous = guard(base, a) if guard else None
+def _change(kind, guard, holds, note, run, a, b):
+    base = run.base
+    vacuous = guard(base, a, run.full) if guard else None
     if vacuous:
-        return Verdict(VACUOUS, note=vacuous)
-    trace = _seq_trace(pair, s, [(kind, a)])
-    out = outcome_belief_set(trace[-1][1], s.sig)
-    ok = holds(base, a, out)
-    return _verdict(ok, trace, "" if ok else note.format(
-        base=_bits(base), out=_bits(out), recovered=_bits(out & a)))
+        return VACUOUS, vacuous, None, ()
+    chain = ((kind, a),)
+    out = _beliefs(run.after(chain))
+    if holds(base, a, out):
+        return HOLDS, "", None, (chain,)
+    return FAILS, note, {"base": base, "out": out, "recovered": out & a}, (chain,)
 
 
-def _closed(pair, s, a, b):
-    return Verdict(HOLDS, note="model-set representation is deductively closed")
+def _closed(run, a, b):
+    return HOLDS, "model-set representation is deductively closed", None, ()
 
 
-def _extensional(kind, pair, s, a, b):
-    op = pair.contraction if kind == "contract" else pair.revision
-    first = op(s, a)
-    second = op(s, _rebuilt(a))
-    ok = state_equal(first, second)
-    return _verdict(
-        ok,
-        (("start", s), (f"{kind} {_bits(a)}", first), (f"{kind} (equivalent input)", second)),
-        "" if ok else "extensionality violated: equivalent inputs gave different states",
-    )
+def _extensional(kind, run, a, b):
+    chain = ((kind, a),)
+    # the labelled step is decided afresh, not read from the memo under the
+    # equal mask
+    rebuilt = ((kind, _rebuilt(run.sig, a), "{kind} (equivalent input)"),)
+    chains = (chain, rebuilt)
+    if run.after(chain) == run.after(rebuilt):
+        return HOLDS, "", None, chains
+    return FAILS, "extensionality violated: equivalent inputs gave different states", None, chains
 
 
-def _pc7(pair, s, a, b):
-    after_a = pair.contraction(s, a)
-    after_b = pair.contraction(s, b)
-    after_ab = pair.contraction(s, a & b)
-    ok = belief_set(after_ab).issubset(belief_set(after_a) | belief_set(after_b))
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a)}", after_a),
-         (f"contract {_bits(b)}", after_b), (f"contract {_bits(a & b)}", after_ab)),
-        "" if ok else "conjunctive overlap violated",
-    )
+def _pc7(run, a, b):
+    chains = ((("contract", a),), (("contract", b),), (("contract", a & b),))
+    after_a, after_b, after_ab = [_beliefs(run.after(chain)) for chain in chains]
+    if not after_ab & ~(after_a | after_b):
+        return HOLDS, "", None, chains
+    return FAILS, "conjunctive overlap violated", None, chains
 
 
-def _pc8(pair, s, a, b):
-    after_ab = pair.contraction(s, a & b)
-    if belief_set(after_ab).issubset(b):
-        return Verdict(VACUOUS, note="second input still believed after contracting the conjunction")
-    after_b = pair.contraction(s, b)
-    ok = belief_set(after_b).issubset(belief_set(after_ab))
-    return _verdict(
-        ok,
-        (("start", s), (f"contract {_bits(a & b)}", after_ab), (f"contract {_bits(b)}", after_b)),
-        "" if ok else "conjunctive inclusion violated",
-    )
+def _pc8(run, a, b):
+    both = (("contract", a & b),)
+    after_ab = _beliefs(run.after(both))
+    if not after_ab & ~b:
+        return VACUOUS, "second input still believed after contracting the conjunction", None, ()
+    second = (("contract", b),)
+    chains = (both, second)
+    if not _beliefs(run.after(second)) & ~after_ab:
+        return HOLDS, "", None, chains
+    return FAILS, "conjunctive inclusion violated", None, chains
 
 
-def _pr6(pair, s, a, b):
-    out = pair.revision(s, a)
-    inconsistent = not outcome_belief_set(out, s.sig)
-    ok = inconsistent == (not a)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out)),
-        "" if ok else "inconsistency must arise exactly on unsatisfiable input",
-    )
+def _pr6(run, a, b):
+    chain = (("revise", a),)
+    if (not _beliefs(run.after(chain))) == (not a):
+        return HOLDS, "", None, (chain,)
+    return FAILS, "inconsistency must arise exactly on unsatisfiable input", None, (chain,)
 
 
-def _expansion(sub, pair, s, a, b):
+def _expansion(sub, run, a, b):
     """PR7 (superexpansion) needs every model of (K * a) + b to be a model of
     K * (a & b); PR8 (subexpansion) needs the converse when (K * a) + b is
     consistent."""
-    out_a = pair.revision(s, a)
-    expanded = outcome_belief_set(out_a, s.sig) & b
+    first = (("revise", a),)
+    expanded = _beliefs(run.after(first)) & b
     if sub and not expanded:
-        return Verdict(VACUOUS, note="negation of second input believed after first revision")
-    out_ab = pair.revision(s, a & b)
-    joint = outcome_belief_set(out_ab, s.sig)
-    ok = joint.issubset(expanded) if sub else expanded.issubset(joint)
-    return _verdict(
-        ok,
-        (("start", s), (f"revise {_bits(a)}", out_a), (f"revise {_bits(a & b)}", out_ab)),
-        "" if ok else f"{'sub' if sub else 'super'}expansion violated",
-    )
+        return VACUOUS, "negation of second input believed after first revision", None, ()
+    both = (("revise", a & b),)
+    joint = _beliefs(run.after(both))
+    chains = (first, both)
+    if not (joint & ~expanded if sub else expanded & ~joint):
+        return HOLDS, "", None, chains
+    return FAILS, f"{'sub' if sub else 'super'}expansion violated", None, chains
 
 
 # --- recovery-style sequence postulates ---------------------------------------
@@ -293,27 +377,29 @@ def _expansion(sub, pair, s, a, b):
 # compute it.
 
 
-def _agnostic(base, a):
-    if base.issubset(a) or base.issubset(a.complement()):
+def _agnostic(base, a, full):
+    if not base & ~a or not base & a:
         return "input or its negation already believed"
     return None
 
 
-def _negation_believed(base, a):
-    return None if base.issubset(a.complement()) else "negation of input not believed"
+def _negation_believed(base, a, full):
+    return "negation of input not believed" if base & a else None
 
 
-def _recovery(guard, steps, lhs, rhs, note, pair, s, a, b):
-    base = belief_set(s)
-    vacuous = guard(base, a) if guard else None
+def _recovery(guard, steps, lhs, rhs, note, run, a, b):
+    base = run.base
+    vacuous = guard(base, a, run.full) if guard else None
     if vacuous:
-        return Verdict(VACUOUS, note=vacuous)
-    trace = _seq_trace(pair, s, [(kind, a if x == "a" else a.complement()) for kind, x in steps])
-    sets = {"base": base, "seq": outcome_belief_set(trace[-1][1], s.sig)}
+        return VACUOUS, vacuous, None, ()
+    negated = run.full & ~a
+    chain = tuple([(kind, a if x == "a" else negated) for kind, x in steps])
+    sets = {"base": base, "seq": _beliefs(run.after(chain))}
     if "direct" in (lhs, rhs):
-        sets["direct"] = belief_set(pair.contraction(s, a))
-    ok = sets[lhs].issubset(sets[rhs])
-    return _verdict(ok, trace, "" if ok else note.format(**{k: _bits(v) for k, v in sets.items()}))
+        sets["direct"] = _beliefs(run.after((("contract", a),)))
+    if not sets[lhs] & ~sets[rhs]:
+        return HOLDS, "", None, (chain,)
+    return FAILS, note, sets, (chain,)
 
 
 _REV_CON = (("revise", "a"), ("contract", "a"))
@@ -322,21 +408,23 @@ _REV_CON = (("revise", "a"), ("contract", "a"))
 # --- semantic conditions -------------------------------------------------------
 
 
-def _stability(forbid_promotion, pair, s, a, b):
+def _stability(forbid_promotion, run, a, b):
     """S1 forbids demoting a minimal countermodel of a, S2 promoting one."""
-    out = pair.revision(s, a)
-    before = min_worlds(s, a.complement())
-    trace = (("start", s), (f"revise {_bits(a)}", out))
-    if out is ABSURD:
-        return Verdict(FAILS, trace, "revision produced the absurd state on satisfiable input")
-    after = min_worlds(out, a.complement())
+    chain = (("revise", a),)
+    out = run.after(chain)
+    if out is None:
+        return FAILS, "revision produced the absurd state on satisfiable input", None, (chain,)
+    negated = run.full & ~a
+    before = _first_hit(run.levels, negated)
+    after = _first_hit(out, negated)
     if forbid_promotion:
-        ok, what = after.issubset(before), "countermodels promoted"
+        ok, what = not after & ~before, "countermodels promoted"
     else:
-        ok, what = before.issubset(after), "minimal countermodels demoted"
-    return _verdict(
-        ok, trace, "" if ok else f"{what}: before {_bits(before)}, after {_bits(after)}"
-    )
+        ok, what = not before & ~after, "minimal countermodels demoted"
+    if ok:
+        return HOLDS, "", None, (chain,)
+    return (FAILS, what + ": before {before}, after {after}", {"before": before, "after": after},
+            (chain,))
 
 
 # --- iterated-revision postulates ---------------------------------------------
@@ -347,77 +435,72 @@ def _stability(forbid_promotion, pair, s, a, b):
 
 
 def _specific(a, b):
-    return None if b.issubset(a) else "second input does not entail the first"
+    return "second input does not entail the first" if b & ~a else None
 
 
 def _contradicting(a, b):
-    return None if b.issubset(a.complement()) else "second input does not contradict the first"
+    return "second input does not contradict the first" if b & a else None
 
 
 def _supported(a, rhs):
-    return None if rhs.issubset(a) else "first input not believed after direct revision"
+    return "first input not believed after direct revision" if rhs & ~a else None
 
 
 def _undefeated(a, rhs):
-    if rhs.issubset(a.complement()):
-        return "negation of first input believed after direct revision"
-    return None
+    return None if rhs & a else "negation of first input believed after direct revision"
 
 
 def _same(a, lhs, rhs):
-    return lhs.mask == rhs.mask
+    return lhs == rhs
 
 
 def _keeps(a, lhs, rhs):
-    return lhs.issubset(a)
+    return not lhs & ~a
 
 
 def _admits(a, lhs, rhs):
-    return not lhs.issubset(a.complement())
+    return lhs & a
 
 
-def _iterated(input_guard, direct_guard, holds, note, pair, s, a, b):
+def _iterated(input_guard, direct_guard, holds, note, run, a, b):
     vacuous = input_guard(a, b) if input_guard else None
+    direct = (("revise", b, "{kind} {input} directly"),)
     if not vacuous:
-        direct = pair.revision(s, b)
-        rhs = outcome_belief_set(direct, s.sig)
+        rhs = _beliefs(run.after(direct))
         vacuous = direct_guard(a, rhs) if direct_guard else None
     if vacuous:
-        return Verdict(VACUOUS, note=vacuous)
-    trace = _seq_trace(pair, s, [("revise", a), ("revise", b)])
-    lhs = outcome_belief_set(trace[-1][1], s.sig)
-    ok = holds(a, lhs, rhs)
-    return _verdict(
-        ok, trace + ((f"revise {_bits(b)} directly", direct),),
-        "" if ok else note.format(lhs=_bits(lhs), rhs=_bits(rhs)),
-    )
+        return VACUOUS, vacuous, None, ()
+    seq = (("revise", a), ("revise", b))
+    lhs = _beliefs(run.after(seq))
+    chains = (seq, direct)
+    if holds(a, lhs, rhs):
+        return HOLDS, "", None, chains
+    return FAILS, note, {"lhs": lhs, "rhs": rhs}, chains
 
 
 # --- core-retainment ------------------------------------------------------------
 
 
-def _core(pair, s, a, b):
+def _core(run, a, b):
     """Each lost input class beta (a superset of M(K) that misses a kept
     world) needs a witness T, a superset of M(K) outside a whose meet with
     beta lies in a.  One exists iff M(K) is within a and some free world lies
     outside beta, so the first failing class in mask order is M(K) or M(K)
     plus every free world."""
-    base = belief_set(s)
-    after = pair.contraction(s, a)
-    lost = belief_set(after).mask & ~base.mask
+    base = run.base
+    chain = (("contract", a),)
+    lost = _beliefs(run.after(chain)) & ~base
     if not lost:
-        return Verdict(VACUOUS, note="contraction lost no believed input class")
-    trace = (("start", s), (f"contract {_bits(a)}", after))
-    if not base.issubset(a):
+        return VACUOUS, "contraction lost no believed input class", None, ()
+    if base & ~a:
         beta = base
     else:
-        free = s.sig.full_mask & ~a.mask & ~base.mask
+        free = run.full & ~a & ~base
         if not lost & ~free:
-            return Verdict(HOLDS, trace)
-        beta = WorldSet(s.sig, base.mask | free)
-    return Verdict(
-        FAILS, trace, f"lost class {_bits(beta)} does not contribute to implying {_bits(a)}"
-    )
+            return HOLDS, "", None, (chain,)
+        beta = base | free
+    return (FAILS, "lost class {beta} does not contribute to implying {a}", {"beta": beta, "a": a},
+            (chain,))
 
 
 # --- registry -------------------------------------------------------------------
@@ -425,8 +508,13 @@ def _core(pair, s, a, b):
 
 @dataclass(frozen=True)
 class Postulate:
-    """check(pair, state, a, b) decides one instance.  Harnesses also build
-    unregistered ones for their claims and scan them like any postulate.
+    """check(pair, state, a, b) decides one instance and returns its Verdict.
+    A registry row's check is derived from its rule (_RULES), which decides
+    the instance on level masks (see _Run) and returns (status, note, masks,
+    chains) (_verdict_of).  Scans call the rule of a registry row at each new
+    orbit and check only where a verdict is reported.  Harnesses also build
+    unregistered postulates for their claims, with a check and no rule, and
+    scan them like any postulate.
 
     A check must be world-neutral: applying one permutation of the
     valuations to the state and the inputs must not change the verdict's
@@ -443,32 +531,32 @@ class Postulate:
 
     def __reduce_ex__(self, protocol):
         # A registry row reaches pool workers by pid, as the registry's own
-        # object, so workers still decide it through check_instance.
+        # object, so workers still report it through check_instance.
         if POSTULATES.get(self.pid) is self:
             return _postulate, (self.pid,)
         return super().__reduce_ex__(protocol)
 
 
-def _registry() -> dict[str, Postulate]:
+def _registry() -> tuple[dict[str, Postulate], dict[str, Callable]]:
     entries = [
         ("PC1", 2, _closed, "contracted base is deductively closed"),
         ("PC2", 2, partial(_change, "contract", None,
-                           lambda base, a, out: base.issubset(out),
+                           lambda base, a, out: not base & ~out,
                            "K after contraction not contained in K: "
                            "M(K)={base} vs M(K')={out}"),
          "contraction only removes beliefs"),
         ("PC3", 2, partial(_change, "contract", _unbelieved,
-                           lambda base, a, out: out.mask == base.mask,
+                           lambda base, a, out: out == base,
                            "vacuity violated: belief set changed although input not believed"),
          "contracting an unbelieved input changes nothing"),
         ("PC4", 2, partial(_change, "contract", _contingent,
-                           lambda base, a, out: not out.issubset(a),
+                           lambda base, a, out: out & ~a,
                            "success violated: input still believed after contraction"),
          "a non-tautology is not believed after contracting it"),
         ("PC5", 2, partial(_extensional, "contract"),
          "equivalent inputs contract to the same state"),
         ("PC6", 2, partial(_change, "contract", _believed,
-                           lambda base, a, out: (out & a).issubset(base),
+                           lambda base, a, out: not out & a & ~base,
                            "recovery violated: expanding back yields {recovered}, "
                            "not contained in M(K)={base}"),
          "recovery: contract then expand restores the base"),
@@ -476,15 +564,15 @@ def _registry() -> dict[str, Postulate]:
         ("PC8", 3, _pc8, "contraction by a conjunct extends contraction by the conjunction"),
         ("PR1", 2, _closed, "revised base is deductively closed"),
         ("PR2", 2, partial(_change, "revise", None,
-                           lambda base, a, out: out.issubset(a),
+                           lambda base, a, out: not out & ~a,
                            "success violated: input not believed after revision"),
          "the input is believed after revision"),
         ("PR3", 2, partial(_change, "revise", None,
-                           lambda base, a, out: (base & a).issubset(out),
+                           lambda base, a, out: not base & a & ~out,
                            "revision exceeds expansion"),
          "revision is bounded by expansion"),
         ("PR4", 2, partial(_change, "revise", _consistent,
-                           lambda base, a, out: out.issubset(base & a),
+                           lambda base, a, out: not out & ~(base & a),
                            "expansion not recovered on consistent input"),
          "revision includes expansion on consistent input"),
         ("PR5", 2, partial(_extensional, "revise"),
@@ -543,10 +631,13 @@ def _registry() -> dict[str, Postulate]:
          "no input acts as its own defeater"),
         ("CORE", 2, _core, "only inputs contributing to the implication may be lost"),
     ]
-    return {pid: Postulate(pid, arity, fn, text) for pid, arity, fn, text in entries}
+    posts = {pid: Postulate(pid, arity, partial(_verdict_of, rule), text)
+             for pid, arity, rule, text in entries}
+    return posts, {pid: rule for pid, _, rule, _ in entries}
 
 
-POSTULATES: dict[str, Postulate] = _registry()
+# every registry row, and its rule by pid
+POSTULATES, _RULES = _registry()
 ALL_POSTULATE_IDS: tuple[str, ...] = tuple(POSTULATES)
 
 
@@ -686,14 +777,6 @@ def _state_stream(
     raise ValueError(f"unknown mode {mode!r} (expected 'exhaustive' or 'sample')")
 
 
-def _decider(post: Postulate, pair: OperatorPair) -> Callable[[Instance], Verdict]:
-    if post is POSTULATES.get(post.pid):
-        return partial(check_instance, post.pid, pair)
-    # a derived claim (a harness's own check) has no registry entry for
-    # check_instance to look up, so it is evaluated directly
-    return lambda inst: post.check(pair, inst.state, inst.a, inst.b)
-
-
 def _scan_group(
     group: Sequence[Postulate],
     states: Iterable[RankedState],
@@ -704,7 +787,11 @@ def _scan_group(
     """(checked, holds, vacuous, fails, first counterexample) per member of a
     group of postulates of one arity, from one walk of their instances.  With
     stop_at_first the walk ends once every member has failed."""
-    decide = [_decider(post, pair) for post in group]
+    transforms = _transforms(pair, sig)
+    # per member its rule; a derived claim (a harness's own check) has none
+    # and is decided by its verdict
+    rules = [_RULES[post.pid] if post is POSTULATES.get(post.pid) else None
+             for post in group]
     firsts: list[Counterexample | None] = [None] * len(group)
     # a status row holds one status per member; each distinct row is interned
     # with an index, and the memo and the tally refer to rows by that index
@@ -714,17 +801,27 @@ def _scan_group(
     memo: dict[int, int] = {}  # orbit key -> row index
     tally: list[int] = []  # row index -> instances
     stop = False
+    state = run = None
     for key, s, a, b in _keyed_instances(group[0].arity, sig, states):
         i = memo.get(key)
         if i is None:
-            inst = Instance(s, a, b)
-            verdicts, statuses = [], []
+            # the members share one run, so the outcomes of each instance
+            if s is not state:
+                state = s
+                run = _Run(sig, _level_masks(s), transforms)
+            else:
+                run.memo.clear()
+            a_mask, b_mask = a.mask, None if b is None else b.mask
+            statuses = []
+            verdicts = {}  # member -> the verdict that decided a derived claim
             # a plain loop: before Python 3.12 a comprehension is a function
             # call, paid here once per orbit
-            for verdict_of in decide:
-                verdict = verdict_of(inst)
-                verdicts.append(verdict)
-                statuses.append(verdict.status)
+            for m, rule in enumerate(rules):
+                if rule is None:
+                    verdicts[m] = verdict = group[m].check(pair, s, a, b)
+                    statuses.append(verdict.status)
+                else:
+                    statuses.append(rule(run, a_mask, b_mask)[0])
             row = tuple(statuses)
             i = rows.setdefault(row, len(tally))
             if i == len(tally):
@@ -734,9 +831,12 @@ def _scan_group(
             memo[key] = i
             if FAILS in row:
                 # a hit on a failing row follows an earlier failure of its
-                # orbit, so each member's first failure is decided here
-                for m, verdict in enumerate(verdicts):
-                    if verdict.status == FAILS and firsts[m] is None:
+                # orbit, so each member's first failure is decided here, and
+                # only there is its verdict built
+                inst = Instance(s, a, b)
+                for m, status in enumerate(row):
+                    if status == FAILS and firsts[m] is None:
+                        verdict = verdicts.get(m) or check_instance(group[m].pid, pair, inst)
                         firsts[m] = Counterexample(
                             group[m].pid, pair.revision.name, pair.contraction.name,
                             inst, verdict)

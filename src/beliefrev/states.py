@@ -160,11 +160,16 @@ def min_worlds(s: RankedState, a: WorldSet) -> WorldSet:
         raise SignatureMismatchError(
             f"signature mismatch: {s.sig.atoms} vs {a.sig.atoms}"
         )
-    for level_mask in _level_masks(s):
-        hit = level_mask & a.mask
+    return WorldSet(s.sig, _first_hit(_level_masks(s), a.mask))
+
+
+def _first_hit(levels: Iterable[int], mask: int) -> int:
+    """The worlds of mask in the lowest level that meets it; 0 if none does."""
+    for level in levels:
+        hit = level & mask
         if hit:
-            return WorldSet(s.sig, hit)
-    return WorldSet.empty(s.sig)
+            return hit
+    return 0
 
 
 def belief_set(s: RankedState) -> WorldSet:

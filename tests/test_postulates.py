@@ -15,7 +15,7 @@ import pytest
 
 from beliefrev import postulates, theorems
 from beliefrev.cli import run as cli_run
-from beliefrev.logic import Signature, WorldSet, models, parse_formula
+from beliefrev.logic import Signature, WorldSet, dnf_of, models, parse_formula
 from beliefrev.operators import (
     CONTRACTION_OPERATORS,
     REVISION_OPERATORS,
@@ -331,14 +331,21 @@ def test_value_objects_pickle_as_constructor_arguments():
     cex = report.results[0].counterexample
     assert cex is not None and cex.verdict.status == FAILS
     state = cex.instance.state
+    # formula nodes cache their hashes too; a DNF round trip's formula and a
+    # parsed one with every node type
+    dnf = dnf_of(WorldSet(PQ, 0b0110), PQ)
+    parsed = parse_formula("!(p -> q) <-> (q | true) & p", PQ)
     for obj, args in ((P, (P.atoms,)), (cex.instance.a, (P, cex.instance.a.mask)),
-                      (state, (P, state.ranks))):
+                      (state, (P, state.ranks)), (dnf, (dnf.left, dnf.right)),
+                      (parsed, (parsed.left, parsed.right)), (parsed.left, (parsed.left.operand,))):
         hash(obj)
         assert obj.__reduce__() == (type(obj), args)
-    for obj in (P, cex.instance.a, state, cex):
+    formula_hashes = {hash(dnf), hash(dnf.left), hash(parsed), hash(parsed.left),
+                      hash(parsed.right)}
+    for obj in (P, cex.instance.a, state, cex, dnf, parsed):
         data = pickle.dumps(obj)
         carried = {arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, int)}
-        assert not carried & {hash(P), hash(state)}
+        assert not carried & {hash(P), hash(state), *formula_hashes}
         back = pickle.loads(data)
         assert back == obj and hash(back) == hash(obj)
 
@@ -650,12 +657,18 @@ def test_suite_rejects_a_bare_postulate_string():
 
 
 def test_suite_walks_once_per_arity(monkeypatch):
-    walks, checks = [], []
+    walks, decisions, checks = [], [], []
     keyed, check = postulates._keyed_instances, postulates.check_instance
 
     def counted_walk(arity, sig, states):
         walks.append(arity)
         return keyed(arity, sig, states)
+
+    def counted_rule(pid, rule):
+        def counted(run, a, b):
+            decisions.append(pid)
+            return rule(run, a, b)
+        return counted
 
     def counted_check(pid, ops, inst):
         checks.append(pid)
@@ -663,13 +676,21 @@ def test_suite_walks_once_per_arity(monkeypatch):
 
     monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
     monkeypatch.setattr(postulates, "check_instance", counted_check)
+    # each row's rule swapped for one that counts its decisions; the row's
+    # check still calls the original rule, so verdicts are not counted as
+    # decisions
+    for pid, rule in list(postulates._RULES.items()):
+        monkeypatch.setitem(postulates._RULES, pid, counted_rule(pid, rule))
     for pair in (NATURAL, make_pair("reverse", "drastic")):
         walks.clear()
+        decisions.clear()
         checks.clear()
-        run_suite(pair, PQ)
+        report = run_suite(pair, PQ)
         assert sorted(walks) == [2, 3]
         # 74 orbits for each of 24 arity-2 rows, 875 for each of 8 arity-3 rows
-        assert len(checks) == 74 * 24 + 875 * 8 == 8776
+        assert len(decisions) == 74 * 24 + 875 * 8 == 8776
+        # a verdict is built only for each failing postulate's counterexample
+        assert sorted(checks) == sorted(r.postulate for r in report.results if r.fails)
 
 
 # --- orbit keys: block-built tables against entry-by-entry sums ------------------------

@@ -1,0 +1,136 @@
+"""Registry rules on level masks against the verdicts that report them.
+
+A scan decides each new orbit by the rows' rules (status only, one shared
+run of operator outcomes per instance) and builds a Verdict through
+check_instance only where it reports one.  These tests pin the two forms to
+each other, pin the adapter that lets any operator's fn reach the rules, and
+pin the adapter to apply_sequence's rules for the absurd state.
+"""
+
+import pickle
+from itertools import islice
+
+import pytest
+
+from beliefrev import operators, postulates
+from beliefrev.logic import Signature, WorldSet
+from beliefrev.operators import (
+    ABSURD,
+    CONTRACTION_OPERATORS,
+    REVISION_OPERATORS,
+    OperatorPair,
+    RevisionOperator,
+    UnsupportedSequenceError,
+    get_contraction,
+    level_transform,
+    make_pair,
+)
+from beliefrev.postulates import FAILS, POSTULATES, Instance, check_instance, run_suite
+from beliefrev.states import _level_masks, enumerate_states, sample_states
+
+PQ = Signature(("p", "q"))
+PQR = Signature(("p", "q", "r"))
+PQRS = Signature(("p", "q", "r", "s"))
+
+ALL_PAIRS = [make_pair(rev, con) for rev in REVISION_OPERATORS for con in CONTRACTION_OPERATORS]
+
+
+def _orbits(arity, sig, states, limit=None):
+    """The first instance of each orbit, in scan order."""
+    seen = set()
+    firsts = ((s, a, b) for key, s, a, b in postulates._keyed_instances(arity, sig, states)
+              if key not in seen and not seen.add(key))
+    return islice(firsts, limit)
+
+
+def _assert_rules_match_verdicts(pair, sig, arity, instances):
+    rows = [post for post in POSTULATES.values() if post.arity == arity]
+    transforms = postulates._transforms(pair, sig)
+    decided = 0
+    for s, a, b in instances:
+        # every row of the arity decides the instance on one shared run, as a
+        # scan's group does, and each status is compared with a fresh verdict
+        run = postulates._Run(sig, _level_masks(s), transforms)
+        inst = Instance(s, a, b)
+        for post in rows:
+            status = postulates._RULES[post.pid](run, a.mask, None if b is None else b.mask)[0]
+            assert status == check_instance(post.pid, pair, inst).status, (
+                post.pid, pair.name, s.ranks, a.mask, b and b.mask)
+        decided += 1
+    assert decided
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_rules_match_verdicts_on_every_n2_instance(pair):
+    for arity in (2, 3):
+        instances = ((s, a, b) for _, s, a, b in
+                     postulates._keyed_instances(arity, PQ, enumerate_states(PQ)))
+        _assert_rules_match_verdicts(pair, PQ, arity, instances)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_rules_match_verdicts_on_sampled_orbits(pair):
+    _assert_rules_match_verdicts(pair, PQR, 2, _orbits(2, PQR, sample_states(PQR, 3, seed=4)))
+    _assert_rules_match_verdicts(pair, PQR, 3,
+                                 _orbits(3, PQR, sample_states(PQR, 1, seed=5), limit=300))
+    _assert_rules_match_verdicts(pair, PQRS, 2,
+                                 _orbits(2, PQRS, sample_states(PQRS, 1, seed=6), limit=200))
+
+
+def _closure_wrapped(op):
+    # the shape of the benchmark tracer's wrappers: a closure fn, which has
+    # no level transform of its own
+    def fn(s, a):
+        return op.fn(s, a)
+    return type(op)(op.name, fn)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
+def test_closure_wrapped_operators_give_the_registry_suite(pair):
+    wrapped = OperatorPair(_closure_wrapped(pair.revision), _closure_wrapped(pair.contraction))
+    for op, own in ((wrapped.revision, pair.revision), (wrapped.contraction, pair.contraction)):
+        adapter, transform = level_transform(op, PQ), level_transform(own, PQ)
+        assert adapter is not transform
+        for s in enumerate_states(PQ):
+            levels = _level_masks(s)
+            for mask in range(PQ.full_mask + 1):
+                assert adapter(levels, mask, PQ.full_mask) == transform(
+                    levels, mask, PQ.full_mask), (op.name, s.ranks, mask)
+    assert run_suite(wrapped, PQ) == run_suite(pair, PQ)
+
+
+def test_a_built_in_fn_under_another_name_keeps_its_transform():
+    for op in (*REVISION_OPERATORS.values(), *CONTRACTION_OPERATORS.values()):
+        renamed = type(op)("mine", op.fn)
+        assert level_transform(renamed, PQ) is level_transform(op, PQ)
+        assert level_transform(renamed, PQ) is operators._TRANSFORMS[op.fn]
+        # pickled by value, as its name and fn
+        assert renamed.__reduce__() == (type(op), ("mine", op.fn))
+        assert pickle.loads(pickle.dumps(renamed)).fn is op.fn
+
+
+def _always_absurd(s, a):
+    # world-neutral: every instance maps to ABSURD
+    return ABSURD
+
+
+ABSURD_PAIR = OperatorPair(RevisionOperator("absurd", _always_absurd),
+                          get_contraction("natural-con"))
+
+
+def test_absurd_revision_raises_in_the_scan_as_in_check_instance():
+    s = next(iter(enumerate_states(PQ)))
+    with pytest.raises(UnsupportedSequenceError) as direct:
+        check_instance("R1", ABSURD_PAIR, Instance(s, WorldSet(PQ, 1)))
+    with pytest.raises(UnsupportedSequenceError) as scanned:
+        run_suite(ABSURD_PAIR, PQ, ["R1"])
+    assert str(scanned.value) == str(direct.value) == "cannot contract the absurd state"
+
+
+def test_absurd_revision_fails_stability_with_its_note():
+    for result in run_suite(ABSURD_PAIR, PQ, ["S1", "S2"]).results:
+        assert result.fails == result.checked == 75 * 15
+        verdict = result.counterexample.verdict
+        assert verdict.status == FAILS
+        assert verdict.note == "revision produced the absurd state on satisfiable input"
+        assert verdict.trace[-1][1] is ABSURD
