@@ -255,12 +255,12 @@ def _cmd_enumerate(args) -> int:
     atoms = ",".join(sig.atoms)
     if args.mode == "exhaustive":
         stream = enumerate_states(sig)
-        generated = sum(1 for _ in stream)
+        generated = sum(1 for _ in stream.rank_vectors())
         counts = {"expected": stream.count, "generated": generated}
         text = f"states over atoms {atoms}: {generated} (weak-order count {stream.count})"
     else:
         stream = sample_states(sig, args.samples, args.seed)
-        distinct = len({s.ranks for s in stream})
+        distinct = len(set(stream.rank_vectors()))
         counts = {"seed": stream.seed, "samples": stream.count, "distinct": distinct}
         text = (f"sampled {stream.count} states over atoms {atoms} "
                 f"(seed {stream.seed}): {distinct} distinct")

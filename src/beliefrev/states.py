@@ -9,6 +9,11 @@ total preorder is the identity of the state.
 RankedState is a slotted frozen value that caches its hash on first use and,
 like the logic values, pickles through its constructor (__reduce__).
 
+State streams have two layers.  The vector layer (StateStream.rank_vectors)
+yields normalized rank tuples; the state layer (iterating the stream) wraps
+each in a RankedState, whose constructor validates it.  A consumer that only
+counts or compares states reads the vectors and builds no state.
+
 Exhaustive streams are flat: for each level count k, every prefix over the
 first half of the valuations is followed by the lex-ordered suffixes over
 0..k-1 that cover the levels the prefix missed, which is lexicographic order
@@ -19,8 +24,14 @@ accepted iff the word's top bit is 0.  For n <= 7 the words are drawn in
 blocks and each state's ranks are filtered and compacted as bytes, with
 bytes.translate; for n >= 8 a rank no longer fits a byte and each is drawn
 on its own.  Draw-exactness rests on CPython's getrandbits word order and
-on randrange drawing n + 1 bits, as CPython 3.10-3.12 do.  Every yielded
-state is validated by RankedState.
+on randrange drawing n + 1 bits, as CPython 3.10-3.12 do.
+
+Every vector is normalized by construction, so the vector layer makes no
+per-vector check: an exhaustive suffix is taken only from the table of
+suffixes that cover the levels its prefix missed, so prefix and suffix
+together use exactly 0..k-1; a sampled vector is compacted by a table that
+maps its sorted used ranks onto 0..k-1.  The tests compare both layers and
+validate every vector at small n.
 """
 
 from __future__ import annotations
@@ -145,8 +156,13 @@ def normalize(sig: Signature, raw: Mapping | Iterable[int]) -> RankedState:
         ranks = assigned  # type: ignore[assignment]
     if min(ranks) < 0:
         raise ValueError("ranks must be natural numbers")
+    return RankedState(sig, _compacted(ranks))
+
+
+def _compacted(ranks: list[int]) -> tuple[int, ...]:
+    """Natural ranks mapped onto 0..k-1, order preserved."""
     order = {old: new for new, old in enumerate(sorted(set(ranks)))}
-    return RankedState(sig, tuple(map(order.__getitem__, ranks)))
+    return tuple(map(order.__getitem__, ranks))
 
 
 def uniform_state(sig: Signature) -> RankedState:
@@ -276,7 +292,7 @@ def _with_masks(levels: int, length: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _exhaustive_iter(sig: Signature) -> Iterator[RankedState]:
+def _exhaustive_iter(sig: Signature) -> Iterator[tuple[int, ...]]:
     """Prefix times covering suffix (see the module docstring).  A suffix
     table is built once per missed level set and dropped with its level
     count, so at most one count's tables are alive."""
@@ -295,7 +311,7 @@ def _exhaustive_iter(sig: Signature) -> Iterator[RankedState]:
                     vec for vec, mask in suffixes if mask & missing == missing
                 ]
             for suffix in table:
-                yield RankedState(sig, prefix + suffix)
+                yield prefix + suffix
 
 
 # A rank draw is n + 1 bits, so up to n = 7 it is drawn and compacted as a byte
@@ -309,22 +325,22 @@ _MEMO_MAX_ATOMS = 3
 _IDENT = bytes(range(256))
 
 
-def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
+def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     if sig.n > _BYTE_PATH_MAX_ATOMS:
         return _sampled_rank_iter(sig, count, seed)
     return _sampled_byte_iter(sig, count, seed)
 
 
-def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
+def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     # the accepted draws of one seeded generator, taken total at a time
     total = sig.num_valuations
     getrandbits = random.Random(seed).getrandbits
     draws = filter(total.__gt__, map(getrandbits, repeat(total.bit_length())))
     for _ in range(count):
-        yield normalize(sig, list(islice(draws, total)))
+        yield _compacted(list(islice(draws, total)))
 
 
-def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[RankedState]:
+def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     """The draws of _sampled_rank_iter, made a block of words at a time.
 
     getrandbits(32 * W) holds W successive 32-bit words, the first in the
@@ -357,7 +373,7 @@ def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[Ranked
                 table = bytes.maketrans(bytes(sorted(used)), _IDENT[:len(used)])
                 if memoize:
                     tables[used] = table
-            yield RankedState(sig, tuple(raw.translate(table)))
+            yield tuple(raw.translate(table))
         count -= stop // total
         pending = draws[stop:]
 
@@ -366,14 +382,16 @@ def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[Ranked
 class StateStream:
     """Deterministic, re-iterable sequence of states with generation metadata.
 
-    Exhaustive streams yield every weak order on the valuations exactly once,
-    ordered by number of levels and then lexicographically on the rank
-    vector, generated as prefix times covering suffix (see the module
-    docstring); the suffix tables live for one level count only, so the
-    stream is never materialized.  Sampled streams are reproducible from the
-    seed and draw-exact with Random.randrange.  Iterating a
-    stream twice yields identical sequences, so consumers may partition it
-    into disjoint chunks by position.
+    rank_vectors() yields each state's normalized rank tuple; iterating the
+    stream yields the same states as validated RankedStates, built in
+    __iter__ alone.  Exhaustive streams yield every weak order on the
+    valuations exactly once, ordered by number of levels and then
+    lexicographically on the rank vector, generated as prefix times covering
+    suffix (see the module docstring); the suffix tables live for one level
+    count only, so the stream is never materialized.  Sampled streams are
+    reproducible from the seed and draw-exact with Random.randrange.
+    Iterating a stream twice yields identical sequences, so consumers may
+    partition it into disjoint chunks by position.
     """
 
     sig: Signature
@@ -382,6 +400,10 @@ class StateStream:
     seed: int | None = None
 
     def __iter__(self) -> Iterator[RankedState]:
+        return map(RankedState, repeat(self.sig), self.rank_vectors())
+
+    def rank_vectors(self) -> Iterator[tuple[int, ...]]:
+        """The normalized rank tuples of the stream's states, in order."""
         if self.mode == "exhaustive":
             return _exhaustive_iter(self.sig)
         if self.mode == "sampled":
@@ -413,9 +435,10 @@ def sample_states(sig: Signature, count: int, seed: int) -> StateStream:
     That draw is the top n + 1 bits of one 32-bit generator word, and it is
     accepted iff the word's top bit is 0.  For n <= 7 a rank fits a byte:
     words are drawn in blocks and their top bytes filtered and compacted as
-    bytes.  For n >= 8 each rank is drawn on its own.  The seed must be a
-    natural number: Random seeds by absolute value, so seed -s would draw
-    the states of seed s.
+    bytes.  For n >= 8 each rank is drawn on its own.  rank_vectors() yields
+    the compacted tuples; iterating the stream wraps each in a validated
+    RankedState.  The seed must be a natural number: Random seeds by
+    absolute value, so seed -s would draw the states of seed s.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

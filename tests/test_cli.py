@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from beliefrev import cli
+from beliefrev import cli, states
 from beliefrev.cli import main
 from beliefrev.logic import MAX_FORMULA_DEPTH, Signature
 from beliefrev.reporting import (
@@ -162,6 +162,29 @@ def test_enumerate_sample_mode(capsys):
                                 "--samples", "100", "--seed", "4", "--format", "json")
     assert code == 0
     assert payload["samples"] == 100 and 1 <= payload["distinct"] <= 75
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--atoms", "p,q"),
+    ("enumerate", "--atoms", "p,q,r", "--mode", "sample", "--samples", "500", "--seed", "2"),
+    ("enumerate", "--atoms", "a,b,c,d,e,f,g,h", "--mode", "sample", "--samples", "3"),
+], ids=["exhaustive", "sample", "sample-n8"])
+def test_enumerate_builds_no_state(capsys, monkeypatch, argv):
+    # enumerate counts the streams' rank vectors; no RankedState is built
+    built = []
+    init = states.RankedState.__init__
+
+    def counted(self, sig, ranks):
+        built.append(ranks)
+        init(self, sig, ranks)
+
+    monkeypatch.setattr(states.RankedState, "__init__", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert built == []
+    # the counter does see the state layer
+    next(iter(states.enumerate_states(Signature(("p",)))))
+    assert built == [(0, 0)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -78,6 +78,9 @@ def _argvs() -> list[tuple[str, ...]]:
         ("enumerate", *pq, "--mode", "sample", "--samples", "100", "--seed", "4",
          "--format", "text"),
     ]
+    argvs += [("enumerate", "--atoms", "p,q,r", "--format", fmt) for fmt in ("json", "text")]
+    argvs.append(("enumerate", "--atoms", "p,q,r", "--mode", "sample", "--samples", "20000",
+                  "--seed", "3", "--format", "json"))
     for fmt in ("json", "text"):
         argvs += [
             ("revise", "--state", STATE, "--op", "natural", "!(r|g|s)", "--format", fmt),

@@ -31,6 +31,11 @@ from beliefrev.states import (
 PQ = Signature(("p", "q"))
 RGS = Signature(("r", "g", "s"))
 
+
+def atoms(n):
+    return Signature(tuple(f"a{i}" for i in range(n)))
+
+
 # The worked example's rank tables, used as fixed points throughout.
 INITIAL = {"100": 0, "101": 0, "110": 0, "111": 0,
            "010": 1, "011": 1, "000": 2, "001": 2}
@@ -325,6 +330,54 @@ def test_enumerate_n3_matches_brute_force_in_bounded_memory():
     assert peak < 4 * 1024 * 1024
 
 
+def test_enumerate_n3_rank_vectors_match_brute_force_in_bounded_memory():
+    # the vector layer alone: the same stream without building a state
+    expected = _ranks_digest(_enumerate_brute_force(RGS))
+    stream = enumerate_states(RGS)
+    tracemalloc.start()
+    try:
+        got = _ranks_digest(stream.rank_vectors())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 4 * 1024 * 1024
+
+
+def _layers_agree(stream):
+    """Whether rank_vectors() and the stream's states agree, position by position."""
+    pairs = itertools.zip_longest(stream.rank_vectors(), stream)
+    return all(s is not None and vec == s.ranks for vec, s in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_rank_vectors_are_the_states_ranks(n):
+    assert _layers_agree(enumerate_states(atoms(n)))
+
+
+@pytest.mark.parametrize("n, count", [(1, 200), (2, 200), (3, 500), (4, 100), (7, 5), (8, 2)],
+                         ids=["n1", "n2", "n3", "n4", "n7", "n8"])
+def test_sampled_rank_vectors_are_the_states_ranks(n, count):
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert _layers_agree(sample_states(atoms(n), count, seed))
+
+
+@pytest.mark.parametrize("stream", [
+    *(enumerate_states(atoms(n)) for n in (1, 2, 3)),
+    *(sample_states(atoms(3), 2000, seed) for seed in (0, 5)),
+    *(sample_states(atoms(8), 3, seed) for seed in (0, 5)),
+], ids=["exhaustive-n1", "exhaustive-n2", "exhaustive-n3",
+        "sampled-n3-seed0", "sampled-n3-seed5", "sampled-n8-seed0", "sampled-n8-seed5"])
+def test_every_rank_vector_is_a_valid_state(stream):
+    # the vector layer skips the constructor's check; this is its oracle
+    count = 0
+    for vec in stream.rank_vectors():
+        assert type(vec) is tuple
+        assert RankedState(stream.sig, vec).ranks == vec
+        count += 1
+    assert count == stream.count
+
+
 def test_enumerate_rejects_large_signature():
     with pytest.raises(ValueError, match="too large"):
         enumerate_states(Signature(("a", "b", "c", "d")))
@@ -358,10 +411,6 @@ def test_sample_covers_every_weak_order_at_n2():
     # regression pin: this seed/count pair reaches all 75 weak orders
     seen = {s.ranks for s in sample_states(PQ, 10000, 7)}
     assert seen == {s.ranks for s in enumerate_states(PQ)}
-
-
-def atoms(n):
-    return Signature(tuple(f"a{i}" for i in range(n)))
 
 
 # n = 7 is the widest signature whose ranks are drawn as bytes; n = 8 draws
