@@ -57,25 +57,27 @@ outcomes per instance (_Run), so a chain that several rows take, such as
 revise-then-contract, is computed once.  Later instances are counted from a
 memo mapping the key to its row, the members' statuses, interned once per
 distinct row.  The memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared
-when full.  Each instance adds one to its row's tally, and the members' counts
-are folded from the tally at the end.  A member's first failing instance is
-always decided, and only there is its Verdict built, through check_instance,
-so counts, counterexamples and traces are those of checking every instance.
-At n = 2 a full suite walks its 162,000 instances in two streams (1,125
-arity-2 and 16,875 arity-3 instances) and makes 8,776 decisions: 74 orbits
-per arity-2 postulate and 875 per arity-3 one.  A search is a group of one
-that stops at its first failure.  A derived claim of a harness has no rule;
-it is decided by its check, and the verdict of its first failure is the one
-reported.
+when full.  Each instance adds one to its row's tally, and the walk returns
+its table: the distinct rows in order of first occurrence, each with its tally
+and first instance.  _fold reads a claim from the table by its status on a
+row: its counts are sums of tallies, and its first failing instance is the
+first instance of the first row where it fails.  A registry member's status
+is its entry in the row; a harness claim relating postulates is a function of
+their entries.  Only a reported counterexample gets a Verdict (a member's
+through check_instance), so counts, counterexamples and traces are those of
+checking every instance.  At n = 2 a full suite walks its 162,000 instances
+in two streams (1,125 arity-2 and 16,875 arity-3 instances) and makes 8,776
+decisions: 74 orbits per arity-2 postulate and 875 per arity-3 one.  A search
+is a group of one that stops at its first failing row.
 
-A scan maps _scan_group over (group, chunk) tasks and reduces each group's
-chunks in order: at jobs = 1 one chunk, the stream itself, under the builtin
-map; with jobs > 1, jobs chunks of the states on a process pool.
-Pool tasks carry the operator pair by value (registry operators and rows by
-name), so any other operator or postulate needs a module-level function; a
+A scan maps _scan_group over (group, chunk) tasks and concatenates each
+group's tables in chunk order: at jobs = 1 one chunk, the stream itself, under
+the builtin map; with jobs > 1, jobs chunks of the states on a process pool.
+Pool tasks carry postulates by pid and the operator pair by value (registry
+operators by name), so any other operator needs a module-level function; a
 scan refuses one that does not pickle with a ValueError before it touches the
-pool.  A command makes at most one scan (a harness decides all its
-postulates and claims together), so it has at most one pool: the scan starts
+pool.  A command makes at most one scan (a harness reads all its claims from
+one table), so it has at most one pool: the scan starts
 it when jobs > 1 and shuts it down before it returns, cancelling what is
 still queued if a worker raised.
 """
@@ -88,6 +90,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
@@ -512,29 +515,21 @@ class Postulate:
     A registry row's check is derived from its rule (_RULES), which decides
     the instance on level masks (see _Run) and returns (status, note, masks,
     chains) (_verdict_of).  Scans call the rule of a registry row at each new
-    orbit and check only where a verdict is reported.  Harnesses also build
-    unregistered postulates for their claims, with a check and no rule, and
-    scan them like any postulate.
+    orbit and check only where a verdict is reported.  Scans take registry
+    rows only; a harness claim is a status function over their rows (_fold).
 
     A check must be world-neutral: applying one permutation of the
     valuations to the state and the inputs must not change the verdict's
     status, given that the pair's operators are neutral too.  Scans decide
     one instance per orbit and count the rest of the orbit from it.  Every
-    registry row and harness claim reads only ranks, set membership and
-    set relations, so all of them comply.
+    registry row reads only ranks, set membership and set relations, so all
+    of them comply.
     """
 
     pid: str
     arity: int
     check: Callable
     summary: str
-
-    def __reduce_ex__(self, protocol):
-        # A registry row reaches pool workers by pid, as the registry's own
-        # object, so workers still report it through check_instance.
-        if POSTULATES.get(self.pid) is self:
-            return _postulate, (self.pid,)
-        return super().__reduce_ex__(protocol)
 
 
 def _registry() -> tuple[dict[str, Postulate], dict[str, Callable]]:
@@ -777,32 +772,35 @@ def _state_stream(
     raise ValueError(f"unknown mode {mode!r} (expected 'exhaustive' or 'sample')")
 
 
+# A row of a scan's table: its group's statuses by pid at some orbits, the
+# number of instances with them, and the first of those instances.
+Row = tuple[dict[str, str], int, Instance]
+
+
 def _scan_group(
-    group: Sequence[Postulate],
+    group: tuple[str, ...],
     states: Iterable[RankedState],
     pair: OperatorPair,
     sig: Signature,
     stop_at_first: bool,
-) -> list[tuple[int, int, int, int, Counterexample | None]]:
-    """(checked, holds, vacuous, fails, first counterexample) per member of a
-    group of postulates of one arity, from one walk of their instances.  With
-    stop_at_first the walk ends once every member has failed."""
+) -> list[tuple[tuple[str, ...], int, Instance]]:
+    """The table of a group of registry postulates of one arity, from one
+    walk of their instances: each distinct row of the members' statuses, its
+    tally and its first instance, in order of first occurrence.  With
+    stop_at_first the walk ends at the first row where a member fails (a
+    search is a group of one)."""
     transforms = _transforms(pair, sig)
-    # per member its rule; a derived claim (a harness's own check) has none
-    # and is decided by its verdict
-    rules = [_RULES[post.pid] if post is POSTULATES.get(post.pid) else None
-             for post in group]
-    firsts: list[Counterexample | None] = [None] * len(group)
-    # a status row holds one status per member; each distinct row is interned
-    # with an index, and the memo and the tally refer to rows by that index
-    # (a tuple does not cache its hash, so keying the tally by the row itself
-    # would rehash it at every instance)
+    rules = [_RULES[pid] for pid in group]
+    # each distinct row is interned with an index, and the memo and the tally
+    # refer to rows by that index (a tuple does not cache its hash, so keying
+    # the tally by the row itself would rehash it at every instance)
     rows: dict[tuple[str, ...], int] = {}
     memo: dict[int, int] = {}  # orbit key -> row index
     tally: list[int] = []  # row index -> instances
+    firsts: list[Instance] = []  # row index -> its first instance
     stop = False
     state = run = None
-    for key, s, a, b in _keyed_instances(group[0].arity, sig, states):
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states):
         i = memo.get(key)
         if i is None:
             # the members share one run, so the outcomes of each instance
@@ -812,77 +810,58 @@ def _scan_group(
             else:
                 run.memo.clear()
             a_mask, b_mask = a.mask, None if b is None else b.mask
-            statuses = []
-            verdicts = {}  # member -> the verdict that decided a derived claim
             # a plain loop: before Python 3.12 a comprehension is a function
             # call, paid here once per orbit
-            for m, rule in enumerate(rules):
-                if rule is None:
-                    verdicts[m] = verdict = group[m].check(pair, s, a, b)
-                    statuses.append(verdict.status)
-                else:
-                    statuses.append(rule(run, a_mask, b_mask)[0])
+            statuses = []
+            for rule in rules:
+                statuses.append(rule(run, a_mask, b_mask)[0])
             row = tuple(statuses)
             i = rows.setdefault(row, len(tally))
             if i == len(tally):
                 tally.append(0)
+                firsts.append(Instance(s, a, b))
+                stop = stop_at_first and FAILS in row
             if len(memo) >= _ORBIT_MEMO_LIMIT:
                 memo.clear()
             memo[key] = i
-            if FAILS in row:
-                # a hit on a failing row follows an earlier failure of its
-                # orbit, so each member's first failure is decided here, and
-                # only there is its verdict built
-                inst = Instance(s, a, b)
-                for m, status in enumerate(row):
-                    if status == FAILS and firsts[m] is None:
-                        verdict = verdicts.get(m) or check_instance(group[m].pid, pair, inst)
-                        firsts[m] = Counterexample(
-                            group[m].pid, pair.revision.name, pair.contraction.name,
-                            inst, verdict)
-                stop = stop_at_first and all(firsts)
         tally[i] += 1
         if stop:
             break
-    results = []
-    for m, first in enumerate(firsts):
-        counts = dict.fromkeys((HOLDS, VACUOUS, FAILS), 0)
-        for row, i in rows.items():
-            counts[row[m]] += tally[i]
-        results.append((sum(counts.values()), counts[HOLDS], counts[VACUOUS], counts[FAILS], first))
-    return results
+    return list(zip(rows, tally, firsts))
 
 
-def _check_picklable(pair: OperatorPair, posts: Sequence[Postulate]) -> None:
+def _check_picklable(pair: OperatorPair) -> None:
     # A task that fails to pickle inside the pool leaves the executor's
     # shutdown waiting forever (CPython 3.11), so a pooled scan checks first.
-    for obj in (pair.revision, pair.contraction, *posts):
+    for op in (pair.revision, pair.contraction):
         try:
-            pickle.dumps(obj)
+            pickle.dumps(op)
         except Exception as err:
-            raise ValueError(f"{obj!r} cannot be pickled for a pool worker "
+            raise ValueError(f"{op!r} cannot be pickled for a pool worker "
                              f"(jobs > 1 needs module-level functions): {err}") from err
 
 
 def _scan(
-    posts: Sequence[Postulate],
+    pids: Sequence[str],
     pair: OperatorPair,
     sig: Signature,
     stream: StateStream,
     stop_at_first: bool,
     jobs: int,
-) -> list[PostulateResult]:
-    """Scan postulates over one state stream; every search (a list of one),
-    suite and harness runs through here.  The distinct postulates of
-    one arity form a group, scanned by one walk.  jobs is capped at the CPU
-    count; above 1 the scan runs on a process pool of its own, shut down
-    before it returns.  Results follow posts, duplicates included."""
+) -> dict[str, list[Row]]:
+    """Scan registry postulates over one state stream; every search (a list
+    of one), suite and harness runs through here.  The distinct postulates
+    of one arity form a group, scanned by one walk.  jobs is capped at the
+    CPU count; above 1 the scan runs on a process pool of its own, shut down
+    before it returns.  Returns the table of each postulate's group, by pid;
+    chunks follow stream order, so the first row where a claim fails holds
+    its first failing instance."""
+    arities = {pid: _postulate(pid).arity for pid in pids}
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    distinct = list(dict.fromkeys(posts))
-    groups = [[post for post in distinct if post.arity == arity]
-              for arity in dict.fromkeys(post.arity for post in distinct)]
+    groups = [tuple(pid for pid in arities if arities[pid] == arity)
+              for arity in dict.fromkeys(arities.values())]
     scan = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
     pool = None
     if jobs == 1:
@@ -891,26 +870,46 @@ def _scan(
         states = list(stream)
         size = max(1, (len(states) + jobs - 1) // jobs)
         chunks = [states[i:i + size] for i in range(0, len(states), size)]
-        _check_picklable(pair, distinct)
+        _check_picklable(pair)
         pool = ProcessPoolExecutor(max_workers=jobs)
         scan_map = pool.map
     try:
         # every group's chunks are queued before any result is read, so the
-        # pool does not drain between groups; chunks are reduced in order, so
-        # each reported counterexample is the first one in the stream
+        # pool does not drain between groups
         outcomes = scan_map(scan, [group for group in groups for _ in chunks],
                             chunks * len(groups))
-        results = {}
+        table = {}
         for group in groups:
-            parts = list(islice(outcomes, len(chunks)))
-            for post, member in zip(group, zip(*parts)):
-                results[post] = PostulateResult(
-                    post.pid, *(sum(part[i] for part in member) for i in range(4)),
-                    next((part[4] for part in member if part[4] is not None), None))
+            rows = [(dict(zip(group, row)), tally, first)
+                    for row, tally, first in chain.from_iterable(islice(outcomes, len(chunks)))]
+            table.update(dict.fromkeys(group, rows))
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    return [results[post] for post in posts]
+    return table
+
+
+def _fold(name: str, pair: OperatorPair, rows: Sequence[Row], status: Callable[[dict], str],
+          verdict: Callable[[Instance], Verdict]) -> PostulateResult:
+    """A claim's result from a scan's rows, given its status on a row's
+    statuses: counts are sums of tallies, and the counterexample is the first
+    instance of the first row where the claim fails, with verdict(instance)."""
+    counts = dict.fromkeys((HOLDS, VACUOUS, FAILS), 0)
+    first = None
+    for statuses, tally, inst in rows:
+        claimed = status(statuses)
+        counts[claimed] += tally
+        if first is None and claimed == FAILS:
+            first = inst
+    cex = None if first is None else Counterexample(
+        name, pair.revision.name, pair.contraction.name, first, verdict(first))
+    return PostulateResult(name, sum(counts.values()), counts[HOLDS], counts[VACUOUS],
+                           counts[FAILS], cex)
+
+
+def _member(pid: str, pair: OperatorPair, table: dict[str, list[Row]]) -> PostulateResult:
+    """A scanned registry postulate's result, its counterexample checked."""
+    return _fold(pid, pair, table[pid], itemgetter(pid), partial(check_instance, pid, pair))
 
 
 def search_counterexample(
@@ -927,10 +926,9 @@ def search_counterexample(
 
     Vacuous verdicts are skipped; the returned instance replays to FAILS.
     """
-    post = _postulate(pid)
     stream = _state_stream(sig, mode, samples, seed, allow_large)
-    (result,) = _scan([post], ops, sig, stream, stop_at_first=True, jobs=jobs)
-    return result.counterexample
+    table = _scan([pid], ops, sig, stream, stop_at_first=True, jobs=jobs)
+    return _member(pid, ops, table).counterexample
 
 
 def run_suite(
@@ -949,9 +947,9 @@ def run_suite(
         # iterating "R1" would ask for postulates "R" and "1"
         raise TypeError(f"postulates must be a sequence of ids, not the string {postulates!r}")
     pids = postulates if postulates is not None else ALL_POSTULATE_IDS
-    posts = [_postulate(pid) for pid in pids]
     stream = _state_stream(sig, mode, samples, seed, allow_large)
-    results = _scan(posts, ops, sig, stream, stop_at_first=False, jobs=jobs)
+    table = _scan(pids, ops, sig, stream, stop_at_first=False, jobs=jobs)
+    results = {pid: _member(pid, ops, table) for pid in table}
     return SuiteReport(
         ops.revision.name,
         ops.contraction.name,
@@ -959,5 +957,5 @@ def run_suite(
         mode,
         seed if mode == "sample" else None,
         samples if mode == "sample" else None,
-        tuple(results),
+        tuple(results[pid] for pid in pids),
     )

@@ -9,19 +9,21 @@ of each biconditional are evaluated per operator pair over every enumerable
 instance, which is the strongest finite test available.
 
 Every harness makes one exhaustive scan, ``_decide``, of the registry
-postulates it reads (its preconditions included) and its derived claims, and
-reads each claim's counts and first counterexample from that one result.
-``_claim`` builds each claim, naming the operator pair and keeping the
-witnesses that were found, in order.  When a precondition fails (the
-reformulated AGM postulates for theorem1 and observation1, S1 and S2 for
-corollary1) ``_skipped`` reports every claim as skipped with the reason.
+postulates it reads (its preconditions included), and reads each claim as a
+fold of its table of status rows: corollary1 from R1, R4, R7 and R9, and
+observation1's implications from their premise and conclusion (and R3).  A
+verdict is built only for a witness that a report prints.  ``_claim`` builds
+each claim, naming the operator pair and keeping the witnesses that were
+found, in order.  When a precondition fails (the reformulated AGM postulates
+for theorem1 and observation1, S1 and S2 for corollary1) ``_skipped``
+reports every claim as skipped with the reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .logic import Signature, WorldSet, parse_formula, models
 from .operators import (
@@ -40,11 +42,11 @@ from .postulates import (
     VACUOUS,
     Counterexample,
     Instance,
-    Postulate,
-    PostulateResult,
+    Row,
     Verdict,
     _bits,
-    _postulate,
+    _fold,
+    _member,
     _scan,
     _state_stream,
     check_instance,
@@ -114,25 +116,21 @@ def _skipped(title: str, ops: OperatorPair, sig: Signature,
                                      for claim, pids in rows))
 
 
-def _decide(
-    ops: OperatorPair, sig: Signature, jobs: int, pids: tuple[str, ...],
-    derived: Sequence[Postulate] = (),
-) -> tuple[dict[str, PostulateResult], list[PostulateResult]]:
-    """Everything a harness reads, from one exhaustive scan: the registry
-    postulates' results by id, then the derived claims' results in order."""
+def _decide(ops: OperatorPair, sig: Signature, jobs: int,
+            pids: tuple[str, ...]) -> dict[str, list[Row]]:
+    """Everything a harness reads: the table of one exhaustive scan of the
+    registry postulates pids, by id."""
     stream = _state_stream(sig, "exhaustive", None, None, allow_large=False)
-    results = _scan([*map(_postulate, pids), *derived], ops, sig, stream,
-                    stop_at_first=False, jobs=jobs)
-    return dict(zip(pids, results)), results[len(pids):]
+    return _scan(pids, ops, sig, stream, stop_at_first=False, jobs=jobs)
 
 
-def _failing(results: dict[str, PostulateResult], pids: Iterable[str]) -> list[str]:
-    return [pid for pid in pids if results[pid].fails]
+def _failing(table: dict[str, list[Row]], pids: Iterable[str]) -> list[str]:
+    return [pid for pid in pids if any(row[pid] == FAILS for row, _, _ in table[pid])]
 
 
-def _agm_reason(results: dict[str, PostulateResult]) -> str | None:
+def _agm_reason(table: dict[str, list[Row]]) -> str | None:
     """Reason string if the pair fails the reformulated postulates, else None."""
-    failing = _failing(results, _AGM_IDS)
+    failing = _failing(table, _AGM_IDS)
     if failing:
         return "operator pair does not satisfy the reformulated postulates: " + ", ".join(failing)
     return None
@@ -151,15 +149,16 @@ def verify_theorem1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> Theorem
     """Check both biconditionals: R1 clean iff S1 holds, and R2-R4 clean iff
     S2 holds, each decided exhaustively per operator pair."""
     rows = [(claim, (sem, *syn)) for claim, sem, syn, _, _ in _THEOREM1]
-    results, _ = _decide(ops, sig, jobs, _AGM_IDS + tuple(pid for _, pids in rows for pid in pids))
-    reason = _agm_reason(results)
+    table = _decide(ops, sig, jobs, _AGM_IDS + tuple(pid for _, pids in rows for pid in pids))
+    reason = _agm_reason(table)
     if reason is not None:
         return _skipped("theorem1", ops, sig, rows, "both", reason)
 
+    results = {pid: _member(pid, ops, table) for _, pids in rows for pid in pids}
     claims = []
     for claim, sem, syn, absent, found in _THEOREM1:
         holds = not results[sem].fails
-        failing = _failing(results, syn)
+        failing = _failing(table, syn)
         claims.append(_claim(
             ops, claim, (sem, *syn), "both",
             CONSISTENT if holds == (not failing) else INCONSISTENT,
@@ -170,7 +169,8 @@ def verify_theorem1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> Theorem
     return _report("theorem1", ops, sig, claims)
 
 
-def _corollary1_check(pair, s, a, b):
+def _corollary1_check(pair: OperatorPair, inst: Instance) -> Verdict:
+    s, a = inst.state, inst.a  # decided literally: this renders the witness
     if belief_set(s).issubset(a.complement()):
         return Verdict(VACUOUS, note="negation of the input is believed: inapplicable")
     trace = apply_sequence(pair, s, [("revise", a), ("contract", a)])
@@ -184,22 +184,27 @@ def _corollary1_check(pair, s, a, b):
     )
 
 
-_COROLLARY1 = Postulate(
-    "corollary1", 2, _corollary1_check,
-    "revise-then-contract believes what contraction does unless the input's negation is believed",
-)
+def _corollary1_status(row: dict[str, str]) -> str:
+    """corollary1 on a row: R7 applies exactly where the input's negation is
+    believed; elsewhere the input is believed (R4 applies) or agnostic (R9
+    does), and both sides agree iff R1 and the applicable one hold."""
+    if row["R7"] != VACUOUS:
+        return VACUOUS
+    return HOLDS if row["R1"] == HOLDS and HOLDS in (row["R4"], row["R9"]) else FAILS
 
 
 def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """Equality of revise-then-contract with plain contraction whenever the
     input's negation is not believed."""
     pids = ("S1", "S2")
-    results, (r,) = _decide(ops, sig, jobs, pids, [_COROLLARY1])
-    missing = _failing(results, pids)
+    table = _decide(ops, sig, jobs, pids + ("R1", "R4", "R7", "R9"))
+    missing = _failing(table, pids)
     if missing:
         reason = "precondition failed: " + ", ".join(missing) + " violated"
         return _skipped("corollary1", ops, sig, [("corollary1", pids)], "equality", reason)
 
+    r = _fold("corollary1", ops, table["R7"], _corollary1_status,
+              partial(_corollary1_check, ops))
     claim = _claim(
         ops, "corollary1", pids, "equality",
         CONSISTENT if r.fails == 0 else INCONSISTENT,
@@ -209,15 +214,12 @@ def verify_corollary1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> Theor
     return _report("corollary1", ops, sig, (claim,))
 
 
-def _co_occurring(premise: str, conclusion: str, input_unbelieved: bool, pair, s, a, b):
-    """The conclusion's verdict where the premise holds (and, if asked, the
-    input is not believed); VACUOUS everywhere else."""
-    if input_unbelieved and belief_set(s).issubset(a):
-        return Verdict(VACUOUS, note="input believed")
-    inst = Instance(s, a)
-    if check_instance(premise, pair, inst).status != HOLDS:
-        return Verdict(VACUOUS, note=f"{premise} does not hold")
-    return check_instance(conclusion, pair, inst)
+def _implied(premise: str, conclusion: str, input_unbelieved: bool, row: dict[str, str]) -> str:
+    """The conclusion's status on a row where the premise holds (and, if
+    asked, the input is not believed: R3's guard passes); VACUOUS elsewhere."""
+    if row[premise] != HOLDS or (input_unbelieved and row["R3"] == VACUOUS):
+        return VACUOUS
+    return row[conclusion]
 
 
 # observation1's instance implications: (claim, premise, conclusion, whether
@@ -230,11 +232,14 @@ _IMPLICATIONS = (
 
 
 def _implication_claim(
-    ops: OperatorPair, claim: str, premise: str, conclusion: str, input_unbelieved: bool,
-    r: PostulateResult,
+    ops: OperatorPair, table: dict[str, list[Row]], claim: str, premise: str, conclusion: str,
+    input_unbelieved: bool,
 ) -> ClaimResult:
     """Instance-level implication: wherever the premise holds, the conclusion
-    does not fail.  Witnesses carry the conclusion's postulate id."""
+    does not fail.  Witnesses are the conclusion's own verdicts."""
+    r = _fold(conclusion, ops, table[conclusion],
+              partial(_implied, premise, conclusion, input_unbelieved),
+              partial(check_instance, conclusion, ops))
     scope = "applicable instances" if input_unbelieved else "instances"
     return _claim(
         ops, claim, (premise, conclusion),
@@ -247,20 +252,14 @@ def _implication_claim(
 
 def verify_observation1(ops: OperatorPair, sig: Signature, jobs: int = 1) -> TheoremReport:
     """The seven-item profile relating the recovery-style postulates."""
-    implications = [
-        Postulate(conclusion, 2, partial(_co_occurring, premise, conclusion, unbelieved),
-                  f"{conclusion} wherever {premise} holds")
-        for _, premise, conclusion, unbelieved in _IMPLICATIONS
-    ]
-    results, implied = _decide(ops, sig, jobs, _AGM_IDS + ("R3", "R6", "R7", "R8"), implications)
-    reason = _agm_reason(results)
+    table = _decide(ops, sig, jobs, _AGM_IDS + ("R3", "R6", "R7", "R8", "R1", "R2", "R5", "R9"))
+    reason = _agm_reason(table)
     if reason is not None:
         rows = [(f"observation1.{i}", ()) for i in range(1, 8)]
         return _skipped("observation1", ops, sig, rows, "item", reason)
 
-    r3, r6, r7, r8 = (results[pid].counterexample for pid in ("R3", "R6", "R7", "R8"))
-    item2, item3, item6 = (_implication_claim(ops, *row, r)
-                           for row, r in zip(_IMPLICATIONS, implied))
+    r3, r6, r7, r8 = (_member(pid, ops, table).counterexample for pid in ("R3", "R6", "R7", "R8"))
+    item2, item3, item6 = (_implication_claim(ops, table, *row) for row in _IMPLICATIONS)
     return _report("observation1", ops, sig, (
         _claim(ops, "observation1.1", ("R3",), "record", RECORDED,
                "R3 holds exhaustively" if r3 is None else "R3 counterexample found", (r3,)),
@@ -292,9 +291,9 @@ def verify_hansson(
     ops = OperatorPair(get_revision("natural"), con)
     antecedent_ids = ("PC1", "PC2", "PC3", "PC4", "PC5", "CORE")
     pids = antecedent_ids + ("PC6",)
-    results, _ = _decide(ops, sig, jobs, pids)
-    failing = _failing(results, antecedent_ids)
-    recovery_ok = not results["PC6"].fails
+    table = _decide(ops, sig, jobs, pids)
+    failing = _failing(table, antecedent_ids)
+    recovery_ok = not _failing(table, ["PC6"])
     if not failing:
         status = CONSISTENT if recovery_ok else INCONSISTENT
         detail = (
@@ -309,7 +308,7 @@ def verify_hansson(
             + "; implication not refuted"
         )
     claim = _claim(ops, "hansson", pids, "implication", status, detail,
-                   (results[pid].counterexample for pid in pids))
+                   (_member(pid, ops, table).counterexample for pid in pids))
     return _report("hansson", ops, sig, (claim,))
 
 

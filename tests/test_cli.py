@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from beliefrev import cli, states
+from beliefrev import cli, postulates, states
 from beliefrev.cli import main
 from beliefrev.logic import MAX_FORMULA_DEPTH, Signature
 from beliefrev.reporting import (
@@ -249,7 +249,10 @@ def test_hansson_commands(capsys):
 # --- determinism and verdict consistency ------------------------------------------------
 
 
-def test_jobs_do_not_change_output(capsys):
+def test_jobs_do_not_change_output(capsys, monkeypatch):
+    # jobs is capped at the CPU count, so a 1-CPU host would compare jobs=1
+    # with itself
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     args = ("check", "--atoms", "p,q", "--postulate", "R7", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args, "--jobs", "2")
@@ -261,12 +264,15 @@ def test_jobs_do_not_change_output(capsys):
     ("theorem1", ()),
     ("corollary1", ("--op", "reverse")),
     ("corollary1", ()),
+    # the one harness case whose claim witness must survive the chunk merge
+    ("corollary1", ("--cop", "drastic")),
     ("observation1", ("--op", "reverse")),
     ("observation1", ()),
     ("hansson", ("--cop", "natural-con")),
     ("hansson", ("--cop", "drastic")),
 ], ids=lambda p: p if isinstance(p, str) else (p[-1] if p else "default"))
-def test_jobs_do_not_change_theorem_output(capsys, command, pair):
+def test_jobs_do_not_change_theorem_output(capsys, monkeypatch, command, pair):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     args = (command, "--atoms", "p,q", *pair, "--format", "json")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args, "--jobs", "2")

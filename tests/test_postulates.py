@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -36,6 +37,7 @@ from beliefrev.postulates import (
     Counterexample,
     Instance,
     PostulateResult,
+    Verdict,
     check_instance,
     iter_instances,
     run_suite,
@@ -271,13 +273,25 @@ def test_parallel_suite_matches_sequential():
             assert seq.results == par.results, (sig, pair)
 
 
-def test_registry_rows_reach_workers_as_registry_objects():
-    # pool workers decide a registry postulate through check_instance only
-    # if it unpickles as the registry's own row; registry operators travel
-    # by name the same way
-    for obj in (*POSTULATES.values(), *REVISION_OPERATORS.values(),
-                *CONTRACTION_OPERATORS.values()):
-        assert pickle.loads(pickle.dumps(obj)) is obj
+def test_registry_rows_reach_workers_as_registry_objects(monkeypatch, recorded_pools):
+    # pool tasks name registry rows by pid, so a worker decides the
+    # registry's own rows; registry operators travel by name the same way
+    for op in (*REVISION_OPERATORS.values(), *CONTRACTION_OPERATORS.values()):
+        assert pickle.loads(pickle.dumps(op)) is op
+    groups = []
+    scan_group = postulates._scan_group
+
+    def recording(group, states, **kwargs):
+        groups.append(pickle.loads(pickle.dumps(group)))
+        return scan_group(group, states, **kwargs)
+
+    monkeypatch.setattr(postulates, "_scan_group", recording)
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    pids = ["R7", "C2", "R1"]
+    pooled = run_suite(NATURAL, PQ, pids, jobs=2)
+    # one task per group and chunk: two chunks of the 75 states
+    assert groups == [("R7", "R1"), ("R7", "R1"), ("C2",), ("C2",)]
+    assert pooled == run_suite(NATURAL, PQ, pids)
 
 
 def test_swapped_registry_operators_pickle_by_name(monkeypatch):
@@ -417,17 +431,17 @@ def test_pool_workers_gone_after_harness_command(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def _raise_in_worker(pair, s, a, b):
-    raise RuntimeError(f"check raised in process {os.getpid()}")
+def _raise_in_worker(s, a):
+    raise RuntimeError(f"revision raised in process {os.getpid()}")
 
 
 def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
-    post = postulates.Postulate("raises", 2, _raise_in_worker, "always raises")
+    pair = OperatorPair(RevisionOperator("raises", _raise_in_worker),
+                        CONTRACTION_OPERATORS["natural-con"])
     # the raising group is read first, while C2's chunks are still queued
-    with pytest.raises(RuntimeError, match="check raised in process") as err:
-        postulates._scan([post, postulates.POSTULATES["C2"]], NATURAL, PQ,
-                         enumerate_states(PQ), stop_at_first=False, jobs=2)
+    with pytest.raises(RuntimeError, match="revision raised in process") as err:
+        run_suite(pair, PQ, ["R7", "C2"], jobs=2)
     assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
     assert multiprocessing.active_children() == []
 
@@ -436,23 +450,15 @@ _UNPICKLABLE_SCANS = """
 import multiprocessing
 from beliefrev import postulates, theorems
 from beliefrev.logic import Signature
-from beliefrev.operators import OperatorPair, RevisionOperator, get_contraction, make_pair
-from beliefrev.postulates import HOLDS, Postulate, Verdict, _scan, run_suite
-from beliefrev.states import enumerate_states
+from beliefrev.operators import OperatorPair, RevisionOperator, get_contraction
+from beliefrev.postulates import run_suite
 
 postulates.os.cpu_count = lambda: 2
 P, PQ = Signature(("p",)), Signature(("p", "q"))
 lam_op = OperatorPair(RevisionOperator("lam_op", lambda s, a: s), get_contraction("natural-con"))
-lam_post = Postulate("lam_post", 2, lambda pair, s, a, b: Verdict(HOLDS), "")
-
-
-def scan_lam_post():
-    _scan([lam_post], make_pair(), PQ, enumerate_states(PQ), stop_at_first=False, jobs=2)
-
 
 for name, scan in (
     ("lam_op", lambda: run_suite(lam_op, PQ, ["R7"], jobs=2)),
-    ("lam_post", scan_lam_post),
     ("lam_op", lambda: theorems.verify_theorem1(lam_op, P, jobs=2)),
 ):
     try:
@@ -478,7 +484,7 @@ def test_unpicklable_tasks_raise_instead_of_hanging():
         proc.communicate()
         pytest.fail("a scan with an unpicklable task hung")
     assert proc.returncode == 0, err
-    assert out.splitlines() == ["lam_op True []", "lam_post True []", "lam_op True []"]
+    assert out.splitlines() == ["lam_op True []", "lam_op True []"]
 
 
 # --- cross-postulate invariants ------------------------------------------------------
@@ -580,26 +586,41 @@ def test_memoized_sampled_n3_matches_brute_force(pair):
         pair, RGS, pids, states)
 
 
-def _derived_claims():
-    yield theorems._COROLLARY1
+def _co_occurring(premise, conclusion, input_unbelieved, pair, inst):
+    """An observation1 implication decided literally at one instance: the
+    conclusion's verdict where the premise holds (and, if asked, the input
+    is not believed); VACUOUS everywhere else."""
+    if input_unbelieved and belief_set(inst.state).issubset(inst.a):
+        return Verdict(VACUOUS, note="input believed")
+    if check_instance(premise, pair, inst).status != HOLDS:
+        return Verdict(VACUOUS, note=f"{premise} does not hold")
+    return check_instance(conclusion, pair, inst)
+
+
+def _harness_claims(pair):
+    """(name, status on a row, witness verdict, literal check) of each claim
+    the harnesses read from their tables: corollary1, then observation1's
+    implications, whose name and witness are their conclusion's."""
+    yield ("corollary1", theorems._corollary1_status, partial(theorems._corollary1_check, pair),
+           partial(theorems._corollary1_check, pair))
     for _, premise, conclusion, unbelieved in theorems._IMPLICATIONS:
-        # the postulates observation1 items 2, 3 and 6 scan
-        yield postulates.Postulate(
-            conclusion, 2, partial(theorems._co_occurring, premise, conclusion, unbelieved),
-            f"{conclusion} wherever {premise} holds")
+        yield (conclusion, partial(theorems._implied, premise, conclusion, unbelieved),
+               partial(check_instance, conclusion, pair),
+               partial(_co_occurring, premise, conclusion, unbelieved, pair))
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: pair.name)
 def test_memoized_derived_claims_match_a_direct_loop(pair):
-    states = list(enumerate_states(PQ))
-    for post in _derived_claims():
-        (scanned,) = postulates._scan([post], pair, PQ, enumerate_states(PQ),
-                                      stop_at_first=False, jobs=1)
-        direct = _decide_every_instance(
-            post.pid, pair, (Instance(s, WorldSet(PQ, m)) for s in states
-                             for m in range(1, PQ.full_mask + 1)),
-            lambda inst: post.check(pair, inst.state, inst.a, inst.b))
-        assert scanned == direct, post.summary
+    # every n = 2 state, and four sampled n = 3 states
+    for sig, states in ((PQ, list(enumerate_states(PQ))), (RGS, list(sample_states(RGS, 4, 7)))):
+        table = postulates._scan(["R1", "R2", "R3", "R4", "R5", "R7", "R9"], pair, sig, states,
+                                 stop_at_first=False, jobs=1)
+        for name, status, verdict, literal in _harness_claims(pair):
+            scanned = postulates._fold(name, pair, table["R1"], status, verdict)
+            direct = _decide_every_instance(
+                name, pair, (Instance(s, WorldSet(sig, m)) for s in states
+                             for m in range(1, sig.full_mask + 1)), literal)
+            assert scanned == direct, (sig.n, name)
 
 
 def test_orbit_memo_eviction_keeps_results(monkeypatch):
@@ -656,13 +677,13 @@ def test_suite_rejects_a_bare_postulate_string():
         run_suite(NATURAL, PQ, "R1")
 
 
-def test_suite_walks_once_per_arity(monkeypatch):
-    walks, decisions, checks = [], [], []
-    keyed, check = postulates._keyed_instances, postulates.check_instance
-
-    def counted_walk(arity, sig, states):
-        walks.append(arity)
-        return keyed(arity, sig, states)
+def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
+    """The pids of every rule decision and every check_instance call, as
+    they happen.  Each row's rule is swapped for one that counts; the row's
+    check still calls the original rule, so verdicts are not counted as
+    decisions."""
+    decisions, checks = [], []
+    check = postulates.check_instance
 
     def counted_rule(pid, rule):
         def counted(run, a, b):
@@ -674,13 +695,23 @@ def test_suite_walks_once_per_arity(monkeypatch):
         checks.append(pid)
         return check(pid, ops, inst)
 
-    monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
-    monkeypatch.setattr(postulates, "check_instance", counted_check)
-    # each row's rule swapped for one that counts its decisions; the row's
-    # check still calls the original rule, so verdicts are not counted as
-    # decisions
+    for module in (postulates, theorems):
+        monkeypatch.setattr(module, "check_instance", counted_check)
     for pid, rule in list(postulates._RULES.items()):
         monkeypatch.setitem(postulates._RULES, pid, counted_rule(pid, rule))
+    return decisions, checks
+
+
+def test_suite_walks_once_per_arity(monkeypatch):
+    walks = []
+    keyed = postulates._keyed_instances
+
+    def counted_walk(arity, sig, states):
+        walks.append(arity)
+        return keyed(arity, sig, states)
+
+    monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
+    decisions, checks = _count_decisions_and_checks(monkeypatch)
     for pair in (NATURAL, make_pair("reverse", "drastic")):
         walks.clear()
         decisions.clear()
@@ -691,6 +722,19 @@ def test_suite_walks_once_per_arity(monkeypatch):
         assert len(decisions) == 74 * 24 + 875 * 8 == 8776
         # a verdict is built only for each failing postulate's counterexample
         assert sorted(checks) == sorted(r.postulate for r in report.results if r.fails)
+
+
+def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkeypatch):
+    # its claims are read from the rows of the one scan: no R row is decided
+    # again for an implication, and the one verdict built is the R7 witness
+    # the report prints
+    decisions, checks = _count_decisions_and_checks(monkeypatch)
+    report = theorems.verify_observation1(NATURAL, PQ)
+    assert [w.postulate for c in report.claims for w in c.witnesses] == ["R7"]
+    assert checks == ["R7"]
+    read = [*AGM_IDS, "R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9"]
+    # 74 arity-2 orbits and 875 arity-3 ones at n = 2
+    assert Counter(decisions) == {pid: 74 if POSTULATES[pid].arity == 2 else 875 for pid in read}
 
 
 # --- orbit keys: block-built tables against entry-by-entry sums ------------------------

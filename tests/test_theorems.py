@@ -179,9 +179,9 @@ def test_each_harness_is_one_scan(monkeypatch, verify, target, skipped):
     scans = []
     scan = postulates._scan
 
-    def counting(posts, *args, **kwargs):
-        scans.append([post.pid for post in posts])
-        return scan(posts, *args, **kwargs)
+    def counting(pids, *args, **kwargs):
+        scans.append(list(pids))
+        return scan(pids, *args, **kwargs)
 
     monkeypatch.setattr(postulates, "_scan", counting)
     monkeypatch.setattr(theorems, "_scan", counting)
