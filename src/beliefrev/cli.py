@@ -24,7 +24,7 @@ from .operators import (
     get_revision,
     make_pair,
 )
-from .postulates import ALL_POSTULATE_IDS, run_suite
+from .postulates import ALL_POSTULATE_IDS, MAX_SEARCH_ATOMS, run_suite
 from .reporting import (
     george_json,
     george_text,
@@ -226,6 +226,9 @@ def _cmd_check(args) -> int:
         pids = list(ALL_POSTULATE_IDS)
     else:
         pids = [args.postulate]
+    if args.mode == "exhaustive" and sig.n > MAX_SEARCH_ATOMS and not args.allow_n3:
+        raise ValueError(f"exhaustive mode over n = {sig.n} atoms is gated; pass --allow-n3 "
+                         f"(n <= {MAX_SEARCH_ATOMS} runs by default)")
     report = run_suite(
         pair, sig, pids,
         mode=args.mode, samples=args.samples, seed=args.seed,

@@ -15,7 +15,7 @@ input and the belief set, then re-ranks whole levels: it builds new level
 masks from the old ones with set operations on the input and on world sets
 derived from the input and the levels alone, and keeps the non-empty ones in
 order.  The operator's RankedState function is _from_levels of its transform
-applied to _level_masks, memoized; postulate scans call the transform itself,
+applied to _level_masks, memoized by (state, input); scans call the transform,
 which level_transform finds by the function (_TRANSFORMS).  No transform
 looks at which valuation sits in a level, so every operator commutes with any
 permutation of the valuations applied to both state and input.

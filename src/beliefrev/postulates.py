@@ -19,7 +19,7 @@ rule decides one instance on ints: the state's level masks, the input masks
 and the level transforms of the pair's operators (see operators).  It returns
 the status, the note, the masks the note names and the chains of steps it
 took; the row's check, which returns a Verdict, renders the note and turns
-the outcomes of the chains into the trace's states (_verdict_of), so each
+the outcomes of the chains into the trace's states (Postulate.check), so each
 family has one body.  PC rows contract and PR rows revise.  PC2-PC4, PC6 and
 PR2-PR4 are single-change rows: a guard on the base and the input (input
 believed, unbelieved, a tautology, or consistent with the base; none for
@@ -39,7 +39,7 @@ fails on class M(K) if M(K) is not within a, holds if lost is within free, and
 otherwise fails on class M(K) plus free.
 
 Search and suite evaluation iterate states in enumeration order and input
-WorldSets in numeric mask order, so the first counterexample is reproducible.
+masks in numeric order, so the first counterexample is reproducible.
 Inputs range over the non-empty subsets of valuations (15 at n = 2), standing
 for formula equivalence classes; the unsatisfiable input is exercised only by
 dedicated PR6 instance checks.
@@ -59,16 +59,17 @@ memo mapping the key to its row, the members' statuses, interned once per
 distinct row.  The memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared
 when full.  Each instance adds one to its row's tally, and the walk returns
 its table: the distinct rows in order of first occurrence, each with its tally
-and first instance.  _fold reads a claim from the table by its status on a
-row: its counts are sums of tallies, and its first failing instance is the
-first instance of the first row where it fails.  A registry member's status
-is its entry in the row; a harness claim relating postulates is a function of
-their entries.  Only a reported counterexample gets a Verdict (a member's
-through check_instance), so counts, counterexamples and traces are those of
-checking every instance.  At n = 2 a full suite walks its 162,000 instances
-in two streams (1,125 arity-2 and 16,875 arity-3 instances) and makes 8,776
-decisions: 74 orbits per arity-2 postulate and 875 per arity-3 one.  A search
-is a group of one that stops at its first failing row.
+and first instance, on masks.  _fold reads a claim from the table by its
+status on a row: its counts are sums of tallies, and its first failing
+instance is the first instance of the first row where it fails.  A registry
+member's status is its entry in the row; a harness claim relating postulates
+is a function of their entries.  Only a reported counterexample becomes an
+Instance and gets a Verdict (a member's through check_instance), so counts,
+counterexamples and traces are those of checking every instance.  At n = 2 a
+full suite walks its 162,000 instances in two streams (1,125 arity-2 and
+16,875 arity-3 instances) and makes 8,776 decisions: 74 orbits per arity-2
+postulate and 875 per arity-3 one.  A search is a group of one that stops at
+its first failing row.
 
 A scan maps _scan_group over (group, chunk) tasks and concatenates each
 group's tables in chunk order: at jobs = 1 one chunk, the stream itself, under
@@ -266,18 +267,6 @@ def _trace(run: _Run, s: RankedState, chains) -> tuple:
             levels = run.after(chain[:i])
             lines.append((label, ABSURD if levels is None else _state_of(sig, levels)))
     return tuple(lines)
-
-
-def _verdict_of(rule: Callable, pair: OperatorPair, s: RankedState, a: WorldSet,
-                b: WorldSet | None) -> Verdict:
-    """A row's check, derived from its rule: the rule's status, its note with
-    the masks it names rendered, and the outcomes of its chains as the trace."""
-    sig = s.sig
-    run = _Run(sig, _level_masks(s), _transforms(pair, sig))
-    status, note, masks, chains = rule(run, a.mask, None if b is None else b.mask)
-    if masks:
-        note = note.format(**{name: _mask_bits(sig, m) for name, m in masks.items()})
-    return Verdict(status, _trace(run, s, chains), note)
 
 
 # --- AGM postulates -----------------------------------------------------------
@@ -511,12 +500,12 @@ def _core(run, a, b):
 
 @dataclass(frozen=True)
 class Postulate:
-    """check(pair, state, a, b) decides one instance and returns its Verdict.
-    A registry row's check is derived from its rule (_RULES), which decides
-    the instance on level masks (see _Run) and returns (status, note, masks,
-    chains) (_verdict_of).  Scans call the rule of a registry row at each new
-    orbit and check only where a verdict is reported.  Scans take registry
-    rows only; a harness claim is a status function over their rows (_fold).
+    """A registry row.  rule(run, a, b) decides one instance on level masks
+    and input masks (see _Run) and returns (status, note, masks, chains);
+    check(pair, state, a, b) decides it from the rule and returns its
+    Verdict.  Scans call the rule at each new orbit and check only where a
+    verdict is reported.  Scans take registry rows only; a harness claim is
+    a status function over their rows (_fold).
 
     A check must be world-neutral: applying one permutation of the
     valuations to the state and the inputs must not change the verdict's
@@ -528,11 +517,22 @@ class Postulate:
 
     pid: str
     arity: int
-    check: Callable
+    rule: Callable
     summary: str
 
+    def check(self, pair: OperatorPair, s: RankedState, a: WorldSet,
+              b: WorldSet | None) -> Verdict:
+        """The rule's status, its note with the masks it names rendered, and
+        the outcomes of its chains as the trace."""
+        sig = s.sig
+        run = _Run(sig, _level_masks(s), _transforms(pair, sig))
+        status, note, masks, chains = self.rule(run, a.mask, None if b is None else b.mask)
+        if masks:
+            note = note.format(**{name: _mask_bits(sig, m) for name, m in masks.items()})
+        return Verdict(status, _trace(run, s, chains), note)
 
-def _registry() -> tuple[dict[str, Postulate], dict[str, Callable]]:
+
+def _registry() -> dict[str, Postulate]:
     entries = [
         ("PC1", 2, _closed, "contracted base is deductively closed"),
         ("PC2", 2, partial(_change, "contract", None,
@@ -626,13 +626,10 @@ def _registry() -> tuple[dict[str, Postulate], dict[str, Callable]]:
          "no input acts as its own defeater"),
         ("CORE", 2, _core, "only inputs contributing to the implication may be lost"),
     ]
-    posts = {pid: Postulate(pid, arity, partial(_verdict_of, rule), text)
-             for pid, arity, rule, text in entries}
-    return posts, {pid: rule for pid, _, rule, _ in entries}
+    return {pid: Postulate(pid, arity, rule, text) for pid, arity, rule, text in entries}
 
 
-# every registry row, and its rule by pid
-POSTULATES, _RULES = _registry()
+POSTULATES = _registry()
 ALL_POSTULATE_IDS: tuple[str, ...] = tuple(POSTULATES)
 
 
@@ -688,9 +685,9 @@ def _key_blocks(
 
 def _keyed_instances(
     arity: int, sig: Signature, states: Iterable[RankedState]
-) -> Iterator[tuple[int, RankedState, WorldSet, WorldSet | None]]:
+) -> Iterator[tuple[int, RankedState, int, int | None]]:
     """(orbit key, state, a, b) for every instance, states in order and
-    inputs in mask order; b is None at arity 2.
+    inputs in mask order; a and b are input masks, b is None at arity 2.
 
     The key packs, level by level, how many worlds fall in each input
     class (in a or not; at arity 3 also in b or not) into n + 1 bits per
@@ -710,16 +707,7 @@ def _keyed_instances(
     a_step = (1 << (shift >> 1)) - 1
     b_step = (1 << width) - 1
     ab_step = a_step * b_step
-    built: list[WorldSet] = []  # non-empty inputs in mask order, shared by every state
-
-    def inputs() -> Iterator[WorldSet]:
-        # each input is built once per scan, on first use, so a search that
-        # stops early builds no more of the 2**2**n - 1 inputs than it reached
-        for i in range(sig.full_mask):
-            if i == len(built):
-                built.append(WorldSet(sig, i + 1))
-            yield built[i]
-
+    inputs = range(1, sig.full_mask + 1)  # the non-empty input masks
     for s in states:
         ranks = s.ranks
         counts = [0] * s.num_levels
@@ -735,25 +723,28 @@ def _keyed_instances(
         keys_a = chain.from_iterable(_key_blocks(base, a_step, shift, ranks, low_worlds))
         next(keys_a)  # the empty input
         if arity == 2:
-            for key, a in zip(keys_a, inputs()):
+            for key, a in zip(keys_a, inputs):
                 yield key, s, a, None
             continue
         blocks_b = _key_blocks(0, b_step, shift, ranks, low_worlds)
         blocks_ab = _key_blocks(0, ab_step, shift, ranks, low_worlds)
         by_b, by_ab = list(next(blocks_b)), list(next(blocks_ab))
-        for key_a, a in zip(keys_a, inputs()):
-            for b in inputs():
-                m = b.mask
-                if m == len(by_b):
+        for key_a, a in zip(keys_a, inputs):
+            for b in inputs:
+                if b == len(by_b):
                     by_b += next(blocks_b)
                     by_ab += next(blocks_ab)
-                yield key_a + by_b[m] + by_ab[a.mask & m], s, a, b
+                yield key_a + by_b[b] + by_ab[a & b], s, a, b
 
 
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
     """Deterministic instance stream: states in order, inputs in mask order."""
     keyed = _keyed_instances(_postulate(pid).arity, sig, states)
-    return (Instance(s, a, b) for _, s, a, b in keyed)
+    return (_instance(s, a, b) for _, s, a, b in keyed)
+
+
+def _instance(s: RankedState, a: int, b: int | None) -> Instance:
+    return Instance(s, WorldSet(s.sig, a), None if b is None else WorldSet(s.sig, b))
 
 
 def _state_stream(
@@ -773,8 +764,8 @@ def _state_stream(
 
 
 # A row of a scan's table: its group's statuses by pid at some orbits, the
-# number of instances with them, and the first of those instances.
-Row = tuple[dict[str, str], int, Instance]
+# number of instances with them, and the first of those, (state, a, b) on masks.
+Row = tuple[dict[str, str], int, tuple[RankedState, int, int | None]]
 
 
 def _scan_group(
@@ -783,21 +774,21 @@ def _scan_group(
     pair: OperatorPair,
     sig: Signature,
     stop_at_first: bool,
-) -> list[tuple[tuple[str, ...], int, Instance]]:
+) -> list[tuple[tuple[str, ...], int, tuple]]:
     """The table of a group of registry postulates of one arity, from one
     walk of their instances: each distinct row of the members' statuses, its
     tally and its first instance, in order of first occurrence.  With
     stop_at_first the walk ends at the first row where a member fails (a
     search is a group of one)."""
     transforms = _transforms(pair, sig)
-    rules = [_RULES[pid] for pid in group]
+    rules = [POSTULATES[pid].rule for pid in group]
     # each distinct row is interned with an index, and the memo and the tally
     # refer to rows by that index (a tuple does not cache its hash, so keying
     # the tally by the row itself would rehash it at every instance)
     rows: dict[tuple[str, ...], int] = {}
     memo: dict[int, int] = {}  # orbit key -> row index
     tally: list[int] = []  # row index -> instances
-    firsts: list[Instance] = []  # row index -> its first instance
+    firsts: list[tuple] = []  # row index -> its first instance
     stop = False
     state = run = None
     for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states):
@@ -809,17 +800,16 @@ def _scan_group(
                 run = _Run(sig, _level_masks(s), transforms)
             else:
                 run.memo.clear()
-            a_mask, b_mask = a.mask, None if b is None else b.mask
             # a plain loop: before Python 3.12 a comprehension is a function
             # call, paid here once per orbit
             statuses = []
             for rule in rules:
-                statuses.append(rule(run, a_mask, b_mask)[0])
+                statuses.append(rule(run, a, b)[0])
             row = tuple(statuses)
             i = rows.setdefault(row, len(tally))
             if i == len(tally):
                 tally.append(0)
-                firsts.append(Instance(s, a, b))
+                firsts.append((s, a, b))
                 stop = stop_at_first and FAILS in row
             if len(memo) >= _ORBIT_MEMO_LIMIT:
                 memo.clear()
@@ -900,7 +890,7 @@ def _fold(name: str, pair: OperatorPair, rows: Sequence[Row], status: Callable[[
         claimed = status(statuses)
         counts[claimed] += tally
         if first is None and claimed == FAILS:
-            first = inst
+            first = _instance(*inst)
     cex = None if first is None else Counterexample(
         name, pair.revision.name, pair.contraction.name, first, verdict(first))
     return PostulateResult(name, sum(counts.values()), counts[HOLDS], counts[VACUOUS],

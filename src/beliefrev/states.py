@@ -108,7 +108,8 @@ class RankedState:
         return WorldSet(self.sig, _level_masks(self)[rank])
 
     def __repr__(self) -> str:
-        levels = ["{" + ",".join(self.level(r).bitstrings()) + "}" for r in range(self.num_levels)]
+        sig = self.sig
+        levels = ["{" + ",".join(WorldSet(sig, m).bitstrings()) + "}" for m in _level_masks(self)]
         return f"RankedState({' < '.join(levels)})"
 
 
@@ -119,7 +120,6 @@ _set_ranks = RankedState.ranks.__set__
 _set_hash = RankedState._hash.__set__
 
 
-@lru_cache(maxsize=65536)
 def _level_masks(s: RankedState) -> tuple[int, ...]:
     masks = [0] * s.num_levels
     for v, r in enumerate(s.ranks):

@@ -39,6 +39,7 @@ from .operators import (
 from .postulates import (
     FAILS,
     HOLDS,
+    MAX_SEARCH_ATOMS,
     VACUOUS,
     Counterexample,
     Instance,
@@ -48,13 +49,12 @@ from .postulates import (
     _fold,
     _member,
     _scan,
-    _state_stream,
     check_instance,
 )
 # No harness calls these; the benchmark's tracer (perfbench/tracing.py) swaps
 # them on this module by name, so they stay importable from here.
 from .postulates import run_suite, search_counterexample  # noqa: F401
-from .states import RankedState, belief_set, believes, normalize
+from .states import RankedState, belief_set, believes, enumerate_states, normalize
 
 CONSISTENT = "consistent-with-theorem"
 INCONSISTENT = "inconsistent-with-theorem"
@@ -120,8 +120,10 @@ def _decide(ops: OperatorPair, sig: Signature, jobs: int,
             pids: tuple[str, ...]) -> dict[str, list[Row]]:
     """Everything a harness reads: the table of one exhaustive scan of the
     registry postulates pids, by id."""
-    stream = _state_stream(sig, "exhaustive", None, None, allow_large=False)
-    return _scan(pids, ops, sig, stream, stop_at_first=False, jobs=jobs)
+    if sig.n > MAX_SEARCH_ATOMS:
+        raise ValueError(f"exhaustive mode over n = {sig.n} atoms is gated: "
+                         f"exhaustive harnesses run at n <= {MAX_SEARCH_ATOMS} only")
+    return _scan(pids, ops, sig, enumerate_states(sig), stop_at_first=False, jobs=jobs)
 
 
 def _failing(table: dict[str, list[Row]], pids: Iterable[str]) -> list[str]:

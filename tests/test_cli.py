@@ -388,17 +388,23 @@ def test_oversize_signature_exits_two(capsys):
 
 
 def test_exhaustive_n3_check_requires_flag(capsys):
-    code, _, err = run_cli(capsys, "check", "--atoms", "r,g,s", "--postulate", "PR2")
-    assert code == 2
-    assert "gated" in err
+    # the message names the CLI flag, not the library's allow_large
+    for pid in ("PR2", "R1"):
+        code, out, err = run_cli(capsys, "check", "--atoms", "r,g,s", "--postulate", pid)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: exhaustive mode over n = 3 atoms is gated; pass --allow-n3 "
+                       "(n <= 2 runs by default)\n")
 
 
 @pytest.mark.parametrize("command", ["theorem1", "corollary1", "observation1", "hansson"])
 def test_exhaustive_n3_harness_is_gated(capsys, command):
+    # harnesses have no flag to lift the gate
     code, out, err = run_cli(capsys, command, "--atoms", "p,q,r")
     assert code == 2
     assert out == ""
-    assert "gated" in err
+    assert err == ("error: exhaustive mode over n = 3 atoms is gated: "
+                   "exhaustive harnesses run at n <= 2 only\n")
 
 
 def test_bad_steps_exit_two(capsys, state_file):

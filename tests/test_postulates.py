@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -679,9 +680,9 @@ def test_suite_rejects_a_bare_postulate_string():
 
 def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
     """The pids of every rule decision and every check_instance call, as
-    they happen.  Each row's rule is swapped for one that counts; the row's
-    check still calls the original rule, so verdicts are not counted as
-    decisions."""
+    they happen.  Each registry row is swapped for one whose rule counts.  A
+    row's check calls its rule once, and that call is taken back out, so
+    verdicts are not counted as decisions."""
     decisions, checks = [], []
     check = postulates.check_instance
 
@@ -693,12 +694,14 @@ def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
 
     def counted_check(pid, ops, inst):
         checks.append(pid)
-        return check(pid, ops, inst)
+        verdict = check(pid, ops, inst)
+        decisions.pop()  # the rule call of this check
+        return verdict
 
     for module in (postulates, theorems):
         monkeypatch.setattr(module, "check_instance", counted_check)
-    for pid, rule in list(postulates._RULES.items()):
-        monkeypatch.setitem(postulates._RULES, pid, counted_rule(pid, rule))
+    for pid, post in list(POSTULATES.items()):
+        monkeypatch.setitem(POSTULATES, pid, replace(post, rule=counted_rule(pid, post.rule)))
     return decisions, checks
 
 
@@ -737,6 +740,24 @@ def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkey
     assert Counter(decisions) == {pid: 74 if POSTULATES[pid].arity == 2 else 875 for pid in read}
 
 
+def test_a_scan_without_witness_builds_no_worldset(monkeypatch):
+    # the walk handles input masks; a WorldSet is built only for a reported
+    # counterexample, and this scan reports none
+    built = []
+    post_init = WorldSet.__post_init__
+
+    def counted(self):
+        built.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(WorldSet, "__post_init__", counted)
+    report = run_suite(make_pair(), Signature(("p", "q", "r")), ["R6"], mode="sample",
+                       samples=20, seed=1)
+    assert report.results[0].checked == 20 * 255
+    assert report.total_fails == 0
+    assert built == []
+
+
 # --- orbit keys: block-built tables against entry-by-entry sums ------------------------
 
 
@@ -748,14 +769,7 @@ def _keyed_instances_oracle(arity, sig, states):
     a_step = (1 << (shift >> 1)) - 1
     b_step = (1 << width) - 1
     ab_step = a_step * b_step
-    built = []
-
-    def inputs():
-        for i in range(sig.full_mask):
-            if i == len(built):
-                built.append(WorldSet(sig, i + 1))
-            yield built[i]
-
+    inputs = range(1, sig.full_mask + 1)
     for s in states:
         ranks = s.ranks
 
@@ -767,22 +781,21 @@ def _keyed_instances_oracle(arity, sig, states):
 
         by_a = [sum(1 << r * shift for r in ranks) + (1 << s.num_levels * shift)]
         if arity == 2:
-            for a in inputs():
+            for a in inputs:
                 yield grow(by_a, a_step), s, a, None
             continue
         by_b, by_ab = [0], [0]
-        for a in inputs():
+        for a in inputs:
             key_a = grow(by_a, a_step)
-            for b in inputs():
-                if b.mask == len(by_b):
+            for b in inputs:
+                if b == len(by_b):
                     grow(by_b, b_step)
                     grow(by_ab, ab_step)
-                yield key_a + by_b[b.mask] + by_ab[a.mask & b.mask], s, a, b
+                yield key_a + by_b[b] + by_ab[a & b], s, a, b
 
 
 def _keyed(walk, arity, sig, states, limit=None):
-    return [(key, s.ranks, a.mask, b and b.mask)
-            for key, s, a, b in islice(walk(arity, sig, states), limit)]
+    return [(key, s.ranks, a, b) for key, s, a, b in islice(walk(arity, sig, states), limit)]
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -824,7 +837,7 @@ def test_sixteen_atom_base_key_is_linear_in_its_width():
     start = time.process_time()
     key, _, a, b = next(postulates._keyed_instances(2, sig, [s]))
     elapsed = time.process_time() - start
-    assert (a.mask, b) == (1, None)
+    assert (a, b) == (1, None)
     # decode: the sentinel bit, then one field of two (n + 1)-bit counts per
     # level from the top level down, (worlds outside a, worlds in a)
     width = sig.n + 1

@@ -36,7 +36,8 @@ ALL_PAIRS = [make_pair(rev, con) for rev in REVISION_OPERATORS for con in CONTRA
 
 
 def _orbits(arity, sig, states, limit=None):
-    """The first instance of each orbit, in scan order."""
+    """The first instance of each orbit, in scan order, as (state, a, b) on
+    input masks."""
     seen = set()
     firsts = ((s, a, b) for key, s, a, b in postulates._keyed_instances(arity, sig, states)
               if key not in seen and not seen.add(key))
@@ -51,11 +52,11 @@ def _assert_rules_match_verdicts(pair, sig, arity, instances):
         # every row of the arity decides the instance on one shared run, as a
         # scan's group does, and each status is compared with a fresh verdict
         run = postulates._Run(sig, _level_masks(s), transforms)
-        inst = Instance(s, a, b)
+        inst = Instance(s, WorldSet(sig, a), None if b is None else WorldSet(sig, b))
         for post in rows:
-            status = postulates._RULES[post.pid](run, a.mask, None if b is None else b.mask)[0]
+            status = post.rule(run, a, b)[0]
             assert status == check_instance(post.pid, pair, inst).status, (
-                post.pid, pair.name, s.ranks, a.mask, b and b.mask)
+                post.pid, pair.name, s.ranks, a, b)
         decided += 1
     assert decided
 

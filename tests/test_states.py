@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -190,6 +191,38 @@ def test_belief_set_examples():
     assert belief_set(normalize(RGS, INITIAL)) == ws(RGS, "100", "101", "110", "111")
     assert belief_set(normalize(RGS, AFTER_SECOND)) == ws(RGS, "010", "011")
     assert belief_set(uniform_state(RGS)) == WorldSet.full(RGS)
+
+
+def test_repr_reads_the_level_masks_once(monkeypatch):
+    # a sampled n = 10 state has hundreds of levels, and the masks are
+    # computed afresh on each read, so a read per level would be quadratic
+    calls = []
+    level_masks = states._level_masks
+
+    def counted(s):
+        calls.append(s.ranks)
+        return level_masks(s)
+
+    monkeypatch.setattr(states, "_level_masks", counted)
+    assert repr(RankedState(PQ, (3, 2, 1, 0))) == "RankedState({11} < {10} < {01} < {00})"
+    assert calls == [(3, 2, 1, 0)]
+
+
+def test_level_masks_are_not_retained():
+    # a sampled n = 12 state has thousands of levels, each a 4096-bit mask;
+    # once the states are dropped, no table may keep their masks alive
+    sampled = list(sample_states(atoms(12), 3, 0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for s in sampled:
+            belief_set(s)
+        del s, sampled
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
 
 
 def test_believes_examples():
