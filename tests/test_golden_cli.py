@@ -85,6 +85,14 @@ def _argvs() -> list[tuple[str, ...]]:
     argvs += [("enumerate", "--atoms", "p,q,r", "--format", fmt) for fmt in ("json", "text")]
     argvs.append(("enumerate", "--atoms", "p,q,r", "--mode", "sample", "--samples", "20000",
                   "--seed", "3", "--format", "json"))
+    # sampled counts at n=1 (the smallest block of rows) and n=4 (one
+    # compaction per state)
+    argvs += [
+        ("enumerate", "--atoms", "p", "--mode", "sample", "--samples", "50", "--seed", "2",
+         "--format", "json"),
+        ("enumerate", "--atoms", "a,b,c,d", "--mode", "sample", "--samples", "2000",
+         "--seed", "1", "--format", "json"),
+    ]
     for fmt in ("json", "text"):
         argvs += [
             ("revise", "--state", STATE, "--op", "natural", "!(r|g|s)", "--format", fmt),
