@@ -263,7 +263,7 @@ def _cmd_enumerate(args) -> int:
         text = f"states over atoms {atoms}: {generated} (weak-order count {stream.count})"
     else:
         stream = sample_states(sig, args.samples, args.seed)
-        distinct = len(set(stream.rank_vectors()))
+        distinct = stream.distinct()
         counts = {"seed": stream.seed, "samples": stream.count, "distinct": distinct}
         text = (f"sampled {stream.count} states over atoms {atoms} "
                 f"(seed {stream.seed}): {distinct} distinct")

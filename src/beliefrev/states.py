@@ -12,7 +12,9 @@ like the logic values, pickles through its constructor (__reduce__).
 State streams have two layers.  The vector layer (StateStream.rank_vectors)
 yields normalized rank tuples; the state layer (iterating the stream) wraps
 each in a RankedState, whose constructor validates it.  A consumer that only
-counts or compares states reads the vectors and builds no state.
+counts or compares states reads the vectors and builds no state, and
+StateStream.distinct counts distinct states without building a tuple per
+state where the stream allows it.
 
 Exhaustive streams are flat: for each level count k, every prefix over the
 first half of the valuations is followed by the lex-ordered suffixes over
@@ -21,16 +23,26 @@ on the whole rank vector.  Sampled streams draw each rank exactly as
 Random.randrange(2**n) does, so a seed names the same states as a per-rank
 randrange sampler: a rank is the top n + 1 bits of one 32-bit generator word,
 accepted iff the word's top bit is 0.  For n <= 7 the words are drawn in
-blocks and each state's ranks are filtered and compacted as bytes, with
-bytes.translate; for n >= 8 a rank no longer fits a byte and each is drawn
-on its own.  Draw-exactness rests on CPython's getrandbits word order and
-on randrange drawing n + 1 bits, as CPython 3.10-3.12 do.
+blocks and filtered as bytes, with bytes.translate; for n >= 8 a rank no
+longer fits a byte and each is drawn on its own.  Draw-exactness rests on
+CPython's getrandbits word order and on randrange drawing n + 1 bits, as
+CPython 3.10-3.12 do; how the draws are compacted does not change which
+words are drawn or accepted.
+
+The byte draws are compacted in one of two ways.  For n <= 3 a rank is
+below 8, so its one-hot bit fits a byte, and a state's normalized rank of a
+world is popcount(used & below(raw)), where used is the set of ranks the
+state uses and below(raw) the set of ranks below the world's raw rank: a
+whole block of states is compacted by a few big-int folds and translates
+(SWAR popcount, as in Knuth, TAOCP 4A 7.1.3).  For 4 <= n <= 7 each state's
+sorted used ranks are mapped onto 0..k-1 by one translate.
 
 Every vector is normalized by construction, so the vector layer makes no
 per-vector check: an exhaustive suffix is taken only from the table of
 suffixes that cover the levels its prefix missed, so prefix and suffix
-together use exactly 0..k-1; a sampled vector is compacted by a table that
-maps its sorted used ranks onto 0..k-1.  The tests compare both layers and
+together use exactly 0..k-1; a sampled rank counts the used ranks below it,
+or is mapped by a table from the sorted used ranks onto 0..k-1.  The tests
+compare both layers, compare the block compaction with a per-state one, and
 validate every vector at small n.
 """
 
@@ -39,18 +51,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .logic import Formula, Signature, SignatureMismatchError, WorldSet, models
 
 MAX_ENUM_ATOMS = 3
-
-
-@lru_cache(maxsize=256)
-def _level_set(levels: int) -> frozenset[int]:
-    return frozenset(range(levels))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -77,7 +83,7 @@ class RankedState:
         if len(ranks) != sig.num_valuations:
             raise ValueError(f"expected {sig.num_valuations} ranks, got {len(ranks)}")
         used = set(ranks)
-        if used != _level_set(len(used)):
+        if not used.issuperset(range(len(used))):
             raise ValueError("ranks not normalized: must cover 0..k contiguously")
         _set_sig(self, sig)
         _set_ranks(self, ranks)
@@ -316,19 +322,32 @@ def _exhaustive_iter(sig: Signature) -> Iterator[tuple[int, ...]]:
 
 # A rank draw is n + 1 bits, so up to n = 7 it is drawn and compacted as a byte
 _BYTE_PATH_MAX_ATOMS = 7
+# up to n = 3 a rank is below 8, so its one-hot bit fits a byte as well, and
+# a whole block of states is compacted at once
+_BLOCK_PATH_MAX_ATOMS = 3
 # at most 64 KiB of generator output per refill
 _BLOCK_WORDS = 1 << 14
-# A state's compaction table is kept, keyed by its set of used ranks, only
-# while such sets are few and repeat: 2**8 - 1 of them at n = 3, against
-# 2**16 - 1 at n = 4, so the memo never holds more than 255 tables
-_MEMO_MAX_ATOMS = 3
 _IDENT = bytes(range(256))
+_REJECTED = _IDENT[128:]
+# per rank r < 8: its one-hot bit, the ranks below it, and (per byte) the
+# number of set bits
+_TO_BIT = bytes(1 << r for r in range(8)) + bytes(248)
+_BELOW = bytes((1 << r) - 1 for r in range(8)) + bytes(248)
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+# a memoryview format whose items are exactly one row of 2, 4 or 8 bytes
+_ROW_FORMAT = {2: "H", 4: "I", 8: "Q"}
 
 
 def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     if sig.n > _BYTE_PATH_MAX_ATOMS:
         return _sampled_rank_iter(sig, count, seed)
-    return _sampled_byte_iter(sig, count, seed)
+    if sig.n > _BLOCK_PATH_MAX_ATOMS:
+        return _sampled_byte_iter(sig, count, seed)
+    # the grouper idiom: one iterator zipped with itself cuts each block of
+    # rows into tuples of total ranks
+    total = sig.num_valuations
+    return chain.from_iterable(zip(*[iter(rows)] * total)
+                               for rows in _compacted_blocks(sig, count, seed))
 
 
 def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
@@ -340,55 +359,80 @@ def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[
         yield _compacted(list(islice(draws, total)))
 
 
-def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
-    """The draws of _sampled_rank_iter, made a block of words at a time.
+def _draw_blocks(sig: Signature, count: int, seed: int) -> Iterator[bytes]:
+    """The raw ranks of _sampled_rank_iter's count states, drawn a block of
+    words at a time, as bytes holding a whole number of states per block.
 
     getrandbits(32 * W) holds W successive 32-bit words, the first in the
     lowest bits, so byte 4i + 3 of its little-endian bytes is the top byte of
     word i.  A per-rank draw is a word's top n + 1 bits and is accepted iff
     it is below 2**n, that is iff the word's top bit is 0: one translate
     deletes the rejected top bytes and shifts the rest down to their ranks.
-    Each state's distinct ranks, sorted, are mapped to 0..k by one more
-    translate.
     """
     total = sig.num_valuations
     to_rank = bytes(b >> (7 - sig.n) for b in range(256))
-    rejected = _IDENT[128:]
     getrandbits = random.Random(seed).getrandbits
-    tables: dict[frozenset[int], bytes] = {}
-    memoize = sig.n <= _MEMO_MAX_ATOMS
     pending = b""
     while count:
         # about half the words are accepted; a short block is topped up by
         # the next one, and draws past the last state are never used
         words = min(2 * (count * total - len(pending)) + 64, _BLOCK_WORDS)
         block = getrandbits(32 * words).to_bytes(4 * words, "little")
-        draws = pending + block[3::4].translate(to_rank, rejected)
+        draws = pending + block[3::4].translate(to_rank, _REJECTED)
         stop = min(len(draws) // total, count) * total
-        for start in range(0, stop, total):
-            raw = draws[start:start + total]
-            used = frozenset(raw)
-            table = tables.get(used)
-            if table is None:
-                table = bytes.maketrans(bytes(sorted(used)), _IDENT[:len(used)])
-                if memoize:
-                    tables[used] = table
-            yield tuple(raw.translate(table))
+        yield draws[:stop]
         count -= stop // total
         pending = draws[stop:]
+
+
+def _sampled_byte_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """Each state's distinct ranks, sorted, mapped to 0..k by one translate."""
+    total = sig.num_valuations
+    for draws in _draw_blocks(sig, count, seed):
+        for start in range(0, len(draws), total):
+            raw = draws[start:start + total]
+            used = bytes(sorted(set(raw)))
+            yield tuple(raw.translate(bytes.maketrans(used, _IDENT[:len(used)])))
+
+
+def _compacted_blocks(sig: Signature, count: int, seed: int) -> Iterator[bytes]:
+    """_draw_blocks with every row normalized, a block at a time (n <= 3).
+
+    A state's normalized rank of a world is popcount(used & below(raw)):
+    used is the set of ranks the state uses and below(raw) the set of ranks
+    below the world's raw rank, each one bit per rank in a byte.  Read as
+    one little-endian int, the block's one-hot bytes are folded right by 1,
+    2, 4 bytes up to a row, so the first byte of each row ORs its whole row;
+    every other byte is masked off and the first byte is spread back over
+    its row by the mirrored left folds.
+    """
+    total = sig.num_valuations
+    shifts = [8 << i for i in range(sig.n)]
+    first = b"\xff" + bytes(total - 1)
+    for draws in _draw_blocks(sig, count, seed):
+        size = len(draws)
+        used = int.from_bytes(draws.translate(_TO_BIT), "little")
+        for shift in shifts:
+            used |= used >> shift
+        used &= int.from_bytes(first * (size // total), "little")
+        for shift in shifts:
+            used |= used << shift
+        below = int.from_bytes(draws.translate(_BELOW), "little")
+        yield (used & below).to_bytes(size, "little").translate(_POPCOUNT)
 
 
 @dataclass
 class StateStream:
     """Deterministic, re-iterable sequence of states with generation metadata.
 
-    rank_vectors() yields each state's normalized rank tuple; iterating the
-    stream yields the same states as validated RankedStates, built in
-    __iter__ alone.  Exhaustive streams yield every weak order on the
-    valuations exactly once, ordered by number of levels and then
-    lexicographically on the rank vector, generated as prefix times covering
-    suffix (see the module docstring); the suffix tables live for one level
-    count only, so the stream is never materialized.  Sampled streams are
+    rank_vectors() yields each state's normalized rank tuple; distinct()
+    counts the distinct ones; iterating the stream yields the same states as
+    validated RankedStates, built in __iter__ alone.  Exhaustive streams
+    yield every weak order on the valuations exactly once, ordered by number
+    of levels and then lexicographically on the rank vector, generated as
+    prefix times covering suffix (see the module docstring); the suffix
+    tables live for one level count only, so the stream is never
+    materialized.  Sampled streams are
     reproducible from the seed and draw-exact with Random.randrange.
     Iterating a stream twice yields identical sequences, so consumers may
     partition it into disjoint chunks by position.
@@ -410,6 +454,22 @@ class StateStream:
             assert self.seed is not None
             return _sampled_iter(self.sig, self.count, self.seed)
         raise ValueError(f"unknown mode {self.mode!r}")
+
+    def distinct(self) -> int:
+        """The number of distinct states in the stream.
+
+        Sampled at n <= 3, the compacted blocks are counted as they are:
+        read as one unsigned int per row, a block maps rows one to one onto
+        ints, so no tuple is built per state.
+        """
+        if self.mode == "sampled" and self.sig.n <= _BLOCK_PATH_MAX_ATOMS:
+            assert self.seed is not None
+            row = _ROW_FORMAT[self.sig.num_valuations]
+            seen: set[int] = set()
+            for rows in _compacted_blocks(self.sig, self.count, self.seed):
+                seen.update(memoryview(rows).cast(row))
+            return len(seen)
+        return len(set(self.rank_vectors()))
 
 
 def enumerate_states(sig: Signature) -> StateStream:
@@ -434,9 +494,14 @@ def sample_states(sig: Signature, count: int, seed: int) -> StateStream:
     normalize(sig, [rng.randrange(2**n) for each valuation]) state by state.
     That draw is the top n + 1 bits of one 32-bit generator word, and it is
     accepted iff the word's top bit is 0.  For n <= 7 a rank fits a byte:
-    words are drawn in blocks and their top bytes filtered and compacted as
-    bytes.  For n >= 8 each rank is drawn on its own.  rank_vectors() yields
-    the compacted tuples; iterating the stream wraps each in a validated
+    words are drawn in blocks and their top bytes filtered as bytes.  For
+    n <= 3 each block of states is compacted at once, a normalized rank
+    being popcount(used & below(raw)) over one-hot rank bytes; for 4 <= n <= 7
+    each state is compacted by its own translate.  For n >= 8 each rank is
+    drawn on its own.  The compaction leaves the draws as they are, so every
+    seed names the same states on every path.  rank_vectors() yields the
+    compacted tuples, distinct() counts the distinct ones (from the compacted
+    blocks at n <= 3), and iterating the stream wraps each in a validated
     RankedState.  The seed must be a natural number: Random seeds by
     absolute value, so seed -s would draw the states of seed s.
     """

@@ -225,6 +225,22 @@ def test_level_masks_are_not_retained():
     assert retained < 64 * 1024, retained
 
 
+def test_contiguity_check_keeps_no_table():
+    # each sampled n = 12 state has its own level count; checking that its
+    # ranks cover 0..k-1 must leave nothing behind once the state is dropped
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for s in sample_states(atoms(12), 20, 0):
+            pass
+        del s
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
+
+
 def test_believes_examples():
     g = parse_formula("g", RGS)
     assert believes(normalize(RGS, AFTER_SECOND), g)
@@ -470,6 +486,69 @@ def test_sample_prefix_is_independent_of_count(n):
     full = [s.ranks for s in sample_states(atoms(n), longest, 5)]
     for count in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3, longest - 1):
         assert [s.ranks for s in sample_states(atoms(n), count, 5)] == full[:count]
+
+
+def _sampled_byte_iter_oracle(sig, count, seed):
+    """Sampled rank vectors compacted one state at a time: each state's
+    sorted set of used ranks is mapped onto 0..k-1 by a maketrans table."""
+    total = sig.num_valuations
+    to_rank = bytes(b >> (7 - sig.n) for b in range(256))
+    ident = bytes(range(256))
+    getrandbits = random.Random(seed).getrandbits
+    tables = {}
+    pending = b""
+    while count:
+        words = min(2 * (count * total - len(pending)) + 64, 1 << 14)
+        block = getrandbits(32 * words).to_bytes(4 * words, "little")
+        draws = pending + block[3::4].translate(to_rank, ident[128:])
+        stop = min(len(draws) // total, count) * total
+        for start in range(0, stop, total):
+            raw = draws[start:start + total]
+            used = frozenset(raw)
+            table = tables.get(used)
+            if table is None:
+                table = tables[used] = bytes.maketrans(bytes(sorted(used)), ident[:len(used)])
+            yield tuple(raw.translate(table))
+        count -= stop // total
+        pending = draws[stop:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_compaction_matches_per_state_oracle(n):
+    # counts straddle the refills of the draw buffer
+    sig = atoms(n)
+    per_block = states._BLOCK_WORDS // (2 * sig.num_valuations)
+    for seed in (0, 1, 7, 2**40 + 3):
+        for count in (1, per_block - 1, per_block + 1, 2 * per_block + 3):
+            expected = list(_sampled_byte_iter_oracle(sig, count, seed))
+            assert list(sample_states(sig, count, seed).rank_vectors()) == expected
+            assert sample_states(sig, count, seed).distinct() == len(set(expected))
+
+
+@pytest.mark.parametrize("stream", [
+    *(sample_states(atoms(n), count, seed)
+      for n, count in ((1, 50), (2, 2000), (3, 3000), (4, 500), (5, 200), (6, 50), (7, 20),
+                       (8, 3))
+      for seed in (0, 7)),
+    *(enumerate_states(atoms(n)) for n in (1, 2)),
+], ids=[*(f"sampled-n{n}-seed{seed}" for n in range(1, 9) for seed in (0, 7)),
+        "exhaustive-n1", "exhaustive-n2"])
+def test_distinct_counts_distinct_rank_vectors(stream):
+    assert stream.distinct() == len(set(stream.rank_vectors()))
+
+
+def test_sample_distinct_memory_is_bounded_at_n3():
+    # the compacted blocks are counted as one int per row, with no tuple per
+    # state: 200,000 n = 3 samples hold 154,999 distinct rows
+    stream = sample_states(atoms(3), 200000, 0)
+    tracemalloc.start()
+    try:
+        distinct = stream.distinct()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distinct == 154999
+    assert peak < 12 * 1024 * 1024, peak
 
 
 def test_sample_memory_is_bounded_at_n7():
