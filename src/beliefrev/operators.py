@@ -14,15 +14,20 @@ input mask and full the mask of every valuation.  A transform guards on the
 input and the belief set, then re-ranks whole levels: it builds new level
 masks from the old ones with set operations on the input and on world sets
 derived from the input and the levels alone, and keeps the non-empty ones in
-order.  The operator's RankedState function is _from_levels of its transform
-applied to _level_masks, memoized by (state, input); scans call the transform,
-which level_transform finds by the function (_TRANSFORMS).  No transform
-looks at which valuation sits in a level, so every operator commutes with any
-permutation of the valuations applied to both state and input.
+order.  A built-in operator carries its transform (its transform field), and
+its RankedState function is _from_levels of the transform applied to
+_level_masks, memoized by (state, input).  No transform looks at which
+valuation sits in a level, so every operator commutes with any permutation of
+the valuations applied to both state and input.
 
-Any other fn (a library function, or a wrapper around a built-in) reaches the
-same interface through level_transform's adapter: it rebuilds the state and
-the input, calls fn and reads the outcome's levels.
+An operator without a transform (a library function, or a wrapper around a
+built-in) reaches the same interface through level_transform's adapter: it
+rebuilds the state and the input, calls fn and reads the outcome's levels.
+
+One engine runs every revise/contract sequence: _Run applies each step's
+transform to level masks and holds the rules for continuing from the absurd
+state.  Scans, verdict traces and apply_sequence all read their outcomes from
+it.
 
   natural   [min(a)] + [level - min(a) for each level]: the minimal
             input-worlds move to rank 0, the rest keep their relative
@@ -53,7 +58,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 from .logic import Signature, SignatureMismatchError, WorldSet
-from .states import RankedState, _first_hit, _level_masks, belief_set, uniform_state
+from .states import RankedState, _first_hit, _level_masks, belief_set
 
 _CACHE_SIZE = 65536
 
@@ -218,6 +223,7 @@ class RevisionOperator:
 
     name: str
     fn: Callable[[RankedState, WorldSet], RevisionOutcome] = field(compare=False)
+    transform: LevelTransform | None = field(default=None, compare=False)
 
     def __call__(self, s: RankedState, a: WorldSet) -> RevisionOutcome:
         return self.fn(s, a)
@@ -228,7 +234,7 @@ class RevisionOperator:
         # operator pickles by value, its functions by reference
         if REVISION_OPERATORS.get(self.name) is self:
             return get_revision, (self.name,)
-        return type(self), (self.name, self.fn)
+        return type(self), (self.name, self.fn, self.transform)
 
 
 @dataclass(frozen=True)
@@ -239,6 +245,7 @@ class ContractionOperator:
 
     name: str
     fn: Callable[[RankedState, WorldSet], RankedState] = field(compare=False)
+    transform: LevelTransform | None = field(default=None, compare=False)
 
     def __call__(self, s: RankedState, a: WorldSet) -> RankedState:
         return self.fn(s, a)
@@ -246,7 +253,7 @@ class ContractionOperator:
     def __reduce__(self):
         if CONTRACTION_OPERATORS.get(self.name) is self:
             return get_contraction, (self.name,)
-        return type(self), (self.name, self.fn)
+        return type(self), (self.name, self.fn, self.transform)
 
 
 @dataclass(frozen=True)
@@ -260,15 +267,15 @@ class OperatorPair:
 
 
 REVISION_OPERATORS: dict[str, RevisionOperator] = {
-    "natural": RevisionOperator("natural", natural_revision),
-    "flatten": RevisionOperator("flatten", flatten_revision),
-    "lex": RevisionOperator("lex", lexicographic_revision),
-    "reverse": RevisionOperator("reverse", reverse_revision),
+    "natural": RevisionOperator("natural", natural_revision, _natural),
+    "flatten": RevisionOperator("flatten", flatten_revision, _flatten),
+    "lex": RevisionOperator("lex", lexicographic_revision, _lex),
+    "reverse": RevisionOperator("reverse", reverse_revision, _reverse),
 }
 
 CONTRACTION_OPERATORS: dict[str, ContractionOperator] = {
-    "natural-con": ContractionOperator("natural-con", natural_contraction),
-    "drastic": ContractionOperator("drastic", drastic_withdrawal),
+    "natural-con": ContractionOperator("natural-con", natural_contraction, _natural_con),
+    "drastic": ContractionOperator("drastic", drastic_withdrawal, _drastic),
 }
 
 
@@ -292,28 +299,15 @@ def make_pair(revision: str = "natural", contraction: str = "natural-con") -> Op
     return OperatorPair(get_revision(revision), get_contraction(contraction))
 
 
-# Each built-in operator function's level transform, the body it applies.
-_TRANSFORMS: dict[Callable, LevelTransform] = {
-    natural_revision: _natural,
-    flatten_revision: _flatten,
-    lexicographic_revision: _lex,
-    reverse_revision: _reverse,
-    natural_contraction: _natural_con,
-    drastic_withdrawal: _drastic,
-}
-
-
 def level_transform(
     op: RevisionOperator | ContractionOperator, sig: Signature
 ) -> LevelTransform:
-    """op as a level transform over sig: the transform of a built-in fn, or
-    else the adapter that calls op.fn on the state and the input the masks
-    stand for and returns the outcome's level masks (None for ABSURD)."""
+    """op as a level transform over sig: its own transform, or else the
+    adapter that calls op.fn on the state and the input the masks stand for
+    and returns the outcome's level masks (None for ABSURD)."""
+    if op.transform is not None:
+        return op.transform
     fn = op.fn
-    try:
-        return _TRANSFORMS[fn]
-    except (KeyError, TypeError):  # TypeError: fn is not hashable
-        pass
 
     def adapted(levels: Levels, a: int, full: int) -> Levels | None:
         out = fn(_from_levels(sig, levels), WorldSet(sig, a))
@@ -322,16 +316,87 @@ def level_transform(
     return adapted
 
 
+def _transforms(pair: OperatorPair, sig: Signature) -> dict[str, LevelTransform]:
+    """The pair's level transforms over sig, by step kind."""
+    return {"revise": level_transform(pair.revision, sig),
+            "contract": level_transform(pair.contraction, sig)}
+
+
+# The state of an outcome's levels: the outcomes that traces read recur as the
+# operators' own memoized results do.
+_state_of = lru_cache(maxsize=4096)(_from_levels)
+
+_UNSET = object()
+
+
+class _Run:
+    """A state as sequences and rules read it, with the pair's level
+    transforms (by step kind, see _transforms); the one engine that runs a
+    revise/contract sequence.
+
+    levels is the state's level masks, base its belief set and full the mask
+    of every valuation.  after(chain) is the levels after a chain of steps
+    from the state, None for ABSURD; a step is (kind, mask) or (kind, mask,
+    trace label).  A chain continues from ABSURD only by revising by a
+    satisfiable input, which restarts from the uniform state; contracting
+    ABSURD, or revising it by the empty input, raises
+    UnsupportedSequenceError.  Every chain asked for is memoized, and a chain
+    one step longer than a memoized one runs only its last step, so the rules
+    of a group share each outcome of the instance; clear the memo before the
+    next instance.  A step that carries a label is a memo key of its own,
+    decided afresh.
+    """
+
+    __slots__ = ("sig", "levels", "base", "full", "transforms", "memo")
+
+    def __init__(self, sig: Signature, levels: Levels, transforms: dict):
+        self.sig = sig
+        self.levels = levels
+        self.base = levels[0]
+        self.full = sig.full_mask
+        self.transforms = transforms
+        self.memo: dict = {}
+
+    def after(self, chain: tuple[tuple, ...]) -> Levels | None:
+        memo = self.memo
+        out = memo.get(chain, _UNSET)
+        if out is _UNSET:
+            out = memo.get(chain[:-1], _UNSET) if len(chain) > 1 else _UNSET
+            if out is _UNSET:
+                out, steps = self.levels, chain
+            else:
+                steps = chain[-1:]
+            full, transforms = self.full, self.transforms
+            for step in steps:
+                kind, a = step[0], step[1]
+                if out is None:
+                    if kind == "contract":
+                        raise UnsupportedSequenceError("cannot contract the absurd state")
+                    if not a:
+                        raise UnsupportedSequenceError(
+                            "cannot revise the absurd state by an unsatisfiable input")
+                    out = (full,)
+                out = transforms[kind](out, a, full)
+            memo[chain] = out
+        return out
+
+    def outcomes(self, chain: tuple[tuple, ...]) -> list[RevisionOutcome]:
+        """The outcome after each step of chain: a state, or ABSURD.  A step
+        runs on a run of the last state before it (this one at first), so
+        memo keys stay short and a long chain costs linear time."""
+        run, steps, outcomes = self, (), []
+        for step in chain:
+            steps += (step,)
+            levels = run.after(steps)
+            if levels is None:
+                outcomes.append(ABSURD)
+            else:
+                outcomes.append(_state_of(self.sig, levels))
+                run, steps = _Run(self.sig, levels, self.transforms), ()
+        return outcomes
+
+
 Step = tuple[str, WorldSet]  # ("revise" | "contract", input)
-
-
-def _restart(kind: str, a: int) -> None:
-    """Let a step follow the absurd state, which restarts from the uniform
-    state, only if it revises by a satisfiable input a (a mask)."""
-    if kind == "contract":
-        raise UnsupportedSequenceError("cannot contract the absurd state")
-    if not a:
-        raise UnsupportedSequenceError("cannot revise the absurd state by an unsatisfiable input")
 
 
 def apply_sequence(
@@ -339,22 +404,16 @@ def apply_sequence(
 ) -> list[RevisionOutcome]:
     """Run a revise/contract sequence, returning the full trace.
 
-    The trace includes the initial state.  Revising the absurd state by a
-    satisfiable input restarts from the uniform state; contracting it, or
-    revising it by the empty WorldSet again, is unsupported (_restart).
+    The trace includes the initial state.  Every step's input must be over
+    the state's signature.  The outcomes are read from one _Run, which holds
+    the rules for continuing from the absurd state.
     """
-    trace: list[RevisionOutcome] = [s]
-    current: RevisionOutcome = s
+    chain = []
     for kind, a in steps:
-        if kind == "revise":
-            op = ops.revision
-        elif kind == "contract":
-            op = ops.contraction
-        else:
+        if kind not in ("revise", "contract"):
             raise ValueError(f"unknown step kind {kind!r}")
-        if current is ABSURD:
-            _restart(kind, a.mask)
-            current = uniform_state(a.sig)
-        current = op(current, a)
-        trace.append(current)
-    return trace
+        if a.sig is not s.sig and a.sig != s.sig:
+            raise SignatureMismatchError(f"signature mismatch: {s.sig.atoms} vs {a.sig.atoms}")
+        chain.append((kind, a.mask))
+    run = _Run(s.sig, _level_masks(s), _transforms(ops, s.sig))
+    return [s, *run.outcomes(tuple(chain))]

@@ -16,7 +16,8 @@ false there, so "holds" never silently means "antecedent false".
 
 Every postulate is a registry row, and rows of one shape share a rule.  A
 rule decides one instance on ints: the state's level masks, the input masks
-and the level transforms of the pair's operators (see operators).  It returns
+and the level transforms of the pair's operators, run by operators._Run, the
+one engine that also runs apply_sequence (see operators).  It returns
 the status, the note, the masks the note names and the chains of steps it
 took; the row's check, which returns a Verdict, renders the note and turns
 the outcomes of the chains into the trace's states (Postulate.check), so each
@@ -95,14 +96,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
-from .operators import (
-    ABSURD,
-    OperatorPair,
-    RevisionOutcome,
-    _from_levels,
-    _restart,
-    level_transform,
-)
+from .operators import OperatorPair, RevisionOutcome, _Run, _transforms
 from .states import (
     RankedState,
     StateStream,
@@ -185,58 +179,6 @@ def _bits(ws: WorldSet) -> str:
     return _mask_bits(ws.sig, ws.mask)
 
 
-_UNSET = object()
-
-
-class _Run:
-    """A state as the rules read it, with the pair's level transforms (by
-    step kind).
-
-    levels is the state's level masks, base its belief set and full the mask
-    of every valuation.  after(chain) is the levels after a chain of steps
-    from the state, None for ABSURD; a step is (kind, mask) or (kind, mask,
-    trace label).  A chain continues from ABSURD by apply_sequence's rules.
-    Every chain asked for is memoized, and a chain one step longer than a
-    memoized one runs only its last step, so the rules of a group share each
-    outcome of the instance; clear the memo before the next instance.  A
-    step that carries a label is a memo key of its own, decided afresh.
-    """
-
-    __slots__ = ("sig", "levels", "base", "full", "transforms", "memo")
-
-    def __init__(self, sig: Signature, levels: tuple[int, ...], transforms: dict):
-        self.sig = sig
-        self.levels = levels
-        self.base = levels[0]
-        self.full = sig.full_mask
-        self.transforms = transforms
-        self.memo: dict = {}
-
-    def after(self, chain: tuple[tuple, ...]) -> tuple[int, ...] | None:
-        memo = self.memo
-        out = memo.get(chain, _UNSET)
-        if out is _UNSET:
-            out = memo.get(chain[:-1], _UNSET) if len(chain) > 1 else _UNSET
-            if out is _UNSET:
-                out, steps = self.levels, chain
-            else:
-                steps = chain[-1:]
-            full, transforms = self.full, self.transforms
-            for step in steps:
-                kind, a = step[0], step[1]
-                if out is None:
-                    _restart(kind, a)
-                    out = (full,)
-                out = transforms[kind](out, a, full)
-            memo[chain] = out
-        return out
-
-
-def _transforms(pair: OperatorPair, sig: Signature) -> dict:
-    return {"revise": level_transform(pair.revision, sig),
-            "contract": level_transform(pair.contraction, sig)}
-
-
 def _beliefs(levels: tuple[int, ...] | None) -> int:
     """The belief set of an outcome's levels; ABSURD believes everything."""
     return 0 if levels is None else levels[0]
@@ -247,25 +189,19 @@ def _rebuilt(sig: Signature, a: int) -> int:
     return models(dnf_of(WorldSet(sig, a), sig), sig).mask
 
 
-# The state of an outcome's levels, for traces: the outcomes of the instances
-# checked one by one recur as the operators' own memoized results do.
-_state_of = lru_cache(maxsize=4096)(_from_levels)
-
-
 def _trace(run: _Run, s: RankedState, chains) -> tuple:
     """The trace of a rule's chains: the start state, then one line per step
-    of each chain, its outcome read from the run's memo.  A step may carry a
-    label template in place of "{kind} {input}"."""
+    of each chain, its outcome read from the run.  A step may carry a label
+    template in place of "{kind} {input}"."""
     if not chains:
         return ()
     sig = run.sig
     lines = [("start", s)]
     for chain in chains:
-        for i, step in enumerate(chain, 1):
+        for step, out in zip(chain, run.outcomes(chain)):
             kind, bits = step[0], _mask_bits(sig, step[1])
             label = f"{kind} {bits}" if len(step) == 2 else step[2].format(kind=kind, input=bits)
-            levels = run.after(chain[:i])
-            lines.append((label, ABSURD if levels is None else _state_of(sig, levels)))
+            lines.append((label, out))
     return tuple(lines)
 
 
@@ -849,6 +785,8 @@ def _scan(
     arities = {pid: _postulate(pid).arity for pid in pids}
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not arities:
+        return {}
     jobs = min(jobs, os.cpu_count() or 1)
     groups = [tuple(pid for pid in arities if arities[pid] == arity)
               for arity in dict.fromkeys(arities.values())]

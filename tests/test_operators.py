@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beliefrev.logic import Signature, WorldSet, models, parse_formula
+from beliefrev.logic import Signature, SignatureMismatchError, WorldSet, models, parse_formula
 from beliefrev.operators import (
     ABSURD,
     CONTRACTION_OPERATORS,
@@ -245,6 +245,40 @@ def test_sequence_absurd_contraction_rejected(start):
         apply_sequence(pair, start, [("revise", empty), ("revise", empty)])
     with pytest.raises(ValueError):
         apply_sequence(pair, start, [("mutate", empty)])
+
+
+def test_long_sequence_matches_the_step_by_step_fold():
+    # oracle: the operators' own functions applied one step at a time, with
+    # the restart from ABSURD to the uniform state
+    rng = random.Random(11)
+    pair = make_pair("lex", "drastic")
+    start = list(enumerate_states(PQ))[40]
+    steps = []
+    for _ in range(300):
+        if rng.random() < 0.1:
+            steps.append(("revise", WorldSet.empty(PQ)))
+            steps.append(("revise", WorldSet(PQ, rng.randrange(1, 16))))
+        elif rng.random() < 0.5:
+            steps.append(("revise", WorldSet(PQ, rng.randrange(1, 16))))
+        else:
+            steps.append(("contract", WorldSet(PQ, rng.randrange(16))))
+    expected, current = [start], start
+    for kind, a in steps:
+        if current is ABSURD:
+            current = uniform_state(PQ)
+        current = (pair.revision if kind == "revise" else pair.contraction)(current, a)
+        expected.append(current)
+    assert ABSURD in expected
+    assert apply_sequence(pair, start, steps) == expected
+
+
+def test_sequence_inputs_share_the_start_signature():
+    # the restart from ABSURD must not adopt another signature's uniform state
+    start = uniform_state(PQ)
+    for steps in ([("revise", WorldSet.full(RGS))],
+                  [("revise", WorldSet.empty(PQ)), ("revise", WorldSet.full(RGS))]):
+        with pytest.raises(SignatureMismatchError):
+            apply_sequence(make_pair(), start, steps)
 
 
 # --- neutrality: the contract that lets scans decide one instance per orbit -------------

@@ -407,6 +407,12 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, recorded_pools):
     assert clamped.results == run_suite(NATURAL, PQ, ["R7"]).results
 
 
+def test_empty_scan_starts_no_pool(monkeypatch, recorded_pools):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    assert run_suite(NATURAL, PQ, [], jobs=2).results == ()
+    assert recorded_pools == []
+
+
 @pytest.mark.parametrize("argv", [
     ["theorem1", "--atoms", "p"],
     ["corollary1", "--atoms", "p"],

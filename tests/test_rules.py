@@ -3,16 +3,18 @@
 A scan decides each new orbit by the rows' rules (status only, one shared
 run of operator outcomes per instance) and builds a Verdict through
 check_instance only where it reports one.  These tests pin the two forms to
-each other, pin the adapter that lets any operator's fn reach the rules, and
-pin the adapter to apply_sequence's rules for the absurd state.
+each other, and pin the adapter that lets an operator without a transform
+reach the rules and apply_sequence, which run on one engine (_Run), the
+absurd-state rules included.
 """
 
+import dataclasses
 import pickle
 from itertools import islice
 
 import pytest
 
-from beliefrev import operators, postulates
+from beliefrev import postulates
 from beliefrev.logic import Signature, WorldSet
 from beliefrev.operators import (
     ABSURD,
@@ -21,6 +23,9 @@ from beliefrev.operators import (
     OperatorPair,
     RevisionOperator,
     UnsupportedSequenceError,
+    _Run,
+    _transforms,
+    apply_sequence,
     get_contraction,
     level_transform,
     make_pair,
@@ -46,12 +51,12 @@ def _orbits(arity, sig, states, limit=None):
 
 def _assert_rules_match_verdicts(pair, sig, arity, instances):
     rows = [post for post in POSTULATES.values() if post.arity == arity]
-    transforms = postulates._transforms(pair, sig)
+    transforms = _transforms(pair, sig)
     decided = 0
     for s, a, b in instances:
         # every row of the arity decides the instance on one shared run, as a
         # scan's group does, and each status is compared with a fresh verdict
-        run = postulates._Run(sig, _level_masks(s), transforms)
+        run = _Run(sig, _level_masks(s), transforms)
         inst = Instance(s, WorldSet(sig, a), None if b is None else WorldSet(sig, b))
         for post in rows:
             status = post.rule(run, a, b)[0]
@@ -98,16 +103,32 @@ def test_closure_wrapped_operators_give_the_registry_suite(pair):
                 assert adapter(levels, mask, PQ.full_mask) == transform(
                     levels, mask, PQ.full_mask), (op.name, s.ranks, mask)
     assert run_suite(wrapped, PQ) == run_suite(pair, PQ)
+    # apply_sequence runs the adapter on the same engine: the last chain goes
+    # through ABSURD and restarts from the uniform state
+    p, q, empty = WorldSet(PQ, 0b0011), WorldSet(PQ, 0b0101), WorldSet.empty(PQ)
+    chains = ([("revise", p), ("contract", p)],
+              [("contract", q), ("revise", p), ("revise", q)],
+              [("revise", empty), ("revise", q), ("contract", q)])
+    for s in enumerate_states(PQ):
+        for steps in chains:
+            assert apply_sequence(wrapped, s, steps) == apply_sequence(pair, s, steps), (
+                pair.name, s.ranks, steps)
 
 
 def test_a_built_in_fn_under_another_name_keeps_its_transform():
     for op in (*REVISION_OPERATORS.values(), *CONTRACTION_OPERATORS.values()):
-        renamed = type(op)("mine", op.fn)
-        assert level_transform(renamed, PQ) is level_transform(op, PQ)
-        assert level_transform(renamed, PQ) is operators._TRANSFORMS[op.fn]
-        # pickled by value, as its name and fn
-        assert renamed.__reduce__() == (type(op), ("mine", op.fn))
-        assert pickle.loads(pickle.dumps(renamed)).fn is op.fn
+        assert op.transform is not None
+        assert level_transform(op, PQ) is op.transform
+        # a renamed copy keeps every field, and pickles by value with them
+        renamed = dataclasses.replace(op, name="mine")
+        assert level_transform(renamed, PQ) is op.transform
+        assert renamed.__reduce__() == (type(op), ("mine", op.fn, op.transform))
+        loaded = pickle.loads(pickle.dumps(renamed))
+        assert (loaded.fn, loaded.transform) == (op.fn, op.transform)
+        # the same fn without a transform takes the adapter
+        bare = type(op)("mine", op.fn)
+        assert bare.transform is None
+        assert level_transform(bare, PQ) is not op.transform
 
 
 def _always_absurd(s, a):
