@@ -16,13 +16,23 @@ masks from the old ones with set operations on the input and on world sets
 derived from the input and the levels alone, and keeps the non-empty ones in
 order.  A built-in operator carries its transform (its transform field), and
 its RankedState function is _from_levels of the transform applied to
-_level_masks, memoized by (state, input).  No transform looks at which
-valuation sits in a level, so every operator commutes with any permutation of
-the valuations applied to both state and input.
+_level_masks, memoized by (state, input).
+
+A transform must be set-algebraic: it uses set operations on the levels, the
+input and full, and tests sets only for emptiness (as _first_hit does).  It
+never reads a set's size, a popcount, or which valuation sits in a level.
+Then the non-empty cells of the outcome's levels, cut by the input classes,
+follow from the non-empty cells of the old levels, so postulate scans decide
+one instance per cell pattern (see postulates).  Every built-in transform is
+set-algebraic.
 
 An operator without a transform (a library function, or a wrapper around a
 built-in) reaches the same interface through level_transform's adapter: it
 rebuilds the state and the input, calls fn and reads the outcome's levels.
+Its fn keeps the weaker world-neutral contract: it commutes with every
+permutation of the valuations applied to both state and input.  It may read
+set sizes, so scans of a pair with such an operator decide one instance per
+orbit.
 
 One engine runs every revise/contract sequence: _Run applies each step's
 transform to level masks and holds the rules for continuing from the absurd
@@ -219,7 +229,9 @@ class RevisionOperator:
     """A named revision function.  It must be world-neutral:
     fn(pi.s, pi.a) == pi.fn(s, a) for every permutation pi of the valuations,
     with ABSURD mapped to ABSURD.  Postulate scans rely on it to decide one
-    instance per symmetry class; every built-in operator complies."""
+    instance per orbit.  A transform, when set, must be set-algebraic (see
+    the module docstring); scans then decide one instance per cell pattern.
+    Every built-in operator complies with both."""
 
     name: str
     fn: Callable[[RankedState, WorldSet], RevisionOutcome] = field(compare=False)
@@ -241,7 +253,7 @@ class RevisionOperator:
 class ContractionOperator:
     """A named contraction function, world-neutral in the same sense as
     RevisionOperator: fn(pi.s, pi.a) == pi.fn(s, a) for every permutation pi
-    of the valuations."""
+    of the valuations.  A transform, when set, must be set-algebraic."""
 
     name: str
     fn: Callable[[RankedState, WorldSet], RankedState] = field(compare=False)

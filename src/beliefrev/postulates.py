@@ -45,32 +45,39 @@ Inputs range over the non-empty subsets of valuations (15 at n = 2), standing
 for formula equivalence classes; the unsatisfiable input is exercised only by
 dedicated PR6 instance checks.
 
-Every postulate and operator is world-neutral (see Postulate), so a verdict's
-status depends only on the instance's orbit under permutations of the
-valuations.  A scan therefore decides each orbit once.  It splits its
-postulates into groups of one arity and walks each group's instance stream
-once, keying every instance by its orbit (per level, the number of worlds in
-each input class).  A state's keys come from tables of partial sums indexed by
-input mask, built a block of masks at a time by list comprehensions, and only
-as far as the walk reaches.  At the first instance of an orbit it calls every
+Cut each level of an instance into cells by input class: in a or not at arity
+2; in a and b, in a only, in b only, or in neither at arity 3.  Every set a
+rule reads is a union of cells, and a rule tests sets only for emptiness (see
+Postulate).  When both operators of the pair carry a transform, which is
+set-algebraic (see operators), a verdict's status therefore depends only on
+the instance's cell pattern: per level, which cells are non-empty.  An
+operator without a transform is only world-neutral and may read cell sizes, so
+for such a pair the status depends on the instance's orbit under permutations
+of the valuations: per level, the number of worlds in each cell.  A scan
+decides each pattern once, or each orbit once for a pair without both
+transforms.  It splits its postulates into groups of one arity and walks each
+group's instance stream once, keying every instance by its pattern
+(_pattern_instances) or its orbit (_keyed_instances).  A state's keys come
+from tables indexed by input mask, built a block of masks at a time and only
+as far as the walk reaches.  At the first instance of a key it calls every
 member's rule for its status alone; the members share one run of operator
 outcomes per instance (_Run), so a chain that several rows take, such as
 revise-then-contract, is computed once.  Later instances are counted from a
 memo mapping the key to its row, the members' statuses, interned once per
-distinct row.  The memo holds at most _ORBIT_MEMO_LIMIT keys and is cleared
-when full.  Each instance adds one to its row's tally, and the walk returns
-its table: the distinct rows in order of first occurrence, each with its tally
-and first instance, on masks.  _fold reads a claim from the table by its
-status on a row: its counts are sums of tallies, and its first failing
-instance is the first instance of the first row where it fails.  A registry
-member's status is its entry in the row; a harness claim relating postulates
-is a function of their entries.  Only a reported counterexample becomes an
-Instance and gets a Verdict (a member's through check_instance), so counts,
-counterexamples and traces are those of checking every instance.  At n = 2 a
-full suite walks its 162,000 instances in two streams (1,125 arity-2 and
-16,875 arity-3 instances) and makes 8,776 decisions: 74 orbits per arity-2
-postulate and 875 per arity-3 one.  A search is a group of one that stops at
-its first failing row.
+distinct row.  The memo holds at most _MEMO_LIMIT keys and is cleared when
+full.  Each instance adds one to its row's tally, and the walk returns its
+table: the distinct rows in order of first occurrence, each with its tally and
+first instance, on masks.  _fold reads a claim from the table by its status on
+a row: its counts are sums of tallies, and its first failing instance is the
+first instance of the first row where it fails.  A registry member's status is
+its entry in the row; a harness claim relating postulates is a function of
+their entries.  Only a reported counterexample becomes an Instance and gets a
+Verdict (a member's through check_instance), so counts, counterexamples and
+traces are those of checking every instance.  At n = 2 a full suite walks its
+162,000 instances in two streams (1,125 arity-2 and 16,875 arity-3 instances).
+For a registry pair it makes 6,360 decisions: 44 patterns per arity-2
+postulate and 663 per arity-3 one.  Keyed by orbit it would make 8,776: 74 and
+875.  A search is a group of one that stops at its first failing row.
 
 A scan maps _scan_group over (group, chunk) tasks and concatenates each
 group's tables in chunk order: at jobs = 1 one chunk, the stream itself, under
@@ -112,9 +119,10 @@ VACUOUS = "vacuous"
 
 MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 
-# Entries of one scan's orbit memo before it is cleared: every orbit at n = 2
-# (875 at arity 3) and every arity-2 orbit at n = 3 (11,016) fit.
-_ORBIT_MEMO_LIMIT = 1 << 14
+# Entries of one scan's memo before it is cleared.  Every key at n = 2 fits (663
+# arity-3 patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3
+# (1,672 patterns, 11,016 orbits).
+_MEMO_LIMIT = 1 << 14
 
 # Bits of one block of a state's key table, 128 KiB: at n = 16, where a key can
 # be over a megabit wide, a block holds one or a few masks instead of 256.
@@ -439,16 +447,20 @@ class Postulate:
     """A registry row.  rule(run, a, b) decides one instance on level masks
     and input masks (see _Run) and returns (status, note, masks, chains);
     check(pair, state, a, b) decides it from the rule and returns its
-    Verdict.  Scans call the rule at each new orbit and check only where a
-    verdict is reported.  Scans take registry rows only; a harness claim is
-    a status function over their rows (_fold).
+    Verdict.  Scans call the rule at each new cell pattern (or orbit, see
+    the module docstring) and check only where a verdict is reported.  Scans
+    take registry rows only; a harness claim is a status function over their
+    rows (_fold).
 
-    A check must be world-neutral: applying one permutation of the
-    valuations to the state and the inputs must not change the verdict's
-    status, given that the pair's operators are neutral too.  Scans decide
-    one instance per orbit and count the rest of the orbit from it.  Every
-    registry row reads only ranks, set membership and set relations, so all
-    of them comply.
+    A rule must read the level masks and the input masks only through set
+    operations, emptiness tests and _first_hit, never through a set's size.
+    Its status is then a function of the instance's cell pattern whenever
+    the pair's transforms are set-algebraic, so scans decide one instance
+    per pattern and count the rest of the pattern from it.  With an operator
+    that has no transform the status is still world-neutral: one permutation
+    of the valuations applied to the state and the inputs does not change
+    it, and scans decide one instance per orbit.  Every registry row
+    complies.
     """
 
     pid: str
@@ -673,10 +685,124 @@ def _keyed_instances(
                 yield key_a + by_b[b] + by_ab[a & b], s, a, b
 
 
+def _split_cells(ranks: Sequence[int]) -> list[int]:
+    """For each mask over the worlds of ranks, in mask order, the arity-2
+    cells it makes non-empty: the OR over those worlds of 2 << (rank * 2)
+    for a world in the mask and 1 << (rank * 2) for one outside it.  Built
+    by doubling over the worlds."""
+    table = [0]
+    for rank in ranks:
+        outside = 1 << rank * 2
+        inside = outside << 1
+        table = [q | outside for q in table] + [q | inside for q in table]
+    return table
+
+
+def _meets(ranks: Sequence[int], cells: int) -> list[int]:
+    """For each mask over the worlds of ranks, in mask order, the levels it
+    meets: the OR of 1 << (rank * cells) over its worlds."""
+    table = [0]
+    for rank in ranks:
+        bit = 1 << rank * cells
+        table += [q | bit for q in table]
+    return table
+
+
+def _high_cells(ranks: tuple[int, ...], cells: int, low_worlds: int) -> Iterator[tuple[int, int]]:
+    """Per block of 2**low_worlds masks, in mask order: the levels that the
+    high worlds inside the block's high part meet and the levels that the
+    high worlds outside it meet, each as in _meets.  Both follow per-level
+    counts, updated by the high worlds that change from one block to the
+    next, so a block costs its changes, not its levels."""
+    high = ranks[low_worlds:]
+    if not high:
+        yield 0, 0
+        return
+    total = [0] * (max(ranks) + 1)  # per level, its high worlds
+    for rank in high:
+        total[rank] += 1
+    one = format(1, f"0{cells}b")
+    hi_out = int("".join(one if c else "0" * cells for c in reversed(total)), 2)
+    yield 0, hi_out
+    inside = [0] * len(total)  # per level, its high worlds inside the high part
+    hi_in = 0
+    for j in range(1, 1 << len(high)):
+        t = (j & -j).bit_length() - 1
+        for rank in high[:t]:  # they leave the high part
+            inside[rank] -= 1
+            if not inside[rank]:
+                hi_in ^= 1 << rank * cells
+            if inside[rank] == total[rank] - 1:
+                hi_out ^= 1 << rank * cells
+        rank = high[t]  # it enters
+        inside[rank] += 1
+        if inside[rank] == 1:
+            hi_in ^= 1 << rank * cells
+        if inside[rank] == total[rank]:
+            hi_out ^= 1 << rank * cells
+        yield hi_in, hi_out
+
+
+def _pattern_instances(
+    arity: int, sig: Signature, states: Iterable[RankedState]
+) -> Iterator[tuple[int, RankedState, int, int | None]]:
+    """(pattern key, state, a, b) for every instance, in the order of
+    _keyed_instances.
+
+    The key has one bit per input cell of each level, set when the cell is
+    non-empty: bits 1 and 0 of the level's field for a and not a at arity 2;
+    bits 3 to 0 for a and b, a but not b, b but not a, and neither at arity
+    3.  No level is empty, so the key also fixes the number of levels, and
+    two instances share a key exactly when they have the same cell pattern.
+    A block of 2**low_worlds masks (256, or fewer where keys are wide) ORs a
+    table over its low worlds with the cells of its high worlds
+    (_high_cells), so a block is built only when the walk reaches it.  At
+    arity 2 the low table is itself the OR of two halves' tables, read in
+    nested loops.
+    """
+    cells = 1 << (arity - 1)
+    inputs = range(1, sig.full_mask + 1)
+    for s in states:
+        ranks = s.ranks
+        fit = (_KEY_BLOCK_BITS // (cells * (max(ranks) + 1))).bit_length() - 1
+        low_worlds = max(0, min(8, len(ranks), fit))
+        blocks = _high_cells(ranks, cells, low_worlds)
+        if arity == 2:
+            half = low_worlds >> 1
+            lo, mid = _split_cells(ranks[:half]), _split_cells(ranks[half:low_worlds])
+            a, row = 1, lo[1:]  # the empty input is skipped
+            for hi_in, hi_out in blocks:
+                block = hi_in << 1 | hi_out
+                for m in mid:
+                    m |= block
+                    for q in row:
+                        yield m | q, s, a, None
+                        a += 1
+                    row = lo
+            continue
+        # by mask, the levels it meets shifted to the cells a & b, a - b and
+        # b - a, and the levels its complement meets (the cell "neither")
+        low = _meets(ranks[:low_worlds], cells)
+        low_out = low[::-1]
+        in_ab, in_a, in_b, out = [], [], [], []
+        for a in inputs:
+            for b in inputs:
+                ab, either = a & b, a | b
+                while either >= len(out):
+                    hi_in, hi_out = next(blocks)
+                    inside = [q | hi_in for q in low]
+                    in_ab += [q << 3 for q in inside]
+                    in_a += [q << 2 for q in inside]
+                    in_b += [q << 1 for q in inside]
+                    out += [q | hi_out for q in low_out]
+                yield in_ab[ab] | in_a[a ^ ab] | in_b[b ^ ab] | out[either], s, a, b
+
+
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
     """Deterministic instance stream: states in order, inputs in mask order."""
-    keyed = _keyed_instances(_postulate(pid).arity, sig, states)
-    return (_instance(s, a, b) for _, s, a, b in keyed)
+    inputs = range(1, sig.full_mask + 1)
+    seconds = (None,) if _postulate(pid).arity == 2 else inputs
+    return (_instance(s, a, b) for s in states for a in inputs for b in seconds)
 
 
 def _instance(s: RankedState, a: int, b: int | None) -> Instance:
@@ -699,7 +825,7 @@ def _state_stream(
     raise ValueError(f"unknown mode {mode!r} (expected 'exhaustive' or 'sample')")
 
 
-# A row of a scan's table: its group's statuses by pid at some orbits, the
+# A row of a scan's table: its group's statuses by pid at some keys, the
 # number of instances with them, and the first of those, (state, a, b) on masks.
 Row = tuple[dict[str, str], int, tuple[RankedState, int, int | None]]
 
@@ -718,16 +844,20 @@ def _scan_group(
     search is a group of one)."""
     transforms = _transforms(pair, sig)
     rules = [POSTULATES[pid].rule for pid in group]
+    # a status reads only which cells are empty when both transforms are
+    # set-algebraic; an operator without one may read cell sizes
+    set_algebraic = pair.revision.transform is not None and pair.contraction.transform is not None
+    walk = _pattern_instances if set_algebraic else _keyed_instances
     # each distinct row is interned with an index, and the memo and the tally
     # refer to rows by that index (a tuple does not cache its hash, so keying
     # the tally by the row itself would rehash it at every instance)
     rows: dict[tuple[str, ...], int] = {}
-    memo: dict[int, int] = {}  # orbit key -> row index
+    memo: dict[int, int] = {}  # pattern or orbit key -> row index
     tally: list[int] = []  # row index -> instances
     firsts: list[tuple] = []  # row index -> its first instance
     stop = False
     state = run = None
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states):
+    for key, s, a, b in walk(POSTULATES[group[0]].arity, sig, states):
         i = memo.get(key)
         if i is None:
             # the members share one run, so the outcomes of each instance
@@ -737,7 +867,7 @@ def _scan_group(
             else:
                 run.memo.clear()
             # a plain loop: before Python 3.12 a comprehension is a function
-            # call, paid here once per orbit
+            # call, paid here once per key
             statuses = []
             for rule in rules:
                 statuses.append(rule(run, a, b)[0])
@@ -747,7 +877,7 @@ def _scan_group(
                 tally.append(0)
                 firsts.append((s, a, b))
                 stop = stop_at_first and FAILS in row
-            if len(memo) >= _ORBIT_MEMO_LIMIT:
+            if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             memo[key] = i
         tally[i] += 1

@@ -44,7 +44,14 @@ from beliefrev.postulates import (
     run_suite,
     search_counterexample,
 )
-from beliefrev.states import belief_set, enumerate_states, min_worlds, normalize, sample_states
+from beliefrev.states import (
+    _level_masks,
+    belief_set,
+    enumerate_states,
+    min_worlds,
+    normalize,
+    sample_states,
+)
 from beliefrev.theorems import verify_hansson
 
 P = Signature(("p",))
@@ -532,7 +539,7 @@ def test_instance_level_observation_implications():
                 assert r1 == HOLDS
 
 
-# --- the orbit memo against deciding every instance -------------------------------
+# --- the scan memo against deciding every instance --------------------------------
 
 
 def _decide_every_instance(pid, pair, instances, verdict_of) -> PostulateResult:
@@ -630,22 +637,39 @@ def test_memoized_derived_claims_match_a_direct_loop(pair):
             assert scanned == direct, (sig.n, name)
 
 
+def _closure_wrapped(pair):
+    """pair with each operator rebuilt as type(op)(name, fn) around a closure,
+    as the benchmark's tracer does: no transform, so its scans key by orbit."""
+    def wrapped(op):
+        def fn(s, a):
+            return op.fn(s, a)
+        return type(op)(op.name, fn)
+    return OperatorPair(wrapped(pair.revision), wrapped(pair.contraction))
+
+
+REVERSE_DRASTIC = make_pair("reverse", "drastic")
+
+
 def test_orbit_memo_eviction_keeps_results(monkeypatch):
-    pair = make_pair("reverse", "drastic")
-    uncapped = run_suite(pair, PQ).results
-    monkeypatch.setattr(postulates, "_ORBIT_MEMO_LIMIT", 8)
-    assert run_suite(pair, PQ).results == uncapped
+    # pattern keys for the registry pair, orbit keys for its wrapped twin
+    for pair in (REVERSE_DRASTIC, _closure_wrapped(REVERSE_DRASTIC)):
+        uncapped = run_suite(pair, PQ).results
+        with monkeypatch.context() as patched:
+            patched.setattr(postulates, "_MEMO_LIMIT", 8)
+            assert run_suite(pair, PQ).results == uncapped
 
 
 def test_orbit_memo_memory_is_bounded():
-    # three sampled n=3 states hold 61,043 C2 orbits, more than the memo keeps
-    tracemalloc.start()
-    try:
-        run_suite(NATURAL, RGS, ["C2"], mode="sample", samples=3, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20, peak
+    # three sampled n=3 states hold 54,887 C2 patterns and 61,043 C2 orbits,
+    # more than the memo keeps of either
+    for pair in (NATURAL, _closure_wrapped(NATURAL)):
+        tracemalloc.start()
+        try:
+            run_suite(pair, RGS, ["C2"], mode="sample", samples=3, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, (pair.name, peak)
 
 
 # --- one walk per arity group against one scan per postulate ----------------------
@@ -657,7 +681,7 @@ def test_grouped_suite_matches_singleton_scans(monkeypatch, pair):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     grouped = {"jobs=1": run_suite(pair, PQ).results, "jobs=2": run_suite(pair, PQ, jobs=2).results}
     # at 8 keys the memo is cleared many times inside each group's walk
-    monkeypatch.setattr(postulates, "_ORBIT_MEMO_LIMIT", 8)
+    monkeypatch.setattr(postulates, "_MEMO_LIMIT", 8)
     grouped["evicting"] = run_suite(pair, PQ).results
     first_verdicts = [r.counterexample and r.counterexample.verdict for r in singles]
     assert any(first_verdicts)
@@ -711,26 +735,42 @@ def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
     return decisions, checks
 
 
-def test_suite_walks_once_per_arity(monkeypatch):
+def _assert_suite_walks_once_per_arity(monkeypatch, pairs, walker, decided):
+    """Each n = 2 suite of pairs walks once per arity with walker, makes
+    decided rule decisions and checks only its reported counterexamples."""
     walks = []
-    keyed = postulates._keyed_instances
+    walk = getattr(postulates, walker)
 
     def counted_walk(arity, sig, states):
         walks.append(arity)
-        return keyed(arity, sig, states)
+        return walk(arity, sig, states)
 
-    monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
+    monkeypatch.setattr(postulates, walker, counted_walk)
     decisions, checks = _count_decisions_and_checks(monkeypatch)
-    for pair in (NATURAL, make_pair("reverse", "drastic")):
+    for pair in pairs:
         walks.clear()
         decisions.clear()
         checks.clear()
         report = run_suite(pair, PQ)
         assert sorted(walks) == [2, 3]
-        # 74 orbits for each of 24 arity-2 rows, 875 for each of 8 arity-3 rows
-        assert len(decisions) == 74 * 24 + 875 * 8 == 8776
+        assert len(decisions) == decided
         # a verdict is built only for each failing postulate's counterexample
         assert sorted(checks) == sorted(r.postulate for r in report.results if r.fails)
+
+
+def test_suite_walks_once_per_arity(monkeypatch):
+    # registry pairs key by cell pattern: 44 patterns for each of 24 arity-2
+    # rows and 663 for each of 8 arity-3 rows, 6,360 decisions
+    _assert_suite_walks_once_per_arity(monkeypatch, (NATURAL, REVERSE_DRASTIC),
+                                       "_pattern_instances", 44 * 24 + 663 * 8)
+
+
+def test_closure_wrapped_suite_decides_each_orbit_once(monkeypatch):
+    # without transforms the scan keys by orbit: 74 orbits for each of 24
+    # arity-2 rows and 875 for each of 8 arity-3 rows, 8,776 decisions
+    pairs = (_closure_wrapped(NATURAL), _closure_wrapped(REVERSE_DRASTIC))
+    _assert_suite_walks_once_per_arity(monkeypatch, pairs, "_keyed_instances",
+                                       74 * 24 + 875 * 8)
 
 
 def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkeypatch):
@@ -742,8 +782,9 @@ def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkey
     assert [w.postulate for c in report.claims for w in c.witnesses] == ["R7"]
     assert checks == ["R7"]
     read = [*AGM_IDS, "R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9"]
-    # 74 arity-2 orbits and 875 arity-3 ones at n = 2
-    assert Counter(decisions) == {pid: 74 if POSTULATES[pid].arity == 2 else 875 for pid in read}
+    # each row is decided once per cell pattern: 44 arity-2 patterns and 663
+    # arity-3 ones at n = 2
+    assert Counter(decisions) == {pid: 44 if POSTULATES[pid].arity == 2 else 663 for pid in read}
 
 
 def test_a_scan_without_witness_builds_no_worldset(monkeypatch):
@@ -804,14 +845,19 @@ def _keyed(walk, arity, sig, states, limit=None):
     return [(key, s.ranks, a, b) for key, s, a, b in islice(walk(arity, sig, states), limit)]
 
 
-@pytest.mark.parametrize("arity", [2, 3])
-@pytest.mark.parametrize("sig, states, limit", [
+# every n = 2 state, 12 sampled n = 3 states, and sampled n = 4 and n = 9
+# states whose walks are cut at a limit
+KEYED_STATES = pytest.mark.parametrize("sig, states, limit", [
     (PQ, list(enumerate_states(PQ)), None),
     (RGS, list(sample_states(RGS, 12, seed=4)), None),
     (Signature(tuple("abcd")), list(sample_states(Signature(tuple("abcd")), 2, seed=4)), 70_000),
     (Signature(tuple("abcdefghi")), list(sample_states(Signature(tuple("abcdefghi")), 1, seed=4)),
      3_000),
 ], ids=["n2-all", "n3-sampled", "n4-sampled", "n9-sampled"])
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@KEYED_STATES
 def test_orbit_keys_match_entry_by_entry_sums(arity, sig, states, limit):
     # one state at a time, each cut at the limit, so that every state is reached
     for s in states:
@@ -855,6 +901,68 @@ def test_sixteen_atom_base_key_is_linear_in_its_width():
     fields = [bits[1 + i * 2 * width:1 + (i + 1) * 2 * width] for i in range(s.num_levels)]
     assert [(int(f[width:], 2), int(f[:width], 2)) for f in reversed(fields)] == [
         (c - (r == s.ranks[0]), int(r == s.ranks[0])) for r, c in enumerate(counts)]
+    assert elapsed < 1.0, elapsed
+
+
+# --- pattern keys: block-built tables against cells tested level by level -----------
+
+
+def _pattern_instances_oracle(arity, sig, states):
+    """The pattern-key walk with each level's input cells tested for
+    emptiness one by one: bit 1 for a and bit 0 for not a at arity 2; bits 3
+    to 0 for a and b, a but not b, b but not a, and neither at arity 3."""
+    inputs = range(1, sig.full_mask + 1)
+    for s in states:
+        levels = list(enumerate(_level_masks(s)))
+        for a in inputs:
+            parts = [(rank, level & a, level & ~a) for rank, level in levels]
+            if arity == 2:
+                key = 0
+                for rank, inside, outside in parts:
+                    key |= (bool(inside) << 1 | bool(outside)) << 2 * rank
+                yield key, s, a, None
+                continue
+            for b in inputs:
+                key = 0
+                for rank, inside, outside in parts:
+                    cells = (bool(inside & b) << 3 | bool(inside & ~b) << 2
+                             | bool(outside & b) << 1 | bool(outside & ~b))
+                    key |= cells << 4 * rank
+                yield key, s, a, b
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@KEYED_STATES
+def test_pattern_keys_match_level_by_level_cells(arity, sig, states, limit):
+    for s in states:
+        assert _keyed(postulates._pattern_instances, arity, sig, [s], limit) == _keyed(
+            _pattern_instances_oracle, arity, sig, [s], limit)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_pattern_key_tables_are_built_lazily(arity):
+    sig = Signature(tuple("abcde"))
+    states = list(sample_states(sig, 2, seed=9))
+    tracemalloc.start()
+    try:
+        keys = _keyed(postulates._pattern_instances, arity, sig, states, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    assert keys == _keyed(_pattern_instances_oracle, arity, sig, states, 1000)
+
+
+def test_sixteen_atom_pattern_key_is_fast():
+    sig = Signature(tuple("abcdefghijklmnop"))
+    (s,) = sample_states(sig, 1, seed=0)
+    start = time.process_time()
+    key, _, a, b = next(postulates._pattern_instances(2, sig, [s]))
+    elapsed = time.process_time() - start
+    assert (a, b) == (1, None)
+    assert key == next(_pattern_instances_oracle(2, sig, [s]))[0]
+    # two bits per level, and the top level meets a or its complement
+    assert 2 * s.num_levels - 2 < key.bit_length() <= 2 * s.num_levels
     assert elapsed < 1.0, elapsed
 
 

@@ -1,7 +1,8 @@
 """Registry rules on level masks against the verdicts that report them.
 
-A scan decides each new orbit by the rows' rules (status only, one shared
-run of operator outcomes per instance) and builds a Verdict through
+A scan decides each new cell pattern (each new orbit for operators without a
+transform) by the rows' rules (status only, one shared run of operator
+outcomes per instance) and builds a Verdict through
 check_instance only where it reports one.  These tests pin the two forms to
 each other, and pin the adapter that lets an operator without a transform
 reach the rules and apply_sequence, which run on one engine (_Run), the
@@ -102,7 +103,11 @@ def test_closure_wrapped_operators_give_the_registry_suite(pair):
             for mask in range(PQ.full_mask + 1):
                 assert adapter(levels, mask, PQ.full_mask) == transform(
                     levels, mask, PQ.full_mask), (op.name, s.ranks, mask)
+    # the registry pair's scans key by cell pattern, the wrapped pair's by orbit
     assert run_suite(wrapped, PQ) == run_suite(pair, PQ)
+    for seed in (1, 2):
+        sampled = dict(postulates=["R6", "PR5", "CORE", "C2"], mode="sample", samples=3, seed=seed)
+        assert run_suite(wrapped, PQR, **sampled) == run_suite(pair, PQR, **sampled), seed
     # apply_sequence runs the adapter on the same engine: the last chain goes
     # through ABSURD and restarts from the uniform state
     p, q, empty = WorldSet(PQ, 0b0011), WorldSet(PQ, 0b0101), WorldSet.empty(PQ)
