@@ -56,12 +56,14 @@ for such a pair the status depends on the instance's orbit under permutations
 of the valuations: per level, the number of worlds in each cell.  A scan
 decides each pattern once, or each orbit once for a pair without both
 transforms.  It splits its postulates into groups of one arity and walks each
-group's instance stream once, keying every instance by its pattern
-(_pattern_instances) or its orbit (_keyed_instances).  A state's keys come
-from tables indexed by input mask, built a block of masks at a time and only
-as far as the walk reaches.  At the first instance of a key it calls every
-member's rule for its status alone; the members share one run of operator
-outcomes per instance (_Run), so a chain that several rows take, such as
+group's instance stream once.  One walk (_keyed_instances) keys every
+instance: each level has one field per input cell, a bit set when the cell is
+non-empty for a pattern key, or, counted, n + 1 bits holding the cell's
+number of worlds for an orbit key.  A state's keys come from tables indexed
+by input mask, built a block of masks at a time and only as far as the walk
+reaches.  At the first instance of a key the scan calls every member's rule
+for its status alone; the members share one run of operator outcomes per
+instance (_Run), so a chain that several rows take, such as
 revise-then-contract, is computed once.  Later instances are counted from a
 memo mapping the key to its row, the members' statuses, interned once per
 distinct row.  The memo holds at most _MEMO_LIMIT keys and is cleared when
@@ -99,7 +101,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice
-from operator import itemgetter
+from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .logic import Signature, WorldSet, dnf_of, models
@@ -124,8 +126,10 @@ MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 # (1,672 patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
 
-# Bits of one block of a state's key table, 128 KiB: at n = 16, where a key can
-# be over a megabit wide, a block holds one or a few masks instead of 256.
+# Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
+# alike: a block holds 256 masks, or fewer where keys are wide.  A sampled
+# n = 16 state's arity-2 pattern key is about 80 kilobits wide and its orbit key
+# over a megabit, so a block holds 8 masks or one.
 _KEY_BLOCK_BITS = 1 << 20
 
 
@@ -609,111 +613,38 @@ def check_instance(pid: str, ops: OperatorPair, inst: Instance) -> Verdict:
 # --- search and suites -----------------------------------------------------------
 
 
-def _key_blocks(
-    base: int, step: int, shift: int, ranks: tuple[int, ...], low_worlds: int
-) -> Iterator[list[int]]:
-    """Partial key sums base + sum of step << (rank * shift) over the worlds
-    of each mask, for masks 0, 1, 2, ... in order, 2**low_worlds masks per
-    block.  The first block is built by doubling over the low worlds, one
-    list comprehension per world; each later block adds the sum over its
-    high worlds to the first, so a block is built only when it is reached."""
-    block = [base]
-    for rank in ranks[:low_worlds]:
-        inc = step << rank * shift
-        block += [key + inc for key in block]
-    yield block
-    offsets = [0]  # per block, the sum over its high worlds
-    for j in range(1, 1 << (len(ranks) - low_worlds)):
-        low = j & -j
-        offsets.append(offsets[j ^ low]
-                       + (step << ranks[low_worlds + low.bit_length() - 1] * shift))
-        offset = offsets[j]
-        yield [key + offset for key in block]
-
-
-def _keyed_instances(
-    arity: int, sig: Signature, states: Iterable[RankedState]
-) -> Iterator[tuple[int, RankedState, int, int | None]]:
-    """(orbit key, state, a, b) for every instance, states in order and
-    inputs in mask order; a and b are input masks, b is None at arity 2.
-
-    The key packs, level by level, how many worlds fall in each input
-    class (in a or not; at arity 3 also in b or not) into n + 1 bits per
-    count, under one leading sentinel bit.  Two instances share a key
-    exactly when one permutation of the valuations maps one onto the other.
-    A state's base key (every world in its level's first class) is read
-    from its per-level counts in one pass over the key's bits.  A key is
-    the base plus per-world field increments over the input's worlds, so
-    each state keeps tables of partial sums indexed by input mask, built a
-    block of masks at a time as the masks are reached (_key_blocks).
-    """
-    width = sig.n + 1  # bits per count: a count reaches 2**n
-    shift = width << (arity - 1)  # bits per level: 2 or 4 counts
-    # step << (rank * shift) moves one world of that level out of the first
-    # class: into "in a" (class 1 at arity 2, class 2 at arity 3) or "in b"
-    # (class 1); a world in both also takes ab_step, landing in class 3
-    a_step = (1 << (shift >> 1)) - 1
-    b_step = (1 << width) - 1
-    ab_step = a_step * b_step
-    inputs = range(1, sig.full_mask + 1)  # the non-empty input masks
-    for s in states:
-        ranks = s.ranks
-        counts = [0] * s.num_levels
-        for rank in ranks:
-            counts[rank] += 1
-        # the sentinel bit, then each level's field from the top level down,
-        # its count in the first class
-        base = int("1" + "".join(format(c, f"0{shift}b") for c in reversed(counts)), 2)
-        # a block holds 2**low_worlds keys: 256, or fewer where that many
-        # keys would pass _KEY_BLOCK_BITS
-        fit = (_KEY_BLOCK_BITS // base.bit_length()).bit_length() - 1
-        low_worlds = max(0, min(8, len(ranks), fit))
-        keys_a = chain.from_iterable(_key_blocks(base, a_step, shift, ranks, low_worlds))
-        next(keys_a)  # the empty input
-        if arity == 2:
-            for key, a in zip(keys_a, inputs):
-                yield key, s, a, None
-            continue
-        blocks_b = _key_blocks(0, b_step, shift, ranks, low_worlds)
-        blocks_ab = _key_blocks(0, ab_step, shift, ranks, low_worlds)
-        by_b, by_ab = list(next(blocks_b)), list(next(blocks_ab))
-        for key_a, a in zip(keys_a, inputs):
-            for b in inputs:
-                if b == len(by_b):
-                    by_b += next(blocks_b)
-                    by_ab += next(blocks_ab)
-                yield key_a + by_b[b] + by_ab[a & b], s, a, b
-
-
-def _split_cells(ranks: Sequence[int]) -> list[int]:
-    """For each mask over the worlds of ranks, in mask order, the arity-2
-    cells it makes non-empty: the OR over those worlds of 2 << (rank * 2)
-    for a world in the mask and 1 << (rank * 2) for one outside it.  Built
-    by doubling over the worlds."""
+def _split_cells(ranks: Sequence[int], width: int, join: Callable) -> list[int]:
+    """For each mask over the worlds of ranks, in mask order, the join over
+    those worlds of 1 << (rank * 2 + 1) * width (its level's field for the
+    cell "in a") for a world in the mask and 1 << rank * 2 * width (the field
+    for "not a") for one outside it.  Built by doubling over the worlds."""
     table = [0]
     for rank in ranks:
-        outside = 1 << rank * 2
-        inside = outside << 1
-        table = [q | outside for q in table] + [q | inside for q in table]
+        outside = 1 << rank * 2 * width
+        inside = outside << width
+        table = [join(q, outside) for q in table] + [join(q, inside) for q in table]
     return table
 
 
-def _meets(ranks: Sequence[int], cells: int) -> list[int]:
-    """For each mask over the worlds of ranks, in mask order, the levels it
-    meets: the OR of 1 << (rank * cells) over its worlds."""
+def _meets(ranks: Sequence[int], step: int, join: Callable) -> list[int]:
+    """For each mask over the worlds of ranks, in mask order, the join of 1
+    << (rank * step) over its worlds: per level, its worlds in the mask (or
+    whether it has any), in a field step bits apart."""
     table = [0]
     for rank in ranks:
-        bit = 1 << rank * cells
-        table += [q | bit for q in table]
+        bit = 1 << rank * step
+        table += [join(q, bit) for q in table]
     return table
 
 
-def _high_cells(ranks: tuple[int, ...], cells: int, low_worlds: int) -> Iterator[tuple[int, int]]:
-    """Per block of 2**low_worlds masks, in mask order: the levels that the
-    high worlds inside the block's high part meet and the levels that the
-    high worlds outside it meet, each as in _meets.  Both follow per-level
-    counts, updated by the high worlds that change from one block to the
-    next, so a block costs its changes, not its levels."""
+def _high_cells(ranks: tuple[int, ...], step: int, low_worlds: int,
+                value: Callable) -> Iterator[tuple[int, int]]:
+    """Per block of 2**low_worlds masks, in mask order: as in _meets, the
+    fields of the high worlds inside the block's high part and of the high
+    worlds outside it, each level's field holding value(count) of those
+    worlds.  Both follow per-level counts, updated by the high worlds that
+    change from one block to the next, so a block costs its changes, not its
+    levels."""
     high = ranks[low_worlds:]
     if not high:
         yield 0, 0
@@ -721,68 +652,80 @@ def _high_cells(ranks: tuple[int, ...], cells: int, low_worlds: int) -> Iterator
     total = [0] * (max(ranks) + 1)  # per level, its high worlds
     for rank in high:
         total[rank] += 1
-    one = format(1, f"0{cells}b")
-    hi_out = int("".join(one if c else "0" * cells for c in reversed(total)), 2)
+    # one string, not a sum of per-level ints, so that this is linear in
+    # the key's width
+    hi_out = int("".join(format(value(c), f"0{step}b") for c in reversed(total)), 2)
     yield 0, hi_out
     inside = [0] * len(total)  # per level, its high worlds inside the high part
     hi_in = 0
     for j in range(1, 1 << len(high)):
         t = (j & -j).bit_length() - 1
-        for rank in high[:t]:  # they leave the high part
-            inside[rank] -= 1
-            if not inside[rank]:
-                hi_in ^= 1 << rank * cells
-            if inside[rank] == total[rank] - 1:
-                hi_out ^= 1 << rank * cells
-        rank = high[t]  # it enters
-        inside[rank] += 1
-        if inside[rank] == 1:
-            hi_in ^= 1 << rank * cells
-        if inside[rank] == total[rank]:
-            hi_out ^= 1 << rank * cells
+        # the high worlds below t leave the high part, and world t enters it
+        for rank, by in [(r, -1) for r in high[:t]] + [(high[t], 1)]:
+            was, outside = inside[rank], total[rank] - inside[rank]
+            inside[rank] = was + by
+            hi_in += (value(was + by) - value(was)) << rank * step
+            hi_out += (value(outside - by) - value(outside)) << rank * step
         yield hi_in, hi_out
 
 
-def _pattern_instances(
-    arity: int, sig: Signature, states: Iterable[RankedState]
+def _keyed_instances(
+    arity: int, sig: Signature, states: Iterable[RankedState], counted: bool
 ) -> Iterator[tuple[int, RankedState, int, int | None]]:
-    """(pattern key, state, a, b) for every instance, in the order of
-    _keyed_instances.
+    """(key, state, a, b) for every instance, states in order and inputs in
+    mask order; a and b are input masks, b is None at arity 2.
 
-    The key has one bit per input cell of each level, set when the cell is
-    non-empty: bits 1 and 0 of the level's field for a and not a at arity 2;
-    bits 3 to 0 for a and b, a but not b, b but not a, and neither at arity
-    3.  No level is empty, so the key also fixes the number of levels, and
-    two instances share a key exactly when they have the same cell pattern.
-    A block of 2**low_worlds masks (256, or fewer where keys are wide) ORs a
-    table over its low worlds with the cells of its high worlds
-    (_high_cells), so a block is built only when the walk reaches it.  At
-    arity 2 the low table is itself the OR of two halves' tables, read in
-    nested loops.
+    The key has one field per input cell of each level: fields 1 and 0 of
+    the level for a and not a at arity 2; fields 3 to 0 for a and b, a but
+    not b, b but not a, and neither at arity 3.  counted chooses what a
+    field holds.  A pattern key (counted false) has 1-bit fields, set when
+    the cell is non-empty, so two instances share it exactly when they
+    have the same cell pattern.  An orbit key (counted true) has (n + 1)-bit
+    fields holding the cell's number of worlds (up to 2**n), so two
+    instances share it exactly when one permutation of the valuations maps
+    one onto the other.  No level is empty, so either key also fixes the
+    number of levels.
+
+    A block of 2**low_worlds masks (256, or fewer where keys are wide) joins
+    a table over its low worlds with the fields of its high worlds
+    (_high_cells), so a block is built only when the walk reaches it.  The
+    join is OR for pattern keys and a sum for orbit keys.  At arity 2 the low
+    table is itself the join of two halves' tables, read in nested loops; at
+    arity 3 the four cells' tables fill disjoint fields and are ORed.
     """
     cells = 1 << (arity - 1)
+    width, join, value = (sig.n + 1, add, int) if counted else (1, or_, bool)
+    step = cells * width  # bits per level
     inputs = range(1, sig.full_mask + 1)
     for s in states:
         ranks = s.ranks
-        fit = (_KEY_BLOCK_BITS // (cells * (max(ranks) + 1))).bit_length() - 1
+        fit = (_KEY_BLOCK_BITS // (step * (max(ranks) + 1))).bit_length() - 1
         low_worlds = max(0, min(8, len(ranks), fit))
-        blocks = _high_cells(ranks, cells, low_worlds)
+        blocks = _high_cells(ranks, step, low_worlds, value)
         if arity == 2:
             half = low_worlds >> 1
-            lo, mid = _split_cells(ranks[:half]), _split_cells(ranks[half:low_worlds])
+            lo = _split_cells(ranks[:half], width, join)
+            mid = _split_cells(ranks[half:low_worlds], width, join)
             a, row = 1, lo[1:]  # the empty input is skipped
             for hi_in, hi_out in blocks:
-                block = hi_in << 1 | hi_out
+                block = hi_in << width | hi_out
                 for m in mid:
-                    m |= block
-                    for q in row:
-                        yield m | q, s, a, None
-                        a += 1
+                    m = join(m, block)
+                    # the halves share each level's fields, so an orbit key
+                    # sums them where a pattern key ORs them
+                    if counted:
+                        for q in row:
+                            yield m + q, s, a, None
+                            a += 1
+                    else:
+                        for q in row:
+                            yield m | q, s, a, None
+                            a += 1
                     row = lo
             continue
-        # by mask, the levels it meets shifted to the cells a & b, a - b and
-        # b - a, and the levels its complement meets (the cell "neither")
-        low = _meets(ranks[:low_worlds], cells)
+        # by mask, its fields shifted to the cells a & b, a - b and b - a, and
+        # its complement's fields (the cell "neither")
+        low = _meets(ranks[:low_worlds], step, join)
         low_out = low[::-1]
         in_ab, in_a, in_b, out = [], [], [], []
         for a in inputs:
@@ -790,11 +733,11 @@ def _pattern_instances(
                 ab, either = a & b, a | b
                 while either >= len(out):
                     hi_in, hi_out = next(blocks)
-                    inside = [q | hi_in for q in low]
-                    in_ab += [q << 3 for q in inside]
-                    in_a += [q << 2 for q in inside]
-                    in_b += [q << 1 for q in inside]
-                    out += [q | hi_out for q in low_out]
+                    inside = [join(q, hi_in) for q in low]
+                    in_ab += [q << 3 * width for q in inside]
+                    in_a += [q << 2 * width for q in inside]
+                    in_b += [q << width for q in inside]
+                    out += [join(q, hi_out) for q in low_out]
                 yield in_ab[ab] | in_a[a ^ ab] | in_b[b ^ ab] | out[either], s, a, b
 
 
@@ -845,9 +788,9 @@ def _scan_group(
     transforms = _transforms(pair, sig)
     rules = [POSTULATES[pid].rule for pid in group]
     # a status reads only which cells are empty when both transforms are
-    # set-algebraic; an operator without one may read cell sizes
-    set_algebraic = pair.revision.transform is not None and pair.contraction.transform is not None
-    walk = _pattern_instances if set_algebraic else _keyed_instances
+    # set-algebraic; an operator without one may read cell sizes, so its pair
+    # keys by the cells' counts
+    counted = pair.revision.transform is None or pair.contraction.transform is None
     # each distinct row is interned with an index, and the memo and the tally
     # refer to rows by that index (a tuple does not cache its hash, so keying
     # the tally by the row itself would rehash it at every instance)
@@ -857,7 +800,7 @@ def _scan_group(
     firsts: list[tuple] = []  # row index -> its first instance
     stop = False
     state = run = None
-    for key, s, a, b in walk(POSTULATES[group[0]].arity, sig, states):
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states, counted):
         i = memo.get(key)
         if i is None:
             # the members share one run, so the outcomes of each instance

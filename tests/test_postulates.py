@@ -10,7 +10,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -735,24 +735,25 @@ def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
     return decisions, checks
 
 
-def _assert_suite_walks_once_per_arity(monkeypatch, pairs, walker, decided):
-    """Each n = 2 suite of pairs walks once per arity with walker, makes
-    decided rule decisions and checks only its reported counterexamples."""
+def _assert_suite_walks_once_per_arity(monkeypatch, pairs, counted, decided):
+    """Each n = 2 suite of pairs walks once per arity, with orbit keys when
+    counted and pattern keys otherwise, makes decided rule decisions and
+    checks only its reported counterexamples."""
     walks = []
-    walk = getattr(postulates, walker)
+    walk = postulates._keyed_instances
 
-    def counted_walk(arity, sig, states):
-        walks.append(arity)
-        return walk(arity, sig, states)
+    def counted_walk(arity, sig, states, counted):
+        walks.append((arity, counted))
+        return walk(arity, sig, states, counted)
 
-    monkeypatch.setattr(postulates, walker, counted_walk)
+    monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
     decisions, checks = _count_decisions_and_checks(monkeypatch)
     for pair in pairs:
         walks.clear()
         decisions.clear()
         checks.clear()
         report = run_suite(pair, PQ)
-        assert sorted(walks) == [2, 3]
+        assert sorted(walks) == [(2, counted), (3, counted)]
         assert len(decisions) == decided
         # a verdict is built only for each failing postulate's counterexample
         assert sorted(checks) == sorted(r.postulate for r in report.results if r.fails)
@@ -761,16 +762,15 @@ def _assert_suite_walks_once_per_arity(monkeypatch, pairs, walker, decided):
 def test_suite_walks_once_per_arity(monkeypatch):
     # registry pairs key by cell pattern: 44 patterns for each of 24 arity-2
     # rows and 663 for each of 8 arity-3 rows, 6,360 decisions
-    _assert_suite_walks_once_per_arity(monkeypatch, (NATURAL, REVERSE_DRASTIC),
-                                       "_pattern_instances", 44 * 24 + 663 * 8)
+    _assert_suite_walks_once_per_arity(monkeypatch, (NATURAL, REVERSE_DRASTIC), False,
+                                       44 * 24 + 663 * 8)
 
 
 def test_closure_wrapped_suite_decides_each_orbit_once(monkeypatch):
     # without transforms the scan keys by orbit: 74 orbits for each of 24
     # arity-2 rows and 875 for each of 8 arity-3 rows, 8,776 decisions
     pairs = (_closure_wrapped(NATURAL), _closure_wrapped(REVERSE_DRASTIC))
-    _assert_suite_walks_once_per_arity(monkeypatch, pairs, "_keyed_instances",
-                                       74 * 24 + 875 * 8)
+    _assert_suite_walks_once_per_arity(monkeypatch, pairs, True, 74 * 24 + 875 * 8)
 
 
 def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkeypatch):
@@ -805,44 +805,33 @@ def test_a_scan_without_witness_builds_no_worldset(monkeypatch):
     assert built == []
 
 
-# --- orbit keys: block-built tables against entry-by-entry sums ------------------------
+# --- keys: block-built tables against cells read level by level ------------------------
 
 
-def _keyed_instances_oracle(arity, sig, states):
-    """The orbit-key walk with each state's base key summed over its worlds
-    and its tables grown one mask at a time."""
-    width = sig.n + 1
-    shift = width << (arity - 1)
-    a_step = (1 << (shift >> 1)) - 1
-    b_step = (1 << width) - 1
-    ab_step = a_step * b_step
+def _keyed_instances_oracle(arity, sig, states, counted):
+    """The key walk with each level's input cells read one by one, from the
+    top level down: a and not a at arity 2; a and b, a but not b, b but not
+    a, and neither at arity 3.  Each cell adds an (n + 1)-bit field holding
+    its count when counted, else a bit set when it is non-empty."""
+    width, value = (sig.n + 1, int.bit_count) if counted else (1, bool)
     inputs = range(1, sig.full_mask + 1)
     for s in states:
-        ranks = s.ranks
-
-        def grow(sums, step):
-            m = len(sums)
-            low = m & -m
-            sums.append(sums[m ^ low] + (step << ranks[low.bit_length() - 1] * shift))
-            return sums[m]
-
-        by_a = [sum(1 << r * shift for r in ranks) + (1 << s.num_levels * shift)]
-        if arity == 2:
-            for a in inputs:
-                yield grow(by_a, a_step), s, a, None
-            continue
-        by_b, by_ab = [0], [0]
+        levels = _level_masks(s)[::-1]
         for a in inputs:
-            key_a = grow(by_a, a_step)
-            for b in inputs:
-                if b == len(by_b):
-                    grow(by_b, b_step)
-                    grow(by_ab, ab_step)
-                yield key_a + by_b[b] + by_ab[a & b], s, a, b
+            halves = [(level & a, level & ~a) for level in levels]
+            for b in ((None,) if arity == 2 else inputs):
+                key = 0
+                for inside, outside in halves:
+                    cells = (inside, outside) if b is None else (
+                        inside & b, inside & ~b, outside & b, outside & ~b)
+                    for cell in cells:
+                        key = key << width | value(cell)
+                yield key, s, a, b
 
 
-def _keyed(walk, arity, sig, states, limit=None):
-    return [(key, s.ranks, a, b) for key, s, a, b in islice(walk(arity, sig, states), limit)]
+def _keyed(walk, arity, sig, states, counted, limit=None):
+    return [(key, s.ranks, a, b)
+            for key, s, a, b in islice(walk(arity, sig, states, counted), limit)]
 
 
 # every n = 2 state, 12 sampled n = 3 states, and sampled n = 4 and n = 9
@@ -859,10 +848,59 @@ KEYED_STATES = pytest.mark.parametrize("sig, states, limit", [
 @pytest.mark.parametrize("arity", [2, 3])
 @KEYED_STATES
 def test_orbit_keys_match_entry_by_entry_sums(arity, sig, states, limit):
-    # one state at a time, each cut at the limit, so that every state is reached
+    # the oracle counts each key's cells level by level; one state at a time,
+    # each cut at the limit, so that every state is reached
     for s in states:
-        assert _keyed(postulates._keyed_instances, arity, sig, [s], limit) == _keyed(
-            _keyed_instances_oracle, arity, sig, [s], limit)
+        assert _keyed(postulates._keyed_instances, arity, sig, [s], True, limit) == _keyed(
+            _keyed_instances_oracle, arity, sig, [s], True, limit)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@KEYED_STATES
+def test_pattern_keys_match_level_by_level_cells(arity, sig, states, limit):
+    for s in states:
+        assert _keyed(postulates._keyed_instances, arity, sig, [s], False, limit) == _keyed(
+            _keyed_instances_oracle, arity, sig, [s], False, limit)
+
+
+def test_orbit_keys_are_the_orbits_of_valuation_permutations():
+    # at n = 2 the 24 permutations of the valuations cut the instances into
+    # 74 orbits at arity 2 and 875 at arity 3: two instances share an orbit
+    # key exactly when they share an orbit, and each pattern key (44 and 663
+    # of them) is a union of orbits
+    worlds = range(PQ.num_valuations)
+    states = list(enumerate_states(PQ))
+    inputs = range(1, PQ.full_mask + 1)
+    images = []  # per permutation, each state's ranks and each mask moved by it
+    for perm in permutations(worlds):
+        moved = {}
+        for s in states:
+            ranks = [0] * len(worlds)
+            for v in worlds:
+                ranks[perm[v]] = s.ranks[v]
+            moved[s] = tuple(ranks)
+        masks = [sum(1 << perm[v] for v in worlds if m >> v & 1) for m in range(PQ.full_mask + 1)]
+        images.append((moved, masks))
+    for arity, orbits, patterns in ((2, 74, 44), (3, 875, 663)):
+        seconds = (None,) if arity == 2 else inputs
+        orbit = [min((moved[s], masks[a], b and masks[b]) for moved, masks in images)
+                 for s in states for a in inputs for b in seconds]
+        by_orbit = [key for key, *_ in postulates._keyed_instances(arity, PQ, states, True)]
+        by_pattern = [key for key, *_ in postulates._keyed_instances(arity, PQ, states, False)]
+        assert len(set(orbit)) == orbits
+        assert len(set(zip(by_orbit, orbit))) == len(set(by_orbit)) == orbits
+        assert len(set(zip(by_pattern, orbit))) == orbits
+        assert len(set(by_pattern)) == patterns
+
+
+def _traced_peak(walk):
+    tracemalloc.start()
+    try:
+        result = walk()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -871,14 +909,31 @@ def test_orbit_key_tables_are_built_lazily(arity):
     # tables up front would not finish; the first keys need one block each
     sig = Signature(tuple("abcde"))
     states = list(sample_states(sig, 2, seed=9))
-    tracemalloc.start()
-    try:
-        keys = _keyed(postulates._keyed_instances, arity, sig, states, 1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    keys, peak = _traced_peak(
+        lambda: _keyed(postulates._keyed_instances, arity, sig, states, True, 1000))
     assert peak <= 2**20, peak
-    assert keys == _keyed(_keyed_instances_oracle, arity, sig, states, 1000)
+    assert keys == _keyed(_keyed_instances_oracle, arity, sig, states, True, 1000)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_pattern_key_tables_are_built_lazily(arity):
+    sig = Signature(tuple("abcde"))
+    states = list(sample_states(sig, 2, seed=9))
+    keys, peak = _traced_peak(
+        lambda: _keyed(postulates._keyed_instances, arity, sig, states, False, 1000))
+    assert peak <= 2**20, peak
+    assert keys == _keyed(_keyed_instances_oracle, arity, sig, states, False, 1000)
+
+
+def test_a_late_cut_orbit_walk_holds_no_per_block_state():
+    # a sampled n = 12 state has thousands of levels, so each key is several
+    # KB wide; a walk that kept one key-wide int per block it passed peaked at
+    # about 8 MB by its 8,000th key
+    sig = Signature(tuple("abcdefghijkl"))
+    states = list(sample_states(sig, 1, seed=0))
+    _, peak = _traced_peak(
+        lambda: sum(1 for _ in islice(postulates._keyed_instances(2, sig, states, True), 8000)))
+    assert peak <= 2**20, peak
 
 
 def test_sixteen_atom_base_key_is_linear_in_its_width():
@@ -887,80 +942,32 @@ def test_sixteen_atom_base_key_is_linear_in_its_width():
     sig = Signature(tuple("abcdefghijklmnop"))
     (s,) = sample_states(sig, 1, seed=0)
     start = time.process_time()
-    key, _, a, b = next(postulates._keyed_instances(2, sig, [s]))
+    key, _, a, b = next(postulates._keyed_instances(2, sig, [s], True))
     elapsed = time.process_time() - start
     assert (a, b) == (1, None)
-    # decode: the sentinel bit, then one field of two (n + 1)-bit counts per
-    # level from the top level down, (worlds outside a, worlds in a)
+    # decode: one field of two (n + 1)-bit counts per level from the top
+    # level down, (worlds in a, worlds outside a)
     width = sig.n + 1
-    bits = format(key, "b")
-    assert len(bits) == 1 + s.num_levels * 2 * width and bits[0] == "1"
+    # the top level is not empty, so its field is not zero
+    assert (2 * s.num_levels - 2) * width < key.bit_length() <= 2 * s.num_levels * width
+    bits = format(key, f"0{s.num_levels * 2 * width}b")
     counts = [0] * s.num_levels
     for rank in s.ranks:
         counts[rank] += 1
-    fields = [bits[1 + i * 2 * width:1 + (i + 1) * 2 * width] for i in range(s.num_levels)]
+    fields = [bits[i * 2 * width:(i + 1) * 2 * width] for i in range(s.num_levels)]
     assert [(int(f[width:], 2), int(f[:width], 2)) for f in reversed(fields)] == [
         (c - (r == s.ranks[0]), int(r == s.ranks[0])) for r, c in enumerate(counts)]
     assert elapsed < 1.0, elapsed
-
-
-# --- pattern keys: block-built tables against cells tested level by level -----------
-
-
-def _pattern_instances_oracle(arity, sig, states):
-    """The pattern-key walk with each level's input cells tested for
-    emptiness one by one: bit 1 for a and bit 0 for not a at arity 2; bits 3
-    to 0 for a and b, a but not b, b but not a, and neither at arity 3."""
-    inputs = range(1, sig.full_mask + 1)
-    for s in states:
-        levels = list(enumerate(_level_masks(s)))
-        for a in inputs:
-            parts = [(rank, level & a, level & ~a) for rank, level in levels]
-            if arity == 2:
-                key = 0
-                for rank, inside, outside in parts:
-                    key |= (bool(inside) << 1 | bool(outside)) << 2 * rank
-                yield key, s, a, None
-                continue
-            for b in inputs:
-                key = 0
-                for rank, inside, outside in parts:
-                    cells = (bool(inside & b) << 3 | bool(inside & ~b) << 2
-                             | bool(outside & b) << 1 | bool(outside & ~b))
-                    key |= cells << 4 * rank
-                yield key, s, a, b
-
-
-@pytest.mark.parametrize("arity", [2, 3])
-@KEYED_STATES
-def test_pattern_keys_match_level_by_level_cells(arity, sig, states, limit):
-    for s in states:
-        assert _keyed(postulates._pattern_instances, arity, sig, [s], limit) == _keyed(
-            _pattern_instances_oracle, arity, sig, [s], limit)
-
-
-@pytest.mark.parametrize("arity", [2, 3])
-def test_pattern_key_tables_are_built_lazily(arity):
-    sig = Signature(tuple("abcde"))
-    states = list(sample_states(sig, 2, seed=9))
-    tracemalloc.start()
-    try:
-        keys = _keyed(postulates._pattern_instances, arity, sig, states, 1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2**20, peak
-    assert keys == _keyed(_pattern_instances_oracle, arity, sig, states, 1000)
 
 
 def test_sixteen_atom_pattern_key_is_fast():
     sig = Signature(tuple("abcdefghijklmnop"))
     (s,) = sample_states(sig, 1, seed=0)
     start = time.process_time()
-    key, _, a, b = next(postulates._pattern_instances(2, sig, [s]))
+    key, _, a, b = next(postulates._keyed_instances(2, sig, [s], False))
     elapsed = time.process_time() - start
     assert (a, b) == (1, None)
-    assert key == next(_pattern_instances_oracle(2, sig, [s]))[0]
+    assert key == next(_keyed_instances_oracle(2, sig, [s], False))[0]
     # two bits per level, and the top level meets a or its complement
     assert 2 * s.num_levels - 2 < key.bit_length() <= 2 * s.num_levels
     assert elapsed < 1.0, elapsed

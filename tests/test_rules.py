@@ -6,7 +6,8 @@ outcomes per instance) and builds a Verdict through
 check_instance only where it reports one.  These tests pin the two forms to
 each other, and pin the adapter that lets an operator without a transform
 reach the rules and apply_sequence, which run on one engine (_Run), the
-absurd-state rules included.
+absurd-state rules included.  An operator that reads a cell size pins why a
+pair without transforms is scanned by orbit, not by pattern.
 """
 
 import dataclasses
@@ -27,12 +28,26 @@ from beliefrev.operators import (
     _Run,
     _transforms,
     apply_sequence,
+    flatten_revision,
     get_contraction,
     level_transform,
     make_pair,
+    natural_revision,
 )
-from beliefrev.postulates import FAILS, POSTULATES, Instance, check_instance, run_suite
-from beliefrev.states import _level_masks, enumerate_states, sample_states
+from beliefrev.postulates import (
+    ALL_POSTULATE_IDS,
+    FAILS,
+    HOLDS,
+    POSTULATES,
+    VACUOUS,
+    Counterexample,
+    Instance,
+    PostulateResult,
+    check_instance,
+    iter_instances,
+    run_suite,
+)
+from beliefrev.states import _level_masks, enumerate_states, min_worlds, sample_states
 
 PQ = Signature(("p", "q"))
 PQR = Signature(("p", "q", "r"))
@@ -45,7 +60,7 @@ def _orbits(arity, sig, states, limit=None):
     """The first instance of each orbit, in scan order, as (state, a, b) on
     input masks."""
     seen = set()
-    firsts = ((s, a, b) for key, s, a, b in postulates._keyed_instances(arity, sig, states)
+    firsts = ((s, a, b) for key, s, a, b in postulates._keyed_instances(arity, sig, states, True)
               if key not in seen and not seen.add(key))
     return islice(firsts, limit)
 
@@ -71,7 +86,7 @@ def _assert_rules_match_verdicts(pair, sig, arity, instances):
 def test_rules_match_verdicts_on_every_n2_instance(pair):
     for arity in (2, 3):
         instances = ((s, a, b) for _, s, a, b in
-                     postulates._keyed_instances(arity, PQ, enumerate_states(PQ)))
+                     postulates._keyed_instances(arity, PQ, enumerate_states(PQ), True))
         _assert_rules_match_verdicts(pair, PQ, arity, instances)
 
 
@@ -118,6 +133,58 @@ def test_closure_wrapped_operators_give_the_registry_suite(pair):
         for steps in chains:
             assert apply_sequence(wrapped, s, steps) == apply_sequence(pair, s, steps), (
                 pair.name, s.ranks, steps)
+
+
+def _sized_revision(s, a):
+    # world-neutral, but it reads a size: natural revision when the minimal
+    # worlds of a are one world, flatten otherwise
+    if min_worlds(s, a).mask.bit_count() == 1:
+        return natural_revision(s, a)
+    return flatten_revision(s, a)
+
+
+SIZED = OperatorPair(RevisionOperator("sized", _sized_revision), get_contraction("natural-con"))
+
+
+def _checked_suite(pair, sig, states):
+    """Each postulate's result from check_instance on every instance of
+    iter_instances: its counts and its first failing instance."""
+    results = []
+    for pid in ALL_POSTULATE_IDS:
+        counts = dict.fromkeys((HOLDS, VACUOUS, FAILS), 0)
+        cex = None
+        for inst in iter_instances(pid, sig, states):
+            verdict = check_instance(pid, pair, inst)
+            counts[verdict.status] += 1
+            if cex is None and verdict.status == FAILS:
+                cex = Counterexample(pid, pair.revision.name, pair.contraction.name, inst, verdict)
+        results.append(PostulateResult(pid, sum(counts.values()), counts[HOLDS], counts[VACUOUS],
+                                       counts[FAILS], cex))
+    return tuple(results)
+
+
+def assert_sampled_suite_matches_checks(pair, sig, samples, seed):
+    """A sampled run_suite of every postulate against _checked_suite on the
+    same states.  CI runs it over three atoms, where it takes about 30 s."""
+    expected = _checked_suite(pair, sig, list(sample_states(sig, samples, seed)))
+    assert run_suite(pair, sig, mode="sample", samples=samples, seed=seed).results == expected
+
+
+def test_a_size_reading_revision_is_scanned_by_orbit(monkeypatch):
+    # every built-in is set-algebraic, so only an operator that reads a cell
+    # size tells orbit keys from pattern keys: its scans must count every
+    # instance as check_instance does, in one process and on a pool
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    expected = _checked_suite(SIZED, PQ, list(enumerate_states(PQ)))
+    assert run_suite(SIZED, PQ).results == expected
+    assert run_suite(SIZED, PQ, jobs=2).results == expected
+    # its adapter passed off as a set-algebraic transform makes the scan key
+    # by pattern, and the iterated rows then miscount
+    adapter = level_transform(SIZED.revision, PQ)
+    false = OperatorPair(RevisionOperator("sized", _sized_revision, adapter), SIZED.contraction)
+    for pid, fails, pattern_fails in (("C1", 12, 36), ("C3", 12, 36), ("C4", 24, 72)):
+        assert expected[ALL_POSTULATE_IDS.index(pid)].fails == fails
+        assert run_suite(false, PQ, [pid]).results[0].fails == pattern_fails
 
 
 def test_a_built_in_fn_under_another_name_keeps_its_transform():
