@@ -61,29 +61,51 @@ instance: each level has one field per input cell, a bit set when the cell is
 non-empty for a pattern key, or, counted, n + 1 bits holding the cell's
 number of worlds for an orbit key.  A state's keys come from tables indexed
 by input mask, built a block of masks at a time and only as far as the walk
-reaches.  At the first instance of a key the scan calls every member's rule
-for its status alone; the members share one run of operator outcomes per
-instance (_Run), so a chain that several rows take, such as
-revise-then-contract, is computed once.  Later instances are counted from a
-memo mapping the key to its row, the members' statuses, interned once per
-distinct row.  The memo holds at most _MEMO_LIMIT keys and is cleared when
-full.  Each instance adds one to its row's tally, and the walk returns its
-table: the distinct rows in order of first occurrence, each with its tally and
-first instance, on masks.  _fold reads a claim from the table by its status on
-a row: its counts are sums of tallies, and its first failing instance is the
-first instance of the first row where it fails.  A registry member's status is
-its entry in the row; a harness claim relating postulates is a function of
-their entries.  Only a reported counterexample becomes an Instance and gets a
-Verdict (a member's through check_instance), so counts, counterexamples and
-traces are those of checking every instance.  At n = 2 a full suite walks its
-162,000 instances in two streams (1,125 arity-2 and 16,875 arity-3 instances).
-For a registry pair it makes 6,360 decisions: 44 patterns per arity-2
-postulate and 663 per arity-3 one.  Keyed by orbit it would make 8,776: 74 and
-875.  A search is a group of one that stops at its first failing row.
+reaches.  Each distinct row of the members' statuses is interned once, and a
+scan returns its table: the distinct rows in order of first occurrence, each
+with its tally (the instances that have it) and first instance, on masks.
 
-A scan maps _scan_group over (group, chunk) tasks and concatenates each
-group's tables in chunk order: at jobs = 1 one chunk, the stream itself, under
-the builtin map; with jobs > 1, jobs chunks of the states on a process pool.
+A search, and a scan of sampled states, walks the stream.  At the first
+instance of a key it calls every member's rule for its status alone; the
+members share one run of operator outcomes per instance (_Run), so a chain
+that several rows take, such as revise-then-contract, is computed once.
+Later instances are counted from a memo mapping the key to its row; the memo
+holds at most _MEMO_LIMIT keys and is cleared when full.  A search is a group
+of one that stops at its first failing row.
+
+A table over every state (exhaustive, not a search) walks no instance to
+count it.  _weighted_keys yields each key once with a representative
+instance and its weight, the number of instances with the key: surj(2**n, k)
+= k!·S(2**n, k) for a pattern of k non-empty cells, the multinomial
+2**n! / prod(c!) for an orbit of cell counts c.  Every member decides each
+representative once, and the weight goes to that row's tally.  Then the key
+walk runs from the stream's start only to find each row's first instance: it
+reads a key's row from the key map and decides nothing while the map fits
+under _MEMO_LIMIT (past it, misses are decided as above), and it ends once
+every row has its first instance.  At n = 2 a full suite stands for 162,000
+instances in two streams (1,125 arity-2 and 16,875 arity-3 instances).  For a
+registry pair it makes 6,360 decisions: 44 patterns per arity-2 postulate and
+663 per arity-3 one.  Keyed by orbit it makes 8,776: 74 and 875.  At n = 3 an
+arity-2 row decides 1,672 patterns (11,016 orbits) for 139,187,925
+instances.
+
+_fold reads a claim from the table by its status on a row: its counts are
+sums of tallies, and its first failing instance is the first instance of the
+first row where it fails.  A registry member's status is its entry in the
+row; a harness claim relating postulates is a function of their entries.
+Only a reported counterexample becomes an Instance and gets a Verdict (a
+member's through check_instance), so counts, counterexamples and traces are
+those of checking every instance.
+
+A scan maps one task over the parts of each group and reads the group's
+table from them in order.  A table over every state has one task
+(_decide_keys) per subtree of the keys, by the non-empty cells of the first
+level (3 at arity 2, 15 at arity 3), so every key is decided exactly once
+for any jobs; the calling process merges the subtrees' rows and walks for
+the first instances (_witnessed).  Otherwise a task (_scan_group) walks a
+chunk of the states: the stream itself at jobs = 1, jobs chunks of it with
+jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1 the
+tasks run under the builtin map; with jobs > 1 on a process pool.
 Pool tasks carry postulates by pid and the operator pair by value (registry
 operators by name), so any other operator needs a module-level function; a
 scan refuses one that does not pickle with a ValueError before it touches the
@@ -100,7 +122,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import chain, islice, product
+from math import comb, factorial
 from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -121,9 +144,10 @@ VACUOUS = "vacuous"
 
 MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 
-# Entries of one scan's memo before it is cleared.  Every key at n = 2 fits (663
-# arity-3 patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3
-# (1,672 patterns, 11,016 orbits).
+# Entries of one scan's memo before it is cleared, and of the key map a table
+# over every state walks by (_witnessed).  Every key at n = 2 fits (663 arity-3
+# patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3 (1,672
+# patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
 
 # Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
@@ -741,6 +765,85 @@ def _keyed_instances(
                 yield in_ab[ab] | in_a[a ^ ab] | in_b[b ^ ab] | out[either], s, a, b
 
 
+def _surjections(worlds: int, k: int) -> int:
+    """The maps of worlds onto k labelled cells, k!·S(worlds, k), by
+    inclusion-exclusion."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** worlds for j in range(k + 1))
+
+
+def _weighted_keys(
+    arity: int, sig: Signature, counted: bool, first: int | None = None
+) -> Iterator[tuple[int, tuple[tuple[int, ...], int, int | None], int]]:
+    """Each key that _keyed_instances gives over enumerate_states(sig),
+    once, as (key, (levels, a, b), weight): an instance with the key, as
+    level masks and input masks, and the number of instances with it.
+
+    A key is a sequence of levels, each a non-empty choice of cells: which
+    cells are non-empty for a pattern, each cell's number of worlds for an
+    orbit (the numbers summing to 2**n).  An instance with the key maps the
+    worlds onto its non-empty cells, every cell getting one: a pattern with
+    k non-empty cells has surj(2**n, k) = k!·S(2**n, k) instances, an orbit
+    with cell counts c the multinomial 2**n! / prod(c!).  The cells inside a
+    (and, at arity 3, inside b) must not all be empty.  With first, only the
+    keys whose first level has exactly the non-empty cells first: these
+    subtrees (3 at arity 2, 15 at arity 3) partition the keys.
+
+    The representative takes the worlds in order, a level at a time and
+    cell by cell in field order; a pattern's worlds beyond one per cell go
+    to the last cell of the last level."""
+    cells = 1 << (arity - 1)
+    width = sig.n + 1 if counted else 1
+    step = cells * width
+    total, full = sig.num_valuations, sig.full_mask
+    in_a, in_b = (0b10, 0) if arity == 2 else (0b1100, 0b1010)  # fields inside a and b
+    fact = [factorial(c) for c in range(total + 1)]
+    surj = [_surjections(total, k) for k in range(total + 1)]
+    # a choice for one level: (its worlds, its field, its non-empty cells, its
+    # masks of a and of b from the level's first world, whether its last cell
+    # is in a and in b, prod(c!) over its cells), fewest worlds first
+    choices = []
+    for counts in product(range((total if counted else 1) + 1), repeat=cells):
+        size, field, used, mask_a, mask_b, denom = 0, 0, 0, 0, 0, 1
+        for j, c in enumerate(counts):
+            if c:
+                cell = ((1 << c) - 1) << size
+                if in_a >> j & 1:
+                    mask_a |= cell
+                if in_b >> j & 1:
+                    mask_b |= cell
+                last, used, denom = j, used | 1 << j, denom * fact[c]
+            size += c
+            field |= c << j * width
+        if 0 < size <= total:
+            choices.append((size, field, used, mask_a, mask_b, in_a >> last & 1,
+                            in_b >> last & 1, denom))
+    choices.sort(key=itemgetter(0))
+
+    def extend(depth, key, used, world, masks, a, b, denom):
+        shift = depth * step
+        for size, field, cells_used, mask_a, mask_b, last_a, last_b, level_denom in choices:
+            end = world + size
+            if end > total:
+                break
+            if depth == 0 and first is not None and cells_used != first:
+                continue
+            k, u, d = key | field << shift, used | cells_used, denom * level_denom
+            ms = masks + (((1 << size) - 1) << world,)
+            xa, xb = a | mask_a << world, b | mask_b << world
+            if u & in_a and (arity == 2 or u & in_b):
+                if counted:
+                    if end == total:
+                        yield k, (ms, xa, xb if arity == 3 else None), fact[total] // d
+                else:
+                    extra = full ^ ((1 << end) - 1)
+                    yield k, (ms[:-1] + (ms[-1] | extra,), xa | extra * last_a,
+                              xb | extra * last_b if arity == 3 else None), surj[end]
+            if end < total:
+                yield from extend(depth + 1, k, u, end, ms, xa, xb, d)
+
+    return extend(0, 0, 0, 0, (), 0, 0, 1)
+
+
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
     """Deterministic instance stream: states in order, inputs in mask order."""
     inputs = range(1, sig.full_mask + 1)
@@ -773,6 +876,39 @@ def _state_stream(
 Row = tuple[dict[str, str], int, tuple[RankedState, int, int | None]]
 
 
+def _counted(pair: OperatorPair) -> bool:
+    """Whether scans of pair key by orbit.  A status reads only which cells
+    are empty when both transforms are set-algebraic; an operator without
+    one may read cell sizes, so its pair keys by the cells' counts."""
+    return pair.revision.transform is None or pair.contraction.transform is None
+
+
+def _decider(group: tuple[str, ...], pair: OperatorPair,
+             sig: Signature) -> Callable[[RankedState, int, int | None], tuple[str, ...]]:
+    """decide(s, a, b): the members' statuses at an instance, as a row.  The
+    members share one run, so the outcomes of the instance; instances of one
+    state in a row share its level masks."""
+    transforms = _transforms(pair, sig)
+    rules = [POSTULATES[pid].rule for pid in group]
+    state = run = None
+
+    def decide(s, a, b):
+        nonlocal state, run
+        if s is not state:
+            state = s
+            run = _Run(sig, _level_masks(s), transforms)
+        else:
+            run.memo.clear()
+        # a plain loop: before Python 3.12 a comprehension is a function
+        # call, paid here once per key
+        statuses = []
+        for rule in rules:
+            statuses.append(rule(run, a, b)[0])
+        return tuple(statuses)
+
+    return decide
+
+
 def _scan_group(
     group: tuple[str, ...],
     states: Iterable[RankedState],
@@ -785,12 +921,7 @@ def _scan_group(
     tally and its first instance, in order of first occurrence.  With
     stop_at_first the walk ends at the first row where a member fails (a
     search is a group of one)."""
-    transforms = _transforms(pair, sig)
-    rules = [POSTULATES[pid].rule for pid in group]
-    # a status reads only which cells are empty when both transforms are
-    # set-algebraic; an operator without one may read cell sizes, so its pair
-    # keys by the cells' counts
-    counted = pair.revision.transform is None or pair.contraction.transform is None
+    decide = _decider(group, pair, sig)
     # each distinct row is interned with an index, and the memo and the tally
     # refer to rows by that index (a tuple does not cache its hash, so keying
     # the tally by the row itself would rehash it at every instance)
@@ -799,22 +930,11 @@ def _scan_group(
     tally: list[int] = []  # row index -> instances
     firsts: list[tuple] = []  # row index -> its first instance
     stop = False
-    state = run = None
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states, counted):
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states,
+                                         _counted(pair)):
         i = memo.get(key)
         if i is None:
-            # the members share one run, so the outcomes of each instance
-            if s is not state:
-                state = s
-                run = _Run(sig, _level_masks(s), transforms)
-            else:
-                run.memo.clear()
-            # a plain loop: before Python 3.12 a comprehension is a function
-            # call, paid here once per key
-            statuses = []
-            for rule in rules:
-                statuses.append(rule(run, a, b)[0])
-            row = tuple(statuses)
+            row = decide(s, a, b)
             i = rows.setdefault(row, len(tally))
             if i == len(tally):
                 tally.append(0)
@@ -827,6 +947,85 @@ def _scan_group(
         if stop:
             break
     return list(zip(rows, tally, firsts))
+
+
+# The rows of a group over the keys of one subtree (_decide_keys): the
+# distinct rows, their summed weights, and each key's row index, or None
+# where the keys outgrow _MEMO_LIMIT.
+Decided = tuple[list[tuple[str, ...]], list[int], dict[int, int] | None]
+
+
+def _decide_keys(group: tuple[str, ...], first: int, pair: OperatorPair,
+                 sig: Signature) -> Decided:
+    """Each key of the group's exhaustive stream over sig whose first level
+    has the non-empty cells first, decided once at its representative
+    (_weighted_keys), its weight added to its row's tally."""
+    transforms = _transforms(pair, sig)
+    rules = [POSTULATES[pid].rule for pid in group]
+    rows: dict[tuple[str, ...], int] = {}
+    tally: list[int] = []
+    keys: dict[int, int] | None = {}
+    for key, (levels, a, b), weight in _weighted_keys(POSTULATES[group[0]].arity, sig,
+                                                      _counted(pair), first):
+        run = _Run(sig, levels, transforms)
+        statuses = []
+        for rule in rules:
+            statuses.append(rule(run, a, b)[0])
+        i = rows.setdefault(tuple(statuses), len(tally))
+        if i == len(tally):
+            tally.append(0)
+        tally[i] += weight
+        if keys is not None:
+            keys[key] = i
+            if len(keys) > _MEMO_LIMIT:
+                keys = None
+    return list(rows), tally, keys
+
+
+def _witnessed(
+    group: tuple[str, ...],
+    states: Iterable[RankedState],
+    pair: OperatorPair,
+    sig: Signature,
+    decided: Iterable[Decided],
+) -> list[tuple[tuple[str, ...], int, tuple]]:
+    """The table of a group over the exhaustive stream states, from its
+    subtrees' decided rows: each row's tally is the sum of its weights, and
+    its first instance comes from a walk of the stream that ends once every
+    row has one, so the rows keep their order of first occurrence.  While
+    the subtrees' key maps fit under _MEMO_LIMIT together, the walk reads
+    each key's row from them and decides nothing; past it, the walk decides
+    what its bounded memo misses."""
+    rows: dict[tuple[str, ...], int] = {}
+    tally: list[int] = []
+    memo: dict[int, int] | None = {}
+    for subtree_rows, weights, keys in decided:
+        index = [rows.setdefault(row, len(rows)) for row in subtree_rows]
+        tally += [0] * (len(rows) - len(tally))
+        for i, weight in zip(index, weights):
+            tally[i] += weight
+        if memo is None or keys is None or len(memo) + len(keys) > _MEMO_LIMIT:
+            memo = None
+        else:
+            memo.update((key, index[i]) for key, i in keys.items())
+    decide = None
+    if memo is None:
+        memo, decide = {}, _decider(group, pair, sig)
+    firsts: dict[int, tuple] = {}  # row index -> its first instance, in order
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states,
+                                         _counted(pair)):
+        i = memo.get(key)
+        if i is None:
+            i = rows[decide(s, a, b)]
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = i
+        if i not in firsts:
+            firsts[i] = (s, a, b)
+            if len(firsts) == len(rows):
+                break
+    ordered = list(rows)
+    return [(ordered[i], tally[i], first) for i, first in firsts.items()]
 
 
 def _check_picklable(pair: OperatorPair) -> None:
@@ -853,7 +1052,7 @@ def _scan(
     of one arity form a group, scanned by one walk.  jobs is capped at the
     CPU count; above 1 the scan runs on a process pool of its own, shut down
     before it returns.  Returns the table of each postulate's group, by pid;
-    chunks follow stream order, so the first row where a claim fails holds
+    its rows follow stream order, so the first row where a claim fails holds
     its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
     if jobs < 1:
@@ -863,26 +1062,38 @@ def _scan(
     jobs = min(jobs, os.cpu_count() or 1)
     groups = [tuple(pid for pid in arities if arities[pid] == arity)
               for arity in dict.fromkeys(arities.values())]
-    scan = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
-    pool = None
-    if jobs == 1:
-        chunks, scan_map = [stream], map
+    # a table over every state decides each key once and walks only for the
+    # rows' first instances
+    weighted = not stop_at_first and getattr(stream, "mode", None) == "exhaustive"
+    if weighted:
+        # the subtrees of the keys, by the non-empty cells of the first level
+        parts = [range(1, 1 << (1 << (arities[group[0]] - 1))) for group in groups]
+        task = partial(_decide_keys, pair=pair, sig=sig)
     else:
-        states = list(stream)
-        size = max(1, (len(states) + jobs - 1) // jobs)
-        chunks = [states[i:i + size] for i in range(0, len(states), size)]
+        if jobs == 1:
+            chunks = [stream]
+        else:
+            states = list(stream)
+            size = max(1, (len(states) + jobs - 1) // jobs)
+            chunks = [states[i:i + size] for i in range(0, len(states), size)]
+        parts = [chunks] * len(groups)
+        task = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
+    pool = None
+    if jobs > 1:
         _check_picklable(pair)
         pool = ProcessPoolExecutor(max_workers=jobs)
-        scan_map = pool.map
     try:
-        # every group's chunks are queued before any result is read, so the
+        # every group's tasks are queued before any result is read, so the
         # pool does not drain between groups
-        outcomes = scan_map(scan, [group for group in groups for _ in chunks],
-                            chunks * len(groups))
+        outcomes = (map if pool is None else pool.map)(
+            task, [group for group, part in zip(groups, parts) for _ in part],
+            [x for part in parts for x in part])
         table = {}
-        for group in groups:
-            rows = [(dict(zip(group, row)), tally, first)
-                    for row, tally, first in chain.from_iterable(islice(outcomes, len(chunks)))]
+        for group, part in zip(groups, parts):
+            done = islice(outcomes, len(part))
+            found = (_witnessed(group, stream, pair, sig, done) if weighted
+                     else chain.from_iterable(done))
+            rows = [(dict(zip(group, row)), tally, first) for row, tally, first in found]
             table.update(dict.fromkeys(group, rows))
     finally:
         if pool is not None:

@@ -47,6 +47,7 @@ from beliefrev.postulates import (
 from beliefrev.states import (
     _level_masks,
     belief_set,
+    count_weak_orders,
     enumerate_states,
     min_worlds,
     normalize,
@@ -273,7 +274,8 @@ def test_suite_rejects_unknown_postulate():
 
 
 def test_parallel_suite_matches_sequential():
-    # at n = 2 each pool chunk keeps its own orbit memo
+    # exhaustive tables split the keys among the pool's tasks, by the cells
+    # of their first level
     for sig in (P, PQ):
         for pair in (NATURAL, make_pair("reverse", "drastic")):
             seq = run_suite(pair, sig, ALL_POSTULATE_IDS)
@@ -287,19 +289,28 @@ def test_registry_rows_reach_workers_as_registry_objects(monkeypatch, recorded_p
     for op in (*REVISION_OPERATORS.values(), *CONTRACTION_OPERATORS.values()):
         assert pickle.loads(pickle.dumps(op)) is op
     groups = []
-    scan_group = postulates._scan_group
 
-    def recording(group, states, **kwargs):
-        groups.append(pickle.loads(pickle.dumps(group)))
-        return scan_group(group, states, **kwargs)
+    def recording(task):
+        def recorded(group, part, **kwargs):
+            groups.append(pickle.loads(pickle.dumps(group)))
+            return task(group, part, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(postulates, "_scan_group", recording)
+    monkeypatch.setattr(postulates, "_scan_group", recording(postulates._scan_group))
+    monkeypatch.setattr(postulates, "_decide_keys", recording(postulates._decide_keys))
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     pids = ["R7", "C2", "R1"]
     pooled = run_suite(NATURAL, PQ, pids, jobs=2)
-    # one task per group and chunk: two chunks of the 75 states
-    assert groups == [("R7", "R1"), ("R7", "R1"), ("C2",), ("C2",)]
+    # an exhaustive table has one task per group and subtree of its keys:
+    # 3 first-level cell patterns at arity 2, 15 at arity 3
+    assert groups == [("R7", "R1")] * 3 + [("C2",)] * 15
     assert pooled == run_suite(NATURAL, PQ, pids)
+    # a sampled one has one task per group and chunk: two chunks of the states
+    groups.clear()
+    sampled = dict(mode="sample", samples=10, seed=2)
+    pooled = run_suite(NATURAL, PQ, pids, jobs=2, **sampled)
+    assert groups == [("R7", "R1"), ("R7", "R1"), ("C2",), ("C2",)]
+    assert pooled == run_suite(NATURAL, PQ, pids, **sampled)
 
 
 def test_swapped_registry_operators_pickle_by_name(monkeypatch):
@@ -651,12 +662,21 @@ REVERSE_DRASTIC = make_pair("reverse", "drastic")
 
 
 def test_orbit_memo_eviction_keeps_results(monkeypatch):
-    # pattern keys for the registry pair, orbit keys for its wrapped twin
+    # pattern keys for the registry pair, orbit keys for its wrapped twin.  At
+    # 8 keys an exhaustive table's key map no longer fits, so its walk for
+    # first instances decides what its memo misses; a sampled scan's memo is
+    # cleared many times over
+    decisions, _ = _count_decisions_and_checks(monkeypatch)
     for pair in (REVERSE_DRASTIC, _closure_wrapped(REVERSE_DRASTIC)):
-        uncapped = run_suite(pair, PQ).results
-        with monkeypatch.context() as patched:
-            patched.setattr(postulates, "_MEMO_LIMIT", 8)
-            assert run_suite(pair, PQ).results == uncapped
+        for kwargs in ({}, dict(mode="sample", samples=20, seed=3)):
+            decisions.clear()
+            uncapped = run_suite(pair, PQ, **kwargs).results
+            decided = len(decisions)
+            decisions.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(postulates, "_MEMO_LIMIT", 8)
+                assert run_suite(pair, PQ, **kwargs).results == uncapped
+            assert len(decisions) > decided, (pair.name, kwargs)
 
 
 def test_orbit_memo_memory_is_bounded():
@@ -771,6 +791,26 @@ def test_closure_wrapped_suite_decides_each_orbit_once(monkeypatch):
     # arity-2 rows and 875 for each of 8 arity-3 rows, 8,776 decisions
     pairs = (_closure_wrapped(NATURAL), _closure_wrapped(REVERSE_DRASTIC))
     _assert_suite_walks_once_per_arity(monkeypatch, pairs, True, 74 * 24 + 875 * 8)
+
+
+def test_pooled_suite_decides_each_key_once(monkeypatch, recorded_pools):
+    # the pool's tasks split the keys, not the states, so jobs = 2 makes the
+    # decisions of jobs = 1: 6,360 for a registry pair and 8,776 for its
+    # closure-wrapped twin, whose operators stand in the registry, as the
+    # benchmark's tracer puts them, so that they pickle by name
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    decisions, _ = _count_decisions_and_checks(monkeypatch)
+    wrapped = _closure_wrapped(REVERSE_DRASTIC)
+    monkeypatch.setitem(REVISION_OPERATORS, "reverse", wrapped.revision)
+    monkeypatch.setitem(CONTRACTION_OPERATORS, "drastic", wrapped.contraction)
+    for pair, decided in ((REVERSE_DRASTIC, 44 * 24 + 663 * 8), (wrapped, 74 * 24 + 875 * 8)):
+        reports = []
+        for jobs in (1, 2):
+            decisions.clear()
+            reports.append(run_suite(pair, PQ, jobs=jobs))
+            assert len(decisions) == decided, (pair.name, jobs)
+        assert reports[0] == reports[1]
+    assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)] * 2
 
 
 def test_observation1_decides_each_orbit_once_and_checks_only_its_witness(monkeypatch):
@@ -891,6 +931,80 @@ def test_orbit_keys_are_the_orbits_of_valuation_permutations():
         assert len(set(zip(by_orbit, orbit))) == len(set(by_orbit)) == orbits
         assert len(set(zip(by_pattern, orbit))) == orbits
         assert len(set(by_pattern)) == patterns
+
+
+# --- weighted keys against the instances they stand for -----------------------------
+
+
+def _walked_key(arity, sig, levels, a, b, counted):
+    """The key _keyed_instances gives the instance (levels, a, b)."""
+    ranks = [0] * sig.num_valuations
+    for rank, level in enumerate(levels):
+        for v in range(sig.num_valuations):
+            if level >> v & 1:
+                ranks[v] = rank
+    s = normalize(sig, ranks)
+    assert _level_masks(s) == levels
+    position = (a - 1) * (1 if arity == 2 else sig.full_mask) + (b or 1) - 1
+    key, _, at, bt = next(islice(postulates._keyed_instances(arity, sig, [s], counted),
+                                 position, None))
+    assert (at, bt) == (a, b)
+    return key
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["pattern", "orbit"])
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("sig", [P, PQ], ids=["n1", "n2"])
+def test_weighted_keys_count_the_instances_of_each_key(sig, arity, counted):
+    # each key once, weighted by its number of instances in the exhaustive
+    # stream, with a representative that has the key
+    weighted = list(postulates._weighted_keys(arity, sig, counted))
+    walked = Counter(key for key, *_ in
+                     postulates._keyed_instances(arity, sig, enumerate_states(sig), counted))
+    assert {key: weight for key, _, weight in weighted} == walked
+    assert len(weighted) == len(walked)
+    for key, (levels, a, b), _ in weighted:
+        assert _walked_key(arity, sig, levels, a, b, counted) == key
+    # the subtrees by the cells of the first level partition the keys
+    subtrees = [key for first in range(1, 1 << (1 << (arity - 1)))
+                for key, _, _ in postulates._weighted_keys(arity, sig, counted, first)]
+    assert sorted(subtrees) == sorted(walked)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["pattern", "orbit"])
+@pytest.mark.parametrize("arity, n, patterns, orbits", [
+    (2, 1, 5, 5), (2, 2, 44, 74), (2, 3, 1672, 11016), (3, 1, 14, 14), (3, 2, 663, 875),
+])
+def test_weights_sum_to_the_instance_count(arity, n, patterns, orbits, counted):
+    # F(2**n) states, each with (2**2**n - 1)**(arity - 1) inputs, F the
+    # Fubini number
+    sig = Signature(tuple("pqr"[:n]))
+    weights = [weight for *_, weight in postulates._weighted_keys(arity, sig, counted)]
+    assert len(weights) == (orbits if counted else patterns)
+    assert sum(weights) == count_weak_orders(2**n) * (2 ** 2**n - 1) ** (arity - 1)
+
+
+def assert_weighted_table_matches_the_walk(pair, sig, pids):
+    """The table of an exhaustive scan of pids (one arity), taken from
+    weighted keys, equals the table of the walk that searches and sampled
+    scans take (_scan_group) over every state: the same rows in the same
+    order, with the same tallies and first instances.  CI runs it over three
+    atoms for reverse+drastic's 24 single-input rows, where the walk takes
+    about 40 s."""
+    group = tuple(pids)
+    weighted = postulates._scan(pids, pair, sig, enumerate_states(sig), stop_at_first=False,
+                                jobs=1)
+    walked = postulates._scan_group(group, enumerate_states(sig), pair, sig, stop_at_first=False)
+    assert weighted[pids[0]] == [(dict(zip(group, row)), tally, first)
+                                 for row, tally, first in walked], pair.name
+
+
+@pytest.mark.parametrize("pair", [*ALL_PAIRS, _closure_wrapped(REVERSE_DRASTIC)],
+                         ids=lambda pair: pair.name + ("" if pair.revision.transform else "-wrapped"))
+def test_weighted_tables_match_the_walk(pair):
+    for arity in (2, 3):
+        pids = [pid for pid, post in POSTULATES.items() if post.arity == arity]
+        assert_weighted_table_matches_the_walk(pair, PQ, pids)
 
 
 def _traced_peak(walk):
