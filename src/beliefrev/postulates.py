@@ -105,14 +105,18 @@ for any jobs; the calling process merges the subtrees' rows and walks for
 the first instances (_witnessed).  Otherwise a task (_scan_group) walks a
 chunk of the states: the stream itself at jobs = 1, jobs chunks of it with
 jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1 the
-tasks run under the builtin map; with jobs > 1 on a process pool.
+tasks run under the builtin map; with jobs > 1 on a process pool of at most
+one worker per task.  jobs is a ceiling: a table over every state whose
+groups have fewer than _POOL_MIN_KEYS keys in all (_key_count, counted in
+closed form) runs its tasks under map too, since starting the pool would
+cost more than it saves.  The tasks and their merge are the same either way.
 Pool tasks carry postulates by pid and the operator pair by value (registry
 operators by name), so any other operator needs a module-level function; a
-scan refuses one that does not pickle with a ValueError before it touches the
-pool.  A command makes at most one scan (a harness reads all its claims from
-one table), so it has at most one pool: the scan starts
-it when jobs > 1 and shuts it down before it returns, cancelling what is
-still queued if a worker raised.
+scan at jobs > 1 refuses one that does not pickle with a ValueError, whether
+or not it starts the pool.  A command makes at most one scan (a harness reads
+all its claims from one table), so it has at most one pool: the scan starts
+it and shuts it down before it returns, cancelling what is still queued if a
+worker raised.
 """
 
 from __future__ import annotations
@@ -149,6 +153,18 @@ MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 # patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3 (1,672
 # patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
+
+# Keys a table over every state must have in all (_key_count over its groups)
+# for its scan to start a pool at jobs > 1; below it the tasks run in the
+# calling process.  On a 2-core host a 2-worker pool costs about 9 ms to start,
+# map 18 no-op tasks and shut down, and a key costs 4-5.5 us to decide, half
+# that at 2 workers, so the pool pays from about 2 * 9 ms / 4.5 us = 4,000
+# keys; the rows and key maps the workers send back raise that.  An n = 3
+# arity-2 table of 1,672 patterns took 8 ms in process and 10 ms on the pool,
+# one of 11,016 orbits 82-92 ms and 76-85 ms.  So every table at n = 2 (at most
+# 707 patterns or 949 orbits) and every n = 3 arity-2 pattern table runs in
+# process, and n = 3 orbit tables and arity-3 tables keep the pool.
+_POOL_MIN_KEYS = 1 << 13
 
 # Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
 # alike: a block holds 256 masks, or fewer where keys are wide.  A sampled
@@ -771,36 +787,20 @@ def _surjections(worlds: int, k: int) -> int:
     return sum((-1) ** j * comb(k, j) * (k - j) ** worlds for j in range(k + 1))
 
 
-def _weighted_keys(
-    arity: int, sig: Signature, counted: bool, first: int | None = None
-) -> Iterator[tuple[int, tuple[tuple[int, ...], int, int | None], int]]:
-    """Each key that _keyed_instances gives over enumerate_states(sig),
-    once, as (key, (levels, a, b), weight): an instance with the key, as
-    level masks and input masks, and the number of instances with it.
+# The fields inside a and inside b of a level's cells, by arity
+_INPUT_FIELDS = {2: (0b10, 0), 3: (0b1100, 0b1010)}
 
-    A key is a sequence of levels, each a non-empty choice of cells: which
-    cells are non-empty for a pattern, each cell's number of worlds for an
-    orbit (the numbers summing to 2**n).  An instance with the key maps the
-    worlds onto its non-empty cells, every cell getting one: a pattern with
-    k non-empty cells has surj(2**n, k) = k!·S(2**n, k) instances, an orbit
-    with cell counts c the multinomial 2**n! / prod(c!).  The cells inside a
-    (and, at arity 3, inside b) must not all be empty.  With first, only the
-    keys whose first level has exactly the non-empty cells first: these
-    subtrees (3 at arity 2, 15 at arity 3) partition the keys.
 
-    The representative takes the worlds in order, a level at a time and
-    cell by cell in field order; a pattern's worlds beyond one per cell go
-    to the last cell of the last level."""
+@lru_cache(maxsize=None)
+def _level_choices(arity: int, sig: Signature, counted: bool) -> tuple[tuple[int, ...], ...]:
+    """The choices for one level of a key (_weighted_keys), fewest worlds
+    first: (its worlds, its field, its non-empty cells, its masks of a and
+    of b from the level's first world, whether its last cell is in a and in
+    b, prod(c!) over its cells)."""
     cells = 1 << (arity - 1)
     width = sig.n + 1 if counted else 1
-    step = cells * width
-    total, full = sig.num_valuations, sig.full_mask
-    in_a, in_b = (0b10, 0) if arity == 2 else (0b1100, 0b1010)  # fields inside a and b
-    fact = [factorial(c) for c in range(total + 1)]
-    surj = [_surjections(total, k) for k in range(total + 1)]
-    # a choice for one level: (its worlds, its field, its non-empty cells, its
-    # masks of a and of b from the level's first world, whether its last cell
-    # is in a and in b, prod(c!) over its cells), fewest worlds first
+    total = sig.num_valuations
+    in_a, in_b = _INPUT_FIELDS[arity]
     choices = []
     for counts in product(range((total if counted else 1) + 1), repeat=cells):
         size, field, used, mask_a, mask_b, denom = 0, 0, 0, 0, 0, 1
@@ -811,13 +811,43 @@ def _weighted_keys(
                     mask_a |= cell
                 if in_b >> j & 1:
                     mask_b |= cell
-                last, used, denom = j, used | 1 << j, denom * fact[c]
+                last, used, denom = j, used | 1 << j, denom * factorial(c)
             size += c
             field |= c << j * width
         if 0 < size <= total:
             choices.append((size, field, used, mask_a, mask_b, in_a >> last & 1,
                             in_b >> last & 1, denom))
     choices.sort(key=itemgetter(0))
+    return tuple(choices)
+
+
+def _weighted_keys(
+    arity: int, sig: Signature, counted: bool, first: int | None = None
+) -> Iterator[tuple[int, tuple[tuple[int, ...], int, int | None], int]]:
+    """Each key that _keyed_instances gives over enumerate_states(sig),
+    once, as (key, (levels, a, b), weight): an instance with the key, as
+    level masks and input masks, and the number of instances with it.
+
+    A key is a sequence of levels, each a non-empty choice of cells
+    (_level_choices): which cells are non-empty for a pattern, each cell's
+    number of worlds for an orbit (the numbers summing to 2**n).  An
+    instance with the key maps the worlds onto its non-empty cells, every
+    cell getting one: a pattern with k non-empty cells has surj(2**n, k) =
+    k!·S(2**n, k) instances, an orbit with cell counts c the multinomial
+    2**n! / prod(c!).  The cells inside a (and, at arity 3, inside b) must
+    not all be empty.  With first, only the keys whose first level has
+    exactly the non-empty cells first: these subtrees (3 at arity 2, 15 at
+    arity 3) partition the keys.
+
+    The representative takes the worlds in order, a level at a time and
+    cell by cell in field order; a pattern's worlds beyond one per cell go
+    to the last cell of the last level."""
+    step = (1 << (arity - 1)) * (sig.n + 1 if counted else 1)
+    total, full = sig.num_valuations, sig.full_mask
+    in_a, in_b = _INPUT_FIELDS[arity]
+    fact = [factorial(c) for c in range(total + 1)]
+    surj = [_surjections(total, k) for k in range(total + 1)]
+    choices = _level_choices(arity, sig, counted)
 
     def extend(depth, key, used, world, masks, a, b, denom):
         shift = depth * step
@@ -842,6 +872,33 @@ def _weighted_keys(
                 yield from extend(depth + 1, k, u, end, ms, xa, xb, d)
 
     return extend(0, 0, 0, 0, (), 0, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _key_count(arity: int, sig: Signature, counted: bool, first: int | None = None) -> int:
+    """The number of keys _weighted_keys yields, without walking them: its
+    walk's paths counted by (worlds used, cells used so far), over the same
+    choices per level.  Each count at n <= 3 takes at most about 10 ms,
+    where walking the 1,586,754 arity-3 orbits at n = 3 takes over a second."""
+    total = sig.num_valuations
+    in_a, in_b = _INPUT_FIELDS[arity]
+    paths: list[dict[int, int]] = [{} for _ in range(total)]  # by worlds used: cells used -> paths
+    paths[0][0] = 1
+    keys = 0
+    for world, ends in enumerate(paths):
+        for used, count in ends.items():
+            for size, _, cells_used, *_ in _level_choices(arity, sig, counted):
+                end = world + size
+                if end > total:
+                    break
+                if world == 0 and first is not None and cells_used != first:
+                    continue
+                u = used | cells_used
+                if u & in_a and (arity == 2 or u & in_b) and (end == total or not counted):
+                    keys += count
+                if end < total:
+                    paths[end][u] = paths[end].get(u, 0) + count
+    return keys
 
 
 def iter_instances(pid: str, sig: Signature, states: Iterable[RankedState]) -> Iterator[Instance]:
@@ -1049,9 +1106,11 @@ def _scan(
 ) -> dict[str, list[Row]]:
     """Scan registry postulates over one state stream; every search (a list
     of one), suite and harness runs through here.  The distinct postulates
-    of one arity form a group, scanned by one walk.  jobs is capped at the
-    CPU count; above 1 the scan runs on a process pool of its own, shut down
-    before it returns.  Returns the table of each postulate's group, by pid;
+    of one arity form a group, scanned by one walk.  jobs is a ceiling,
+    capped at the CPU count and at the number of tasks; above 1 the scan
+    runs on a process pool of its own, shut down before it returns, unless
+    it is a table over every state with fewer than _POOL_MIN_KEYS keys in
+    all.  Returns the table of each postulate's group, by pid;
     its rows follow stream order, so the first row where a claim fails holds
     its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
@@ -1078,10 +1137,18 @@ def _scan(
             chunks = [states[i:i + size] for i in range(0, len(states), size)]
         parts = [chunks] * len(groups)
         task = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
-    pool = None
     if jobs > 1:
+        # whatever the table's size, so that an argv's exit code does not
+        # depend on it
         _check_picklable(pair)
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    # one worker per task at most, and none for a table whose keys are too
+    # few to pay for starting a pool
+    workers = min(jobs, sum(map(len, parts)))
+    if weighted and workers > 1 and sum(
+            _key_count(arities[group[0]], sig, _counted(pair)) for group in groups
+    ) < _POOL_MIN_KEYS:
+        workers = 1
+    pool = None if workers < 2 else ProcessPoolExecutor(max_workers=workers)
     try:
         # every group's tasks are queued before any result is read, so the
         # pool does not drain between groups

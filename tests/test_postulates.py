@@ -273,9 +273,11 @@ def test_suite_rejects_unknown_postulate():
         run_suite(NATURAL, PQ, ["nope"])
 
 
-def test_parallel_suite_matches_sequential():
+def test_parallel_suite_matches_sequential(monkeypatch):
     # exhaustive tables split the keys among the pool's tasks, by the cells
-    # of their first level
+    # of their first level; at n <= 2 a table starts a pool only with no key
+    # threshold
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     for sig in (P, PQ):
         for pair in (NATURAL, make_pair("reverse", "drastic")):
             seq = run_suite(pair, sig, ALL_POSTULATE_IDS)
@@ -342,6 +344,7 @@ def test_library_operators_pickle_by_value():
                          ids=lambda fn: fn.__name__)
 def test_library_contraction_gives_the_same_hansson_report_under_jobs(monkeypatch, fn):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     mine = ContractionOperator("mine", fn)
     sequential = verify_hansson(mine, PQ, jobs=1)
     assert verify_hansson(mine, PQ, jobs=2) == sequential
@@ -350,6 +353,7 @@ def test_library_contraction_gives_the_same_hansson_report_under_jobs(monkeypatc
 
 def test_library_revision_gives_the_same_suite_under_jobs(monkeypatch):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     pair = OperatorPair(RevisionOperator("mine", natural_revision), CONTRACTION_OPERATORS["drastic"])
     sequential = run_suite(pair, PQ)
     assert run_suite(pair, PQ, jobs=2) == sequential
@@ -420,6 +424,7 @@ def recorded_pools(monkeypatch):
 
 def test_jobs_clamped_to_cpu_count(monkeypatch, recorded_pools):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     clamped = run_suite(NATURAL, PQ, ["R7"], jobs=10_000)
     assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(3, True)]
     assert clamped.results == run_suite(NATURAL, PQ, ["R7"]).results
@@ -440,8 +445,10 @@ def test_empty_scan_starts_no_pool(monkeypatch, recorded_pools):
 ], ids=lambda argv: argv[0])
 def test_one_pool_per_command(monkeypatch, capsys, recorded_pools, argv):
     # every suite and search of a command shares the one pool, started only
-    # when a scan runs with jobs > 1
+    # when a scan runs with jobs > 1 (and, for a table over every state, has
+    # at least _POOL_MIN_KEYS keys, set to 0 here)
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     code = cli_run(argv + ["--jobs", "1"])
     sequential = capsys.readouterr().out
     assert recorded_pools == []
@@ -450,8 +457,56 @@ def test_one_pool_per_command(monkeypatch, capsys, recorded_pools, argv):
     assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--atoms", "p,q"],
+    ["corollary1", "--atoms", "p,q"],
+    ["observation1", "--atoms", "p,q"],
+    ["hansson", "--atoms", "p,q"],
+    ["check", "--atoms", "p,q", "--postulate", "all"],
+], ids=lambda argv: argv[0])
+def test_two_atom_tables_start_no_pool(monkeypatch, capsys, recorded_pools, argv):
+    # a table at n = 2 has at most 949 keys, too few to pay for starting a
+    # pool, so --jobs 2 decides them in process, with the bytes of --jobs 1
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    code = cli_run(argv + ["--jobs", "1"])
+    sequential = capsys.readouterr().out
+    assert cli_run(argv + ["--jobs", "2"]) == code
+    assert capsys.readouterr().out == sequential
+    assert recorded_pools == []
+
+
+def test_a_table_reaching_the_key_threshold_starts_one_pool(monkeypatch, recorded_pools):
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    pids = ["R7", "C2"]
+    sequential = run_suite(NATURAL, PQ, pids)
+    keys = 44 + 663  # the patterns of an arity-2 and an arity-3 group at n = 2
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", keys + 1)
+    assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+    assert recorded_pools == []
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", keys)
+    assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+    assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
+
+
+def test_pool_workers_capped_at_the_tasks(monkeypatch, recorded_pools):
+    # an arity-2 table has 3 tasks, one per subtree of its keys, and a
+    # sampled scan of one state one task per group, which needs no pool
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
+    for pids, workers in ((["R7"], [3]), (["R7", "C2"], [16])):
+        recorded_pools.clear()
+        assert run_suite(NATURAL, PQ, pids, jobs=16) == run_suite(NATURAL, PQ, pids)
+        assert [p.max_workers for p in recorded_pools] == workers
+    recorded_pools.clear()
+    sampled = dict(mode="sample", samples=1, seed=0)
+    sequential = run_suite(NATURAL, PQ, ["R7"], **sampled)
+    assert run_suite(NATURAL, PQ, ["R7"], jobs=16, **sampled) == sequential
+    assert recorded_pools == []
+
+
 def test_pool_workers_gone_after_harness_command(monkeypatch, capsys):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     assert cli_run(["observation1", "--atoms", "p", "--jobs", "2"]) == 0
     assert multiprocessing.active_children() == []
 
@@ -462,6 +517,7 @@ def _raise_in_worker(s, a):
 
 def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     pair = OperatorPair(RevisionOperator("raises", _raise_in_worker),
                         CONTRACTION_OPERATORS["natural-con"])
     # the raising group is read first, while C2's chunks are still queued
@@ -699,6 +755,7 @@ def test_orbit_memo_memory_is_bounded():
 def test_grouped_suite_matches_singleton_scans(monkeypatch, pair):
     singles = tuple(run_suite(pair, PQ, [pid]).results[0] for pid in ALL_POSTULATE_IDS)
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     grouped = {"jobs=1": run_suite(pair, PQ).results, "jobs=2": run_suite(pair, PQ, jobs=2).results}
     # at 8 keys the memo is cleared many times inside each group's walk
     monkeypatch.setattr(postulates, "_MEMO_LIMIT", 8)
@@ -799,6 +856,7 @@ def test_pooled_suite_decides_each_key_once(monkeypatch, recorded_pools):
     # closure-wrapped twin, whose operators stand in the registry, as the
     # benchmark's tracer puts them, so that they pickle by name
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     decisions, _ = _count_decisions_and_checks(monkeypatch)
     wrapped = _closure_wrapped(REVERSE_DRASTIC)
     monkeypatch.setitem(REVISION_OPERATORS, "reverse", wrapped.revision)
@@ -982,6 +1040,27 @@ def test_weights_sum_to_the_instance_count(arity, n, patterns, orbits, counted):
     weights = [weight for *_, weight in postulates._weighted_keys(arity, sig, counted)]
     assert len(weights) == (orbits if counted else patterns)
     assert sum(weights) == count_weak_orders(2**n) * (2 ** 2**n - 1) ** (arity - 1)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["pattern", "orbit"])
+@pytest.mark.parametrize("arity, sig", [(2, P), (3, P), (2, PQ), (3, PQ), (2, RGS)],
+                         ids=["n1-arity2", "n1-arity3", "n2-arity2", "n2-arity3", "n3-arity2"])
+def test_key_count_matches_the_weighted_keys(arity, sig, counted):
+    # the closed-form count by which a table decides whether to pool, against
+    # the keys it counts, in all and per subtree of the first level
+    subtrees = range(1, 1 << (1 << (arity - 1)))
+    total = postulates._key_count(arity, sig, counted)
+    assert total == sum(1 for _ in postulates._weighted_keys(arity, sig, counted))
+    counts = [postulates._key_count(arity, sig, counted, first) for first in subtrees]
+    assert counts == [sum(1 for _ in postulates._weighted_keys(arity, sig, counted, first))
+                      for first in subtrees]
+    assert sum(counts) == total
+
+
+def test_three_atom_two_input_key_counts():
+    # too many to walk in tier-1: 586,604 patterns and 1,586,754 orbits
+    assert postulates._key_count(3, RGS, False) == 586_604
+    assert postulates._key_count(3, RGS, True) == 1_586_754
 
 
 def assert_weighted_table_matches_the_walk(pair, sig, pids):

@@ -175,6 +175,7 @@ def test_a_size_reading_revision_is_scanned_by_orbit(monkeypatch):
     # size tells orbit keys from pattern keys: its scans must count every
     # instance as check_instance does, in one process and on a pool
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", 0)
     expected = _checked_suite(SIZED, PQ, list(enumerate_states(PQ)))
     assert run_suite(SIZED, PQ).results == expected
     assert run_suite(SIZED, PQ, jobs=2).results == expected
