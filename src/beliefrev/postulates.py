@@ -106,10 +106,13 @@ the first instances (_witnessed).  Otherwise a task (_scan_group) walks a
 chunk of the states: the stream itself at jobs = 1, jobs chunks of it with
 jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1 the
 tasks run under the builtin map; with jobs > 1 on a process pool of at most
-one worker per task.  jobs is a ceiling: a table over every state whose
-groups have fewer than _POOL_MIN_KEYS keys in all (_key_count, counted in
-closed form) runs its tasks under map too, since starting the pool would
-cost more than it saves.  The tasks and their merge are the same either way.
+one worker per task.  jobs is a ceiling: a table over every state that
+makes fewer than _POOL_MIN_KEYS decisions in all (each group's keys, counted
+in closed form by _key_count, times its members) runs its tasks under map
+too, since starting the pool would cost more than it saves.  The tasks and
+their merge are the same either way.  The pool machinery (concurrent.futures,
+multiprocessing, pickle) is imported only when a scan starts a pool or
+checks its operators for one, so a command that starts none never loads it.
 Pool tasks carry postulates by pid and the operator pair by value (registry
 operators by name), so any other operator needs a module-level function; a
 scan at jobs > 1 refuses one that does not pickle with a ValueError, whether
@@ -122,8 +125,6 @@ worker raised.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice, product
@@ -154,17 +155,22 @@ MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 # patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
 
-# Keys a table over every state must have in all (_key_count over its groups)
-# for its scan to start a pool at jobs > 1; below it the tasks run in the
-# calling process.  On a 2-core host a 2-worker pool costs about 9 ms to start,
-# map 18 no-op tasks and shut down, and a key costs 4-5.5 us to decide, half
-# that at 2 workers, so the pool pays from about 2 * 9 ms / 4.5 us = 4,000
-# keys; the rows and key maps the workers send back raise that.  An n = 3
-# arity-2 table of 1,672 patterns took 8 ms in process and 10 ms on the pool,
-# one of 11,016 orbits 82-92 ms and 76-85 ms.  So every table at n = 2 (at most
-# 707 patterns or 949 orbits) and every n = 3 arity-2 pattern table runs in
-# process, and n = 3 orbit tables and arity-3 tables keep the pool.
-_POOL_MIN_KEYS = 1 << 13
+# Decisions a table over every state must make in all (each group's
+# _key_count times its members) for its scan to start a pool at jobs > 1;
+# below it the tasks run in the calling process.  Measured in fresh
+# interpreters on a 2-core host: the pool's first start in a command imports
+# concurrent.futures and multiprocessing (about 23 ms), and a 2-worker pool
+# then costs about 9 ms to start, map 3 no-op tasks and shut down; a decision
+# costs 2-2.4 us in process (the n = 3 arity-2 rows on the natural pair,
+# decided as one group), half that at 2 workers.  So the pool pays from about
+# 2 * 32 ms / 2.2 us = 29,000 decisions.  Cold run_suite calls on that group
+# agree: 14 rows (23,408 decisions) took 71 ms in process and 75 ms on the
+# pool, 20 rows (33,440) 84 and 74 ms, 24 rows (40,128) 92 and 75 ms; keyed
+# by orbit, 3 rows (33,048) took 59 and 76 ms.  So every table at n = 2 (at
+# most 8,776 decisions, the full suite by orbit) and one n = 3 arity-2 row
+# (1,672 patterns or 11,016 orbits) runs in process, and the 24 n = 3 arity-2
+# rows and every n = 3 arity-3 table keep the pool.
+_POOL_MIN_KEYS = 1 << 15
 
 # Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
 # alike: a block holds 256 masks, or fewer where keys are wide.  A sampled
@@ -1085,9 +1091,34 @@ def _witnessed(
     return [(ordered[i], tally[i], first) for i, first in firsts.items()]
 
 
+class _PoolClass:
+    """concurrent.futures.ProcessPoolExecutor, imported when a pool is built
+    or a class is derived from it (PEP 560), so a command that starts no pool
+    never loads concurrent.futures or multiprocessing.  _scan builds its pool
+    through the module global ProcessPoolExecutor, which tests and the
+    benchmark's tracer replace."""
+
+    @staticmethod
+    def _load() -> type:
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+
+    def __call__(self, *args, **kwargs):
+        return self._load()(*args, **kwargs)
+
+    def __mro_entries__(self, bases):
+        return (self._load(),)
+
+
+ProcessPoolExecutor = _PoolClass()
+
+
 def _check_picklable(pair: OperatorPair) -> None:
     # A task that fails to pickle inside the pool leaves the executor's
     # shutdown waiting forever (CPython 3.11), so a pooled scan checks first.
+    import pickle
+
     for op in (pair.revision, pair.contraction):
         try:
             pickle.dumps(op)
@@ -1109,8 +1140,8 @@ def _scan(
     of one arity form a group, scanned by one walk.  jobs is a ceiling,
     capped at the CPU count and at the number of tasks; above 1 the scan
     runs on a process pool of its own, shut down before it returns, unless
-    it is a table over every state with fewer than _POOL_MIN_KEYS keys in
-    all.  Returns the table of each postulate's group, by pid;
+    it is a table over every state with fewer than _POOL_MIN_KEYS decisions
+    in all.  Returns the table of each postulate's group, by pid;
     its rows follow stream order, so the first row where a claim fails holds
     its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
@@ -1141,11 +1172,11 @@ def _scan(
         # whatever the table's size, so that an argv's exit code does not
         # depend on it
         _check_picklable(pair)
-    # one worker per task at most, and none for a table whose keys are too
-    # few to pay for starting a pool
+    # one worker per task at most, and none for a table whose decisions are
+    # too few to pay for starting a pool
     workers = min(jobs, sum(map(len, parts)))
     if weighted and workers > 1 and sum(
-            _key_count(arities[group[0]], sig, _counted(pair)) for group in groups
+            _key_count(arities[group[0]], sig, _counted(pair)) * len(group) for group in groups
     ) < _POOL_MIN_KEYS:
         workers = 1
     pool = None if workers < 2 else ProcessPoolExecutor(max_workers=workers)

@@ -477,15 +477,82 @@ def test_two_atom_tables_start_no_pool(monkeypatch, capsys, recorded_pools, argv
 
 def test_a_table_reaching_the_key_threshold_starts_one_pool(monkeypatch, recorded_pools):
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
-    pids = ["R7", "C2"]
-    sequential = run_suite(NATURAL, PQ, pids)
-    keys = 44 + 663  # the patterns of an arity-2 and an arity-3 group at n = 2
-    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", keys + 1)
-    assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+    # the threshold counts decisions: each group's patterns at n = 2 (44 at
+    # arity 2, 663 at arity 3) times its members
+    for pids, decisions in ((["R7", "C2"], 44 + 663), (["R7", "R1", "C2"], 2 * 44 + 663)):
+        recorded_pools.clear()
+        sequential = run_suite(NATURAL, PQ, pids)
+        monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", decisions + 1)
+        assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+        assert recorded_pools == []
+        monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", decisions)
+        assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+        assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
+
+
+def test_three_atom_single_input_rows_pool_by_their_decisions(monkeypatch, recorded_pools):
+    # each n = 3 single-input row decides 1,672 patterns: all 24 rows
+    # (40,128 decisions) start a pool, and as many as stay under the
+    # threshold run in process
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    pids = [pid for pid, post in POSTULATES.items() if post.arity == 2]
+    sequential = run_suite(NATURAL, RGS, pids, allow_large=True)
+    rows = (postulates._POOL_MIN_KEYS - 1) // 1672
+    below = run_suite(NATURAL, RGS, pids[:rows], allow_large=True, jobs=2)
+    assert below.results == sequential.results[:rows]
     assert recorded_pools == []
-    monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", keys)
-    assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
+    assert run_suite(NATURAL, RGS, pids, allow_large=True, jobs=2) == sequential
     assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
+
+
+_POOL_MODULES = """
+import contextlib
+import io
+import sys
+
+import beliefrev.cli
+
+def loaded():
+    return [name for name in ("concurrent.futures", "multiprocessing", "pickle")
+            if name in sys.modules]
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return beliefrev.cli.run(argv)
+
+print(loaded())
+print(run(["check", "--atoms", "p,q", "--postulate", "all", "--jobs", "1"]), loaded())
+print(run(["theorem1", "--atoms", "p,q", "--jobs", "2"]), "multiprocessing" in sys.modules)
+"""
+
+
+def test_commands_that_start_no_pool_load_no_pool_machinery():
+    # the pool class is imported when a scan starts a pool, and pickle when a
+    # scan at jobs > 1 checks its operators; a fresh interpreter, since this
+    # session has imported them already
+    src = str(Path(postulates.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _POOL_MODULES], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "1 []", "0 False"]
+
+
+def test_pool_class_stands_for_the_process_pool_executor():
+    # pools are built, and pool classes derived, from concurrent.futures'
+    # class, imported on first use
+    from concurrent.futures import ProcessPoolExecutor
+
+    class Derived(postulates.ProcessPoolExecutor):
+        pass
+
+    assert Derived.__mro__[1] is ProcessPoolExecutor
+    pool = postulates.ProcessPoolExecutor(max_workers=1)
+    try:
+        assert type(pool) is ProcessPoolExecutor
+        assert pool.submit(abs, -3).result() == 3
+    finally:
+        pool.shutdown(wait=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_workers_capped_at_the_tasks(monkeypatch, recorded_pools):
