@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Any
 
 from .logic import Signature, WorldSet, models, parse_formula
@@ -68,9 +69,11 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """run() builds the parser on every call, so each harness bound here is
-    this module's attribute at that moment, as swapped in by a tracer."""
+    """The parser, built on the first run() and kept for the process.  A
+    harness command names its verify_* function, which _cmd_harness looks
+    up in this module when it runs, so a tracer's swap of it takes effect."""
     parser = argparse.ArgumentParser(
         prog="beliefrev",
         description="Iterated belief revision and contraction on ranked epistemic states",
@@ -114,15 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allow exhaustive search over three atoms (545835 states)",
     )
 
-    for name, verify, help_text in (
-        ("theorem1", verify_theorem1,
-         "check the semantic/syntactic equivalences for one operator pair"),
-        ("corollary1", verify_corollary1,
-         "check revise-then-contract equals contraction on applicable instances"),
-        ("observation1", verify_observation1, "check the seven-item recovery-postulate profile"),
-        ("hansson", verify_hansson, "check that the plausible postulates enforce recovery"),
+    for name, help_text in (
+        ("theorem1", "check the semantic/syntactic equivalences for one operator pair"),
+        ("corollary1", "check revise-then-contract equals contraction on applicable instances"),
+        ("observation1", "check the seven-item recovery-postulate profile"),
+        ("hansson", "check that the plausible postulates enforce recovery"),
     ):
-        p = command(name, help_text, _cmd_harness, verify=verify)
+        p = command(name, help_text, _cmd_harness, verify=f"verify_{name}")
         p.add_argument("--atoms", required=True)
         # hansson fixes the natural revision: only the contraction is chosen
         _add_operators(p, op=name != "hansson")
@@ -242,7 +243,7 @@ def _cmd_harness(args) -> int:
     sig = _parse_atoms(args.atoms)
     # hansson takes its contraction by name and pairs it with natural revision
     target = make_pair(args.op, args.cop) if "op" in args else args.cop
-    report = args.verify(target, sig, jobs=args.jobs)
+    report = globals()[args.verify](target, sig, jobs=args.jobs)
     _emit(args, theorem_report_json(report), theorem_report_text(report))
     return 0 if report.ok else 1
 

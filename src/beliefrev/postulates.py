@@ -71,7 +71,11 @@ members share one run of operator outcomes per instance (_Run), so a chain
 that several rows take, such as revise-then-contract, is computed once.
 Later instances are counted from a memo mapping the key to its row; the memo
 holds at most _MEMO_LIMIT keys and is cleared when full.  A search is a group
-of one that stops at its first failing row.
+of one that stops at its first failing row.  A walk keys only the first
+state of each shape, its level sizes in rank order (545,835 states at n = 3
+have 128 shapes): two states of one shape differ by a permutation of the
+valuations that keeps every level, so their instances have the same keys as
+often each.  A later state of a shape is replayed (_replayed).
 
 A table over every state (exhaustive, not a search) walks no instance to
 count it.  _weighted_keys yields each key once with a representative
@@ -97,29 +101,29 @@ Only a reported counterexample becomes an Instance and gets a Verdict (a
 member's through check_instance), so counts, counterexamples and traces are
 those of checking every instance.
 
-A scan maps one task over the parts of each group and reads the group's
-table from them in order.  A table over every state has one task
-(_decide_keys) per subtree of the keys, by the non-empty cells of the first
-level (3 at arity 2, 15 at arity 3), so every key is decided exactly once
-for any jobs; the calling process merges the subtrees' rows and walks for
-the first instances (_witnessed).  Otherwise a task (_scan_group) walks a
-chunk of the states: the stream itself at jobs = 1, jobs chunks of it with
-jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1 the
-tasks run under the builtin map; with jobs > 1 on a process pool of at most
-one worker per task.  jobs is a ceiling: a table over every state that
-makes fewer than _POOL_MIN_KEYS decisions in all (each group's keys, counted
-in closed form by _key_count, times its members) runs its tasks under map
-too, since starting the pool would cost more than it saves.  The tasks and
-their merge are the same either way.  The pool machinery (concurrent.futures,
-multiprocessing, pickle) is imported only when a scan starts a pool or
-checks its operators for one, so a command that starts none never loads it.
-Pool tasks carry postulates by pid and the operator pair by value (registry
-operators by name), so any other operator needs a module-level function; a
-scan at jobs > 1 refuses one that does not pickle with a ValueError, whether
-or not it starts the pool.  A command makes at most one scan (a harness reads
-all its claims from one table), so it has at most one pool: the scan starts
-it and shuts it down before it returns, cancelling what is still queued if a
-worker raised.
+A scan maps one task over the parts of each group and reads the group's table
+from them in order.  A table over every state has one task (_decide_keys) per
+subtree of the keys, by the non-empty cells of the first level (3 at arity 2,
+15 at arity 3), so every key is decided exactly once for any jobs; the calling
+process merges the subtrees' rows and walks for the first instances
+(_witnessed).  Otherwise a task (_scan_group) walks a chunk of the states: the
+stream itself at jobs = 1, jobs chunks of it with jobs > 1, the chunks' tables
+concatenated in stream order.  At jobs = 1 the tasks run under the builtin
+map; with jobs > 1 on a process pool of at most one worker per task.  jobs is
+a ceiling: a table over every state that makes fewer than _POOL_MIN_KEYS
+decisions in all (each group's keys, counted in closed form by _key_count,
+times its members), or a scan of sampled states that walks fewer than
+_POOL_MIN_WALKS instances, runs its tasks under map, since starting the pool
+would cost more than it saves.  The tasks and their merge are the same either
+way.  The pool machinery (concurrent.futures, multiprocessing, pickle) is
+imported only when a scan starts a pool or checks its operators for one, so a
+command that starts none never loads it.  Pool tasks carry postulates by pid
+and the operator pair by value (registry operators by name), so any other
+operator needs a module-level function; a scan at jobs > 1 refuses one that
+does not pickle with a ValueError, whether or not it starts the pool.  A
+command makes at most one scan (a harness reads all its claims from one
+table), so it has at most one pool: the scan starts it and shuts it down
+before it returns, cancelling what is still queued if a worker raised.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, product
+from itertools import chain, islice, product, zip_longest
 from math import comb, factorial
 from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -171,6 +175,14 @@ _MEMO_LIMIT = 1 << 14
 # (1,672 patterns or 11,016 orbits) runs in process, and the 24 n = 3 arity-2
 # rows and every n = 3 arity-3 table keep the pool.
 _POOL_MIN_KEYS = 1 << 15
+
+# Instances a scan of sampled states must walk (per distinct shape, each
+# group's inputs times its members) to start a pool.  Measured as above, n = 3:
+# R6 over 300 states (91 shapes, 23,205 walks) took 19 ms in process and 76
+# on the pool, the 24 single-input rows over 1,000 states (697,680) 110 and
+# 160 ms, C2 over 16 states (975,375) 0.54-0.85 and 0.62 s, over 32
+# (1,820,700) 1.5-1.9 and 0.8-0.9 s.  No sampled n <= 3 single-input scan pools.
+_POOL_MIN_WALKS = 1 << 20
 
 # Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
 # alike: a block holds 256 masks, or fewer where keys are wide.  A sampled
@@ -972,6 +984,31 @@ def _decider(group: tuple[str, ...], pair: OperatorPair,
     return decide
 
 
+def _shape(s: RankedState) -> tuple[int, ...]:
+    """s's level sizes c0, c1, ... in rank order, as c0 zeros, c1 ones, ..."""
+    return tuple(sorted(s.ranks))
+
+
+def _replayed(states: Iterable[RankedState], tally: list[int]) -> Iterator[RankedState]:
+    """The states of a shape (_shape) not met before, for a walk that adds
+    each instance to tally by its row's index.  A later state of a shape
+    adds to tally what the walk of the shape's first state added.  The map
+    is cleared when its shapes hold 8 * _MEMO_LIMIT ranks: every shape at
+    n = 3 fits, and two at n = 16."""
+    seen: dict[tuple[int, ...], list[int]] = {}  # shape -> its tally by row index
+    for s in states:
+        shape = _shape(s)
+        counts = seen.get(shape)
+        if counts is None:
+            if len(seen) * len(shape) >= _MEMO_LIMIT << 3:
+                seen.clear()
+            before = tally.copy()
+            yield s  # resumed once the walk has counted every instance of s
+            seen[shape] = [n - m for n, m in zip_longest(tally, before, fillvalue=0)]
+        else:
+            tally[:len(counts)] = map(add, tally, counts)
+
+
 def _scan_group(
     group: tuple[str, ...],
     states: Iterable[RankedState],
@@ -981,8 +1018,9 @@ def _scan_group(
 ) -> list[tuple[tuple[str, ...], int, tuple]]:
     """The table of a group of registry postulates of one arity, from one
     walk of their instances: each distinct row of the members' statuses, its
-    tally and its first instance, in order of first occurrence.  With
-    stop_at_first the walk ends at the first row where a member fails (a
+    tally and its first instance, in order of first occurrence.  The walk
+    keys the first state of each shape and replays the others (_replayed).
+    With stop_at_first it ends at the first row where a member fails (a
     search is a group of one)."""
     decide = _decider(group, pair, sig)
     # each distinct row is interned with an index, and the memo and the tally
@@ -993,8 +1031,8 @@ def _scan_group(
     tally: list[int] = []  # row index -> instances
     firsts: list[tuple] = []  # row index -> its first instance
     stop = False
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states,
-                                         _counted(pair)):
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig,
+                                         _replayed(states, tally), _counted(pair)):
         i = memo.get(key)
         if i is None:
             row = decide(s, a, b)
@@ -1055,7 +1093,9 @@ def _witnessed(
     """The table of a group over the exhaustive stream states, from its
     subtrees' decided rows: each row's tally is the sum of its weights, and
     its first instance comes from a walk of the stream that ends once every
-    row has one, so the rows keep their order of first occurrence.  While
+    row has one, so the rows keep their order of first occurrence.  The walk
+    skips a state of a shape met before (_replayed), whose rows all have
+    their first instance in the shape's first state.  While
     the subtrees' key maps fit under _MEMO_LIMIT together, the walk reads
     each key's row from them and decides nothing; past it, the walk decides
     what its bounded memo misses."""
@@ -1075,8 +1115,8 @@ def _witnessed(
     if memo is None:
         memo, decide = {}, _decider(group, pair, sig)
     firsts: dict[int, tuple] = {}  # row index -> its first instance, in order
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig, states,
-                                         _counted(pair)):
+    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig,
+                                         _replayed(states, []), _counted(pair)):
         i = memo.get(key)
         if i is None:
             i = rows[decide(s, a, b)]
@@ -1140,8 +1180,8 @@ def _scan(
     of one arity form a group, scanned by one walk.  jobs is a ceiling,
     capped at the CPU count and at the number of tasks; above 1 the scan
     runs on a process pool of its own, shut down before it returns, unless
-    it is a table over every state with fewer than _POOL_MIN_KEYS decisions
-    in all.  Returns the table of each postulate's group, by pid;
+    its decisions or walks fall below their threshold (_POOL_MIN_KEYS,
+    _POOL_MIN_WALKS).  Returns the table of each postulate's group, by pid;
     its rows follow stream order, so the first row where a claim fails holds
     its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
@@ -1159,12 +1199,18 @@ def _scan(
         # the subtrees of the keys, by the non-empty cells of the first level
         parts = [range(1, 1 << (1 << (arities[group[0]] - 1))) for group in groups]
         task = partial(_decide_keys, pair=pair, sig=sig)
+        # a pool pays for enough decisions: each group's keys times its members
+        pays = jobs > 1 and sum(_key_count(arities[group[0]], sig, _counted(pair)) * len(group)
+                                for group in groups) >= _POOL_MIN_KEYS
     else:
-        if jobs == 1:
-            chunks = [stream]
-        else:
-            states = list(stream)
-            size = max(1, (len(states) + jobs - 1) // jobs)
+        states = stream if jobs == 1 else list(stream)
+        # or enough walks: per distinct shape, each group's inputs times members
+        pays = jobs > 1 and len(set(map(_shape, states))) * sum(
+            sig.full_mask ** (arities[group[0]] - 1) * len(group)
+            for group in groups) >= _POOL_MIN_WALKS
+        chunks = [states]
+        if pays:
+            size = -(-len(states) // jobs)
             chunks = [states[i:i + size] for i in range(0, len(states), size)]
         parts = [chunks] * len(groups)
         task = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
@@ -1172,13 +1218,7 @@ def _scan(
         # whatever the table's size, so that an argv's exit code does not
         # depend on it
         _check_picklable(pair)
-    # one worker per task at most, and none for a table whose decisions are
-    # too few to pay for starting a pool
-    workers = min(jobs, sum(map(len, parts)))
-    if weighted and workers > 1 and sum(
-            _key_count(arities[group[0]], sig, _counted(pair)) * len(group) for group in groups
-    ) < _POOL_MIN_KEYS:
-        workers = 1
+    workers = min(jobs, sum(map(len, parts))) if pays else 1  # one per task at most
     pool = None if workers < 2 else ProcessPoolExecutor(max_workers=workers)
     try:
         # every group's tasks are queued before any result is read, so the

@@ -24,6 +24,8 @@ ACCEPTANCE_TITLES = {
     8: "recovery implication (hansson)",
     9: "enumeration counts 3/75/545835",
     10: "property suites under fixed seeds",
+    11: "exhaustive n=3 search within its time bound",
+    12: "exhaustive n=3 two-input table within its time bound",
 }
 
 _ACCEPTANCE_RE = re.compile(r"test_acceptance\.py::test_c(\d+)")

@@ -229,3 +229,28 @@ def test_c10_property_suites():
         replayed += 1
     assert replayed == len(searches)
     assert time.perf_counter() - start < 30.0
+
+
+def test_c11_exhaustive_three_atom_search():
+    # R1 holds for reverse+drastic, so the search meets all 139,187,925
+    # single-input instances at three atoms.  It walks one state per shape
+    # and replays the other states (about 1.5 s on 2 cores; 42 s when it
+    # walked every state)
+    start = time.perf_counter()
+    assert search_counterexample("R1", make_pair("reverse", "drastic"), RGS,
+                                 allow_large=True) is None
+    assert time.perf_counter() - start < 20.0
+
+
+def test_c12_exhaustive_three_atom_two_input_table():
+    # C2 for flatten at three atoms: 586,604 cell patterns decided for
+    # 35,492,920,875 instances, then a walk for each row's first instance
+    # over one state per shape (about 2 s on 2 cores; 6.5-8.8 s when that
+    # walk took every state)
+    start = time.perf_counter()
+    pair = make_pair("flatten", "natural-con")
+    (result,) = run_suite(pair, RGS, ["C2"], allow_large=True).results
+    assert result.checked == 545835 * 255 * 255
+    assert result.fails > 0
+    assert check_instance("C2", pair, result.counterexample.instance).status == FAILS
+    assert time.perf_counter() - start < 20.0

@@ -326,6 +326,26 @@ def test_harness_commands_call_the_module_attributes(capsys, monkeypatch):
     assert calls == ["verify_theorem1", "verify_hansson"]
 
 
+def test_runs_share_one_parser_and_call_the_swapped_harness(capsys, monkeypatch):
+    """The parser is built once per process; a harness swapped on the cli
+    module after it was built is still the one a command calls."""
+    cli._build_parser.cache_clear()
+    assert main(["theorem1", "--atoms", "p"]) == 0
+    calls = []
+    original = cli.verify_theorem1
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_theorem1", recorder)
+    assert main(["theorem1", "--atoms", "p"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_repeated_invocations_identical(capsys):
     args = ("george", "--op", "flatten", "--format", "json")
     _, first, _ = run_cli(capsys, *args)

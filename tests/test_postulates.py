@@ -45,6 +45,7 @@ from beliefrev.postulates import (
     search_counterexample,
 )
 from beliefrev.states import (
+    RankedState,
     _level_masks,
     belief_set,
     count_weak_orders,
@@ -307,7 +308,10 @@ def test_registry_rows_reach_workers_as_registry_objects(monkeypatch, recorded_p
     # 3 first-level cell patterns at arity 2, 15 at arity 3
     assert groups == [("R7", "R1")] * 3 + [("C2",)] * 15
     assert pooled == run_suite(NATURAL, PQ, pids)
-    # a sampled one has one task per group and chunk: two chunks of the states
+    # a sampled one has one task per group and chunk: two chunks of the
+    # states, once the walk threshold no longer keeps so small a scan in
+    # process
+    monkeypatch.setattr(postulates, "_POOL_MIN_WALKS", 0)
     groups.clear()
     sampled = dict(mode="sample", samples=10, seed=2)
     pooled = run_suite(NATURAL, PQ, pids, jobs=2, **sampled)
@@ -488,6 +492,23 @@ def test_a_table_reaching_the_key_threshold_starts_one_pool(monkeypatch, recorde
         monkeypatch.setattr(postulates, "_POOL_MIN_KEYS", decisions)
         assert run_suite(NATURAL, PQ, pids, jobs=2) == sequential
         assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
+
+
+def test_a_sampled_scan_below_the_walk_threshold_starts_no_pool(monkeypatch, capsys,
+                                                               recorded_pools):
+    # R6 over 300 sampled three-atom states walks the 255 inputs of 91
+    # shapes, 23,205 instances, too few to pay for starting a pool
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    argv = ["check", "--atoms", "p,q,r", "--postulate", "R6", "--mode", "sample",
+            "--samples", "300", "--seed", "1", "--format", "json"]
+    code = cli_run(argv + ["--jobs", "1"])
+    sequential = capsys.readouterr().out
+    for threshold, pools in ((postulates._POOL_MIN_WALKS, 0), (91 * 255 + 1, 0), (91 * 255, 1)):
+        recorded_pools.clear()
+        monkeypatch.setattr(postulates, "_POOL_MIN_WALKS", threshold)
+        assert cli_run(argv + ["--jobs", "2"]) == code
+        assert capsys.readouterr().out == sequential
+        assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)] * pools
 
 
 def test_three_atom_single_input_rows_pool_by_their_decisions(monkeypatch, recorded_pools):
@@ -1130,27 +1151,125 @@ def test_three_atom_two_input_key_counts():
     assert postulates._key_count(3, RGS, True) == 1_586_754
 
 
+# --- the walk's memo and shape replay against a walk of every instance ------------
+
+
+def _every_instance_table(group, states, pair, sig, stop_at_first=False):
+    """The table _scan_group builds, from a walk that replays no state:
+    every instance of every state keyed by _keyed_instances and tallied, its
+    key's row decided by _decider at the key's first instance and read from
+    an unbounded map after it (that a row is a function of its key is
+    checked against check_instance on every instance above).  With
+    stop_at_first the walk ends at the first row where a member fails."""
+    decide = postulates._decider(group, pair, sig)
+    entries = {}  # key -> [tally, first instance] of its row
+    table = {}  # row -> the same list
+    for key, s, a, b in postulates._keyed_instances(POSTULATES[group[0]].arity, sig, states,
+                                                    postulates._counted(pair)):
+        entry = entries.get(key)
+        if entry is None:
+            row = decide(s, a, b)
+            entry = entries[key] = table.setdefault(row, [0, (s, a, b)])
+            if stop_at_first and not entry[0] and FAILS in row:
+                entry[0] = 1
+                break
+        entry[0] += 1
+    return [(row, tally, first) for row, (tally, first) in table.items()]
+
+
 def assert_weighted_table_matches_the_walk(pair, sig, pids):
     """The table of an exhaustive scan of pids (one arity), taken from
-    weighted keys, equals the table of the walk that searches and sampled
-    scans take (_scan_group) over every state: the same rows in the same
-    order, with the same tallies and first instances.  CI runs it over three
-    atoms for reverse+drastic's 24 single-input rows, where the walk takes
-    about 40 s."""
+    weighted keys, equals the table of a walk of every instance of every
+    state (_every_instance_table): the same rows in the same order, with the
+    same tallies and first instances.  CI runs it over three atoms for
+    reverse+drastic's 24 single-input rows, where the walk of 139,187,925
+    instances takes about 40 s."""
     group = tuple(pids)
     weighted = postulates._scan(pids, pair, sig, enumerate_states(sig), stop_at_first=False,
                                 jobs=1)
-    walked = postulates._scan_group(group, enumerate_states(sig), pair, sig, stop_at_first=False)
+    walked = _every_instance_table(group, enumerate_states(sig), pair, sig)
     assert weighted[pids[0]] == [(dict(zip(group, row)), tally, first)
                                  for row, tally, first in walked], pair.name
 
 
-@pytest.mark.parametrize("pair", [*ALL_PAIRS, _closure_wrapped(REVERSE_DRASTIC)],
-                         ids=lambda pair: pair.name + ("" if pair.revision.transform else "-wrapped"))
+ORACLE_PAIRS = pytest.mark.parametrize(
+    "pair", [*ALL_PAIRS, _closure_wrapped(REVERSE_DRASTIC)],
+    ids=lambda pair: pair.name + ("" if pair.revision.transform else "-wrapped"))
+
+
+@ORACLE_PAIRS
 def test_weighted_tables_match_the_walk(pair):
     for arity in (2, 3):
         pids = [pid for pid, post in POSTULATES.items() if post.arity == arity]
         assert_weighted_table_matches_the_walk(pair, PQ, pids)
+
+
+def _level_sizes(s):
+    counts = Counter(s.ranks)
+    return tuple(counts[rank] for rank in range(s.num_levels))
+
+
+@ORACLE_PAIRS
+def test_replayed_walks_match_a_walk_of_every_instance(pair):
+    # both streams repeat shapes: 40 sampled states and the 75 states of the
+    # exhaustive stream each have all 8 shapes at n = 2, (1, 3) and (3, 1)
+    # among them, so most states are replayed
+    streams = {"sample": list(sample_states(PQ, 40, seed=3)),
+               "exhaustive": list(enumerate_states(PQ))}
+    for mode, states in streams.items():
+        assert len({_level_sizes(s) for s in states}) == 8
+        for arity in (2, 3):
+            group = tuple(pid for pid, post in POSTULATES.items() if post.arity == arity)
+            assert postulates._scan_group(group, states, pair, PQ, False) == \
+                _every_instance_table(group, states, pair, PQ), (mode, arity)
+        for pid in ALL_POSTULATE_IDS:
+            reference = _every_instance_table((pid,), states, pair, PQ, stop_at_first=True)
+            assert postulates._scan_group((pid,), states, pair, PQ, True) == reference, (mode, pid)
+            first = next((first for row, _, first in reference if FAILS in row), None)
+            cex = search_counterexample(pid, pair, PQ, mode=mode, samples=40, seed=3)
+            assert (cex and cex.instance) == (first and postulates._instance(*first)), (mode, pid)
+
+
+def test_a_sampled_scan_walks_one_state_per_shape(monkeypatch):
+    walked = []
+    walk = postulates._keyed_instances
+
+    def recording(arity, sig, states, counted):
+        return walk(arity, sig, (walked.append(s) or s for s in states), counted)
+
+    monkeypatch.setattr(postulates, "_keyed_instances", recording)
+    # R6 over 300 three-atom states; R6 and C4, one walk per arity group,
+    # over 40 two-atom states
+    for sig, pids, samples, seed, shapes in ((RGS, ["R6"], 300, 1, 91),
+                                             (PQ, ["R6", "C4"], 40, 3, 8)):
+        firsts = {}
+        for s in sample_states(sig, samples, seed):
+            firsts.setdefault(_level_sizes(s), s)
+        assert len(firsts) == shapes
+        sampled = dict(mode="sample", samples=samples, seed=seed)
+        walked.clear()
+        report = run_suite(NATURAL, sig, pids, **sampled)
+        assert walked == len(pids) * list(firsts.values())
+        inputs = sig.full_mask
+        assert [r.checked for r in report.results] == [samples * inputs, samples * inputs ** 2][
+            :len(pids)]
+        # with room for 16 ranks (2 shapes at n = 3, 4 at n = 2) the shape
+        # map is cleared when full, and a shape met again after that is
+        # walked again, to the same report
+        walked.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(postulates, "_MEMO_LIMIT", 2)
+            assert run_suite(NATURAL, sig, pids, **sampled) == report
+        assert len(walked) > len(pids) * shapes
+
+
+def test_shape_map_memory_is_bounded_by_its_ranks():
+    # 400 twelve-atom states of distinct shapes: holding every sorted rank
+    # vector, 4,096 ranks each, would take about 13 MB
+    sig = Signature(tuple("abcdefghijkl"))
+    states = (RankedState(sig, [0] * k + [1] * (sig.num_valuations - k)) for k in range(1, 401))
+    _, peak = _traced_peak(lambda: sum(1 for _ in postulates._replayed(states, [])))
+    assert peak <= 4 * 2**20, peak
 
 
 def _traced_peak(walk):
