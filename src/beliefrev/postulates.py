@@ -39,8 +39,8 @@ M(K) and free the worlds outside a and M(K), it is vacuous if nothing is lost,
 fails on class M(K) if M(K) is not within a, holds if lost is within free, and
 otherwise fails on class M(K) plus free.
 
-Search and suite evaluation iterate states in enumeration order and input
-masks in numeric order, so the first counterexample is reproducible.
+Search and suite evaluation take states in enumeration order and input masks
+in numeric order, so the first counterexample is reproducible.
 Inputs range over the non-empty subsets of valuations (15 at n = 2), standing
 for formula equivalence classes; the unsatisfiable input is exercised only by
 dedicated PR6 instance checks.
@@ -53,45 +53,43 @@ set-algebraic (see operators), a verdict's status therefore depends only on
 the instance's cell pattern: per level, which cells are non-empty.  An
 operator without a transform is only world-neutral and may read cell sizes, so
 for such a pair the status depends on the instance's orbit under permutations
-of the valuations: per level, the number of worlds in each cell.  A scan
-decides each pattern once, or each orbit once for a pair without both
-transforms.  It splits its postulates into groups of one arity and walks each
-group's instance stream once.  One walk (_keyed_instances) keys every
-instance: each level has one field per input cell, a bit set when the cell is
-non-empty for a pattern key, or, counted, n + 1 bits holding the cell's
-number of worlds for an orbit key.  A state's keys come from tables indexed
-by input mask, built a block of masks at a time and only as far as the walk
-reaches.  Each distinct row of the members' statuses is interned once, and a
-scan returns its table: the distinct rows in order of first occurrence, each
-with its tally (the instances that have it) and first instance, on masks.
+of the valuations: per level, the number of worlds in each cell.  A key has
+one field per input cell of each level, a bit set when the cell is non-empty
+for a pattern key, or n + 1 bits holding the cell's number of worlds for an
+orbit key.  A scan decides each pattern once, or each orbit once for a pair
+without both transforms.  It splits its postulates into groups of one arity
+and returns each group's table: each distinct row of the members' statuses,
+interned once, in order of first occurrence, with its tally (the instances
+that have it) and its first instance, on masks.
 
-A search, and a scan of sampled states, walks the stream.  At the first
+A table over every state (exhaustive, searches included) walks no instance.
+_weighted_keys yields each key once with its first instance in the stream, in
+closed form, that instance's position, and its weight, the number of
+instances with the key: surj(2**n, k) = k!·S(2**n, k) for a pattern of k
+non-empty cells, the multinomial 2**n! / prod(c!) for an orbit of cell counts
+c.  Every member decides each key once at that instance, the weight goes to
+that row's tally, and the row's first instance is at its least position.  At n = 2 a
+full suite stands for 162,000 instances in two streams (1,125 arity-2 and
+16,875 arity-3 instances).  For a registry pair it makes 6,360 decisions: 44
+patterns per arity-2 postulate and 663 per arity-3 one.  Keyed by orbit it
+makes 8,776: 74 and 875.  At n = 3 an arity-2 row decides 1,672 patterns
+(11,016 orbits) for 139,187,925 instances, an arity-3 row 586,604 patterns.
+A search decides every key of its table, so one whose first failure comes
+early still pays for the whole table.
+
+A scan of sampled states walks the stream.  One walk (_keyed_instances) keys
+every instance; a state's keys come from tables indexed by input mask, built
+a block of masks at a time and only as far as the walk reaches.  At the first
 instance of a key it calls every member's rule for its status alone; the
 members share one run of operator outcomes per instance (_Run), so a chain
 that several rows take, such as revise-then-contract, is computed once.
 Later instances are counted from a memo mapping the key to its row; the memo
-holds at most _MEMO_LIMIT keys and is cleared when full.  A search is a group
-of one that stops at its first failing row.  A walk keys only the first
-state of each shape, its level sizes in rank order (545,835 states at n = 3
-have 128 shapes): two states of one shape differ by a permutation of the
-valuations that keeps every level, so their instances have the same keys as
-often each.  A later state of a shape is replayed (_replayed).
-
-A table over every state (exhaustive, not a search) walks no instance to
-count it.  _weighted_keys yields each key once with a representative
-instance and its weight, the number of instances with the key: surj(2**n, k)
-= k!·S(2**n, k) for a pattern of k non-empty cells, the multinomial
-2**n! / prod(c!) for an orbit of cell counts c.  Every member decides each
-representative once, and the weight goes to that row's tally.  Then the key
-walk runs from the stream's start only to find each row's first instance: it
-reads a key's row from the key map and decides nothing while the map fits
-under _MEMO_LIMIT (past it, misses are decided as above), and it ends once
-every row has its first instance.  At n = 2 a full suite stands for 162,000
-instances in two streams (1,125 arity-2 and 16,875 arity-3 instances).  For a
-registry pair it makes 6,360 decisions: 44 patterns per arity-2 postulate and
-663 per arity-3 one.  Keyed by orbit it makes 8,776: 74 and 875.  At n = 3 an
-arity-2 row decides 1,672 patterns (11,016 orbits) for 139,187,925
-instances.
+holds at most _MEMO_LIMIT keys and is cleared when full.  A search of sampled
+states is a group of one that stops at its first failing row.  A walk keys
+only the first state of each shape, its level sizes in rank order: two states
+of one shape differ by a permutation of the valuations that keeps every
+level, so their instances have the same keys as often each.  A later state
+of a shape is replayed (_replayed).
 
 _fold reads a claim from the table by its status on a row: its counts are
 sums of tallies, and its first failing instance is the first instance of the
@@ -103,21 +101,20 @@ those of checking every instance.
 
 A scan maps one task over the parts of each group and reads the group's table
 from them in order.  A table over every state has one task (_decide_keys) per
-subtree of the keys, by the non-empty cells of the first level (3 at arity 2,
-15 at arity 3), so every key is decided exactly once for any jobs; the calling
-process merges the subtrees' rows and walks for the first instances
-(_witnessed).  Otherwise a task (_scan_group) walks a chunk of the states: the
-stream itself at jobs = 1, jobs chunks of it with jobs > 1, the chunks' tables
-concatenated in stream order.  At jobs = 1 the tasks run under the builtin
-map; with jobs > 1 on a process pool of at most one worker per task.  jobs is
-a ceiling: a table over every state that makes fewer than _POOL_MIN_KEYS
-decisions in all (each group's keys, counted in closed form by _key_count,
-times its members), or a scan of sampled states that walks fewer than
-_POOL_MIN_WALKS instances, runs its tasks under map, since starting the pool
-would cost more than it saves.  The tasks and their merge are the same either
-way.  The pool machinery (concurrent.futures, multiprocessing, pickle) is
-imported only when a scan starts a pool or checks its operators for one, so a
-command that starts none never loads it.  Pool tasks carry postulates by pid
+subtree of the keys, by the non-empty cells of the top level (3 at arity 2, 15
+at arity 3), so every key is decided exactly once for any jobs; the calling
+process merges the subtrees' rows (_merged).  Otherwise a task (_scan_group)
+walks a chunk of the states: the stream itself at jobs = 1, jobs chunks of it
+with jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1
+the tasks run under the builtin map; with jobs > 1 on a process pool of at
+most one worker per task.  jobs is a ceiling: a table over every state that
+makes fewer than _POOL_MIN_KEYS decisions in all (each group's keys, counted
+in closed form by _key_count, times its members), or a scan of sampled states
+that walks fewer than _POOL_MIN_WALKS instances, runs its tasks under map,
+since starting the pool would cost more than it saves.  The tasks and their
+merge are the same either way.  The pool machinery (concurrent.futures,
+multiprocessing, pickle) is imported only when a scan starts a pool or checks
+its operators for one, so a command that starts none never loads it.  Pool tasks carry postulates by pid
 and the operator pair by value (registry operators by name), so any other
 operator needs a module-level function; a scan at jobs > 1 refuses one that
 does not pickle with a ValueError, whether or not it starts the pool.  A
@@ -131,7 +128,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, product, zip_longest
+from itertools import accumulate, chain, islice, product, zip_longest
 from math import comb, factorial
 from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -153,10 +150,9 @@ VACUOUS = "vacuous"
 
 MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 
-# Entries of one scan's memo before it is cleared, and of the key map a table
-# over every state walks by (_witnessed).  Every key at n = 2 fits (663 arity-3
-# patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3 (1,672
-# patterns, 11,016 orbits).
+# Entries of a sampled scan's memo before it is cleared (_scan_group).  Every
+# key at n = 2 fits (663 arity-3 patterns, 875 arity-3 orbits), and so does
+# every arity-2 key at n = 3 (1,672 patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
 
 # Decisions a table over every state must make in all (each group's
@@ -813,8 +809,11 @@ _INPUT_FIELDS = {2: (0b10, 0), 3: (0b1100, 0b1010)}
 def _level_choices(arity: int, sig: Signature, counted: bool) -> tuple[tuple[int, ...], ...]:
     """The choices for one level of a key (_weighted_keys), fewest worlds
     first: (its worlds, its field, its non-empty cells, its masks of a and
-    of b from the level's first world, whether its last cell is in a and in
-    b, prod(c!) over its cells)."""
+    of b from the level's first world, whether its last non-empty cell is in
+    a and in b, prod(c!) over its cells).  The cells are laid out from the
+    level's first world in the order a and b, a only, b only, neither (fields
+    3 to 0; a, then not a, at arity 2), so a and then b take the level's
+    lowest worlds."""
     cells = 1 << (arity - 1)
     width = sig.n + 1 if counted else 1
     total = sig.num_valuations
@@ -822,7 +821,7 @@ def _level_choices(arity: int, sig: Signature, counted: bool) -> tuple[tuple[int
     choices = []
     for counts in product(range((total if counted else 1) + 1), repeat=cells):
         size, field, used, mask_a, mask_b, denom = 0, 0, 0, 0, 0, 1
-        for j, c in enumerate(counts):
+        for j, c in reversed(list(enumerate(counts))):
             if c:
                 cell = ((1 << c) - 1) << size
                 if in_a >> j & 1:
@@ -840,11 +839,12 @@ def _level_choices(arity: int, sig: Signature, counted: bool) -> tuple[tuple[int
 
 
 def _weighted_keys(
-    arity: int, sig: Signature, counted: bool, first: int | None = None
-) -> Iterator[tuple[int, tuple[tuple[int, ...], int, int | None], int]]:
+    arity: int, sig: Signature, counted: bool, top: int | None = None
+) -> Iterator[tuple[int, tuple[tuple[int, ...], int, int | None], int, int]]:
     """Each key that _keyed_instances gives over enumerate_states(sig),
-    once, as (key, (levels, a, b), weight): an instance with the key, as
-    level masks and input masks, and the number of instances with it.
+    once, as (key, (levels, a, b), position, weight): the key's first
+    instance in the stream, as level masks and input masks, its position
+    there, and the number of instances with the key.
 
     A key is a sequence of levels, each a non-empty choice of cells
     (_level_choices): which cells are non-empty for a pattern, each cell's
@@ -853,47 +853,66 @@ def _weighted_keys(
     cell getting one: a pattern with k non-empty cells has surj(2**n, k) =
     k!·S(2**n, k) instances, an orbit with cell counts c the multinomial
     2**n! / prod(c!).  The cells inside a (and, at arity 3, inside b) must
-    not all be empty.  With first, only the keys whose first level has
-    exactly the non-empty cells first: these subtrees (3 at arity 2, 15 at
-    arity 3) partition the keys.
+    not all be empty.  With top, only the keys whose top level has exactly
+    the non-empty cells top: these subtrees (3 at arity 2, 15 at arity 3)
+    partition the keys.
 
-    The representative takes the worlds in order, a level at a time and
-    cell by cell in field order; a pattern's worlds beyond one per cell go
-    to the last cell of the last level."""
+    The stream orders instances by level count, then rank vector, then a,
+    then b.  Of the states with level sizes c0, c1, ... the first is 0^c0
+    1^c1 ..., and the larger c0, then c1, ..., the earlier.  So the levels
+    are chosen from the top down, each a block of worlds below the levels
+    above it, a pattern's with one world per non-empty cell, until level 0
+    takes the worlds left, its last non-empty cell the spare ones; in each
+    block a and b take the lowest worlds they can (_level_choices).  The
+    position packs (levels - 1, each level start w > 0 as bit 2**n - 1 - w,
+    a, b) into one int, which orders as the stream does."""
     step = (1 << (arity - 1)) * (sig.n + 1 if counted else 1)
-    total, full = sig.num_valuations, sig.full_mask
+    total = sig.num_valuations
+    inputs = (arity - 1) * total  # the bits of a and b in a position
     in_a, in_b = _INPUT_FIELDS[arity]
     fact = [factorial(c) for c in range(total + 1)]
     surj = [_surjections(total, k) for k in range(total + 1)]
     choices = _level_choices(arity, sig, counted)
 
-    def extend(depth, key, used, world, masks, a, b, denom):
-        shift = depth * step
+    def extend(depth, key, used, above, masks, a, b, denom, starts):
+        low = (1 << total - above) - 1  # the worlds below the levels above
+        head = (depth << total | starts) << inputs
         for size, field, cells_used, mask_a, mask_b, last_a, last_b, level_denom in choices:
-            end = world + size
+            end = above + size
             if end > total:
                 break
-            if depth == 0 and first is not None and cells_used != first:
+            if depth == 0 and top is not None and cells_used != top:
                 continue
-            k, u, d = key | field << shift, used | cells_used, denom * level_denom
-            ms = masks + (((1 << size) - 1) << world,)
-            xa, xb = a | mask_a << world, b | mask_b << world
-            if u & in_a and (arity == 2 or u & in_b):
-                if counted:
-                    if end == total:
-                        yield k, (ms, xa, xb if arity == 3 else None), fact[total] // d
-                else:
-                    extra = full ^ ((1 << end) - 1)
-                    yield k, (ms[:-1] + (ms[-1] | extra,), xa | extra * last_a,
-                              xb | extra * last_b if arity == 3 else None), surj[end]
+            k, u, d = key << step | field, used | cells_used, denom * level_denom
+            if u & in_a and (arity == 2 or u & in_b) and (end == total or not counted):
+                # the choice as level 0, on every world left
+                spare = low >> size << size
+                xa, xb = a | mask_a | spare * last_a, b | mask_b | spare * last_b
+                yield (k, ((low,) + masks, xa, xb if arity == 3 else None),
+                       head | xa << inputs - total | xb, fact[total] // d if counted else surj[end])
             if end < total:
-                yield from extend(depth + 1, k, u, end, ms, xa, xb, d)
+                # the choice as a level above level 0, with level 0 still to come
+                world = total - end
+                yield from extend(depth + 1, k, u, end, (((1 << size) - 1) << world,) + masks,
+                                  a | mask_a << world, b | mask_b << world, d,
+                                  starts | 1 << end - 1)
 
-    return extend(0, 0, 0, 0, (), 0, 0, 1)
+    return extend(0, 0, 0, 0, (), 0, 0, 1, 0)
+
+
+def _first_instance(arity: int, sig: Signature,
+                    position: int) -> tuple[RankedState, int, int | None]:
+    """The instance at a position _weighted_keys gives, as (state, a, b) on
+    masks."""
+    total = sig.num_valuations
+    starts, *inputs = [position >> j * total & sig.full_mask for j in reversed(range(arity))]
+    # world v starts a level where bit 2**n - 1 - v is set
+    ranks = accumulate(map(int, format(starts, f"0{total}b")))
+    return RankedState(sig, ranks), inputs[0], inputs[1] if arity == 3 else None
 
 
 @lru_cache(maxsize=None)
-def _key_count(arity: int, sig: Signature, counted: bool, first: int | None = None) -> int:
+def _key_count(arity: int, sig: Signature, counted: bool, top: int | None = None) -> int:
     """The number of keys _weighted_keys yields, without walking them: its
     walk's paths counted by (worlds used, cells used so far), over the same
     choices per level.  Each count at n <= 3 takes at most about 10 ms,
@@ -909,7 +928,7 @@ def _key_count(arity: int, sig: Signature, counted: bool, first: int | None = No
                 end = world + size
                 if end > total:
                     break
-                if world == 0 and first is not None and cells_used != first:
+                if world == 0 and top is not None and cells_used != top:
                     continue
                 u = used | cells_used
                 if u & in_a and (arity == 2 or u & in_b) and (end == total or not counted):
@@ -1051,84 +1070,53 @@ def _scan_group(
 
 
 # The rows of a group over the keys of one subtree (_decide_keys): the
-# distinct rows, their summed weights, and each key's row index, or None
-# where the keys outgrow _MEMO_LIMIT.
-Decided = tuple[list[tuple[str, ...]], list[int], dict[int, int] | None]
+# distinct rows, their summed weights and their least positions.
+Decided = tuple[list[tuple[str, ...]], list[int], list[int]]
 
 
-def _decide_keys(group: tuple[str, ...], first: int, pair: OperatorPair,
+def _decide_keys(group: tuple[str, ...], top: int, pair: OperatorPair,
                  sig: Signature) -> Decided:
-    """Each key of the group's exhaustive stream over sig whose first level
-    has the non-empty cells first, decided once at its representative
-    (_weighted_keys), its weight added to its row's tally."""
+    """Each key of the group's exhaustive stream over sig whose top level
+    has the non-empty cells top, decided once at its first instance
+    (_weighted_keys), its weight added to its row's tally and its position
+    kept where it is the row's least."""
     transforms = _transforms(pair, sig)
     rules = [POSTULATES[pid].rule for pid in group]
     rows: dict[tuple[str, ...], int] = {}
     tally: list[int] = []
-    keys: dict[int, int] | None = {}
-    for key, (levels, a, b), weight in _weighted_keys(POSTULATES[group[0]].arity, sig,
-                                                      _counted(pair), first):
+    least: list[int] = []
+    for _, (levels, a, b), position, weight in _weighted_keys(
+            POSTULATES[group[0]].arity, sig, _counted(pair), top):
         run = _Run(sig, levels, transforms)
         statuses = []
         for rule in rules:
             statuses.append(rule(run, a, b)[0])
         i = rows.setdefault(tuple(statuses), len(tally))
         if i == len(tally):
-            tally.append(0)
-        tally[i] += weight
-        if keys is not None:
-            keys[key] = i
-            if len(keys) > _MEMO_LIMIT:
-                keys = None
-    return list(rows), tally, keys
-
-
-def _witnessed(
-    group: tuple[str, ...],
-    states: Iterable[RankedState],
-    pair: OperatorPair,
-    sig: Signature,
-    decided: Iterable[Decided],
-) -> list[tuple[tuple[str, ...], int, tuple]]:
-    """The table of a group over the exhaustive stream states, from its
-    subtrees' decided rows: each row's tally is the sum of its weights, and
-    its first instance comes from a walk of the stream that ends once every
-    row has one, so the rows keep their order of first occurrence.  The walk
-    skips a state of a shape met before (_replayed), whose rows all have
-    their first instance in the shape's first state.  While
-    the subtrees' key maps fit under _MEMO_LIMIT together, the walk reads
-    each key's row from them and decides nothing; past it, the walk decides
-    what its bounded memo misses."""
-    rows: dict[tuple[str, ...], int] = {}
-    tally: list[int] = []
-    memo: dict[int, int] | None = {}
-    for subtree_rows, weights, keys in decided:
-        index = [rows.setdefault(row, len(rows)) for row in subtree_rows]
-        tally += [0] * (len(rows) - len(tally))
-        for i, weight in zip(index, weights):
-            tally[i] += weight
-        if memo is None or keys is None or len(memo) + len(keys) > _MEMO_LIMIT:
-            memo = None
+            tally.append(weight)
+            least.append(position)
         else:
-            memo.update((key, index[i]) for key, i in keys.items())
-    decide = None
-    if memo is None:
-        memo, decide = {}, _decider(group, pair, sig)
-    firsts: dict[int, tuple] = {}  # row index -> its first instance, in order
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig,
-                                         _replayed(states, []), _counted(pair)):
-        i = memo.get(key)
-        if i is None:
-            i = rows[decide(s, a, b)]
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = i
-        if i not in firsts:
-            firsts[i] = (s, a, b)
-            if len(firsts) == len(rows):
-                break
-    ordered = list(rows)
-    return [(ordered[i], tally[i], first) for i, first in firsts.items()]
+            tally[i] += weight
+            if position < least[i]:
+                least[i] = position
+    return list(rows), tally, least
+
+
+def _merged(arity: int, sig: Signature,
+            decided: Iterable[Decided]) -> list[tuple[tuple[str, ...], int, tuple]]:
+    """The table of a group over the exhaustive stream, from its subtrees'
+    decided rows: each row's tally is the sum of its weights and its first
+    instance is at its least position (_first_instance).  The rows are
+    sorted by that position, so they keep their order of first occurrence."""
+    rows: dict[tuple[str, ...], list[int]] = {}  # row -> [tally, least position]
+    for subtree_rows, tallies, positions in decided:
+        for row, tally, position in zip(subtree_rows, tallies, positions):
+            entry = rows.setdefault(row, [0, position])
+            entry[0] += tally
+            entry[1] = min(entry[1], position)
+    ordered = sorted(rows.items(), key=lambda item: item[1][1])
+    return [(row, tally, _first_instance(arity, sig, position))
+            for row, (tally, position) in ordered]
 
 
 class _PoolClass:
@@ -1177,7 +1165,10 @@ def _scan(
 ) -> dict[str, list[Row]]:
     """Scan registry postulates over one state stream; every search (a list
     of one), suite and harness runs through here.  The distinct postulates
-    of one arity form a group, scanned by one walk.  jobs is a ceiling,
+    of one arity form a group.  An exhaustive stream's groups are decided
+    from their weighted keys (_decide_keys, _merged) and the stream is never
+    iterated; a sampled stream's are walked (_scan_group), and only there
+    does stop_at_first end a walk at the first failing row.  jobs is a ceiling,
     capped at the CPU count and at the number of tasks; above 1 the scan
     runs on a process pool of its own, shut down before it returns, unless
     its decisions or walks fall below their threshold (_POOL_MIN_KEYS,
@@ -1192,11 +1183,11 @@ def _scan(
     jobs = min(jobs, os.cpu_count() or 1)
     groups = [tuple(pid for pid in arities if arities[pid] == arity)
               for arity in dict.fromkeys(arities.values())]
-    # a table over every state decides each key once and walks only for the
-    # rows' first instances
-    weighted = not stop_at_first and getattr(stream, "mode", None) == "exhaustive"
+    # a table over every state, a search's too, decides each key once and
+    # walks nothing
+    weighted = getattr(stream, "mode", None) == "exhaustive"
     if weighted:
-        # the subtrees of the keys, by the non-empty cells of the first level
+        # the subtrees of the keys, by the non-empty cells of the top level
         parts = [range(1, 1 << (1 << (arities[group[0]] - 1))) for group in groups]
         task = partial(_decide_keys, pair=pair, sig=sig)
         # a pool pays for enough decisions: each group's keys times its members
@@ -1229,7 +1220,7 @@ def _scan(
         table = {}
         for group, part in zip(groups, parts):
             done = islice(outcomes, len(part))
-            found = (_witnessed(group, stream, pair, sig, done) if weighted
+            found = (_merged(arities[group[0]], sig, done) if weighted
                      else chain.from_iterable(done))
             rows = [(dict(zip(group, row)), tally, first) for row, tally, first in found]
             table.update(dict.fromkeys(group, rows))

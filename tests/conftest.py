@@ -26,6 +26,7 @@ ACCEPTANCE_TITLES = {
     10: "property suites under fixed seeds",
     11: "exhaustive n=3 search within its time bound",
     12: "exhaustive n=3 two-input table within its time bound",
+    13: "exhaustive n=3 clean two-input search within its time bound",
 }
 
 _ACCEPTANCE_RE = re.compile(r"test_acceptance\.py::test_c(\d+)")

@@ -233,9 +233,9 @@ def test_c10_property_suites():
 
 def test_c11_exhaustive_three_atom_search():
     # R1 holds for reverse+drastic, so the search meets all 139,187,925
-    # single-input instances at three atoms.  It walks one state per shape
-    # and replays the other states (about 1.5 s on 2 cores; 42 s when it
-    # walked every state)
+    # single-input instances at three atoms.  It reads them from a table of
+    # 1,672 cell patterns (about 0.01 s on 2 cores; 42 s when it walked every
+    # state, 1.5 s when it walked one state per shape)
     start = time.perf_counter()
     assert search_counterexample("R1", make_pair("reverse", "drastic"), RGS,
                                  allow_large=True) is None
@@ -244,13 +244,23 @@ def test_c11_exhaustive_three_atom_search():
 
 def test_c12_exhaustive_three_atom_two_input_table():
     # C2 for flatten at three atoms: 586,604 cell patterns decided for
-    # 35,492,920,875 instances, then a walk for each row's first instance
-    # over one state per shape (about 2 s on 2 cores; 6.5-8.8 s when that
-    # walk took every state)
+    # 35,492,920,875 instances, each row's first instance read from its
+    # least pattern (about 2 s on 2 cores; 6.5-8.8 s when a walk over every
+    # state found the first instances)
     start = time.perf_counter()
     pair = make_pair("flatten", "natural-con")
     (result,) = run_suite(pair, RGS, ["C2"], allow_large=True).results
     assert result.checked == 545835 * 255 * 255
     assert result.fails > 0
     assert check_instance("C2", pair, result.counterexample.instance).status == FAILS
+    assert time.perf_counter() - start < 20.0
+
+
+def test_c13_exhaustive_three_atom_clean_two_input_search():
+    # C2 holds for natural+natural-con, so the search reads every row of the
+    # table of 586,604 cell patterns at three atoms (about 1.7 s on 2 cores;
+    # 6.3 s when it walked one state per shape)
+    start = time.perf_counter()
+    assert search_counterexample("C2", make_pair("natural", "natural-con"), RGS,
+                                 allow_large=True) is None
     assert time.perf_counter() - start < 20.0

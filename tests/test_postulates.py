@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import islice, permutations
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,7 @@ from beliefrev.postulates import (
 )
 from beliefrev.states import (
     RankedState,
+    StateStream,
     _level_masks,
     belief_set,
     count_weak_orders,
@@ -807,9 +809,8 @@ REVERSE_DRASTIC = make_pair("reverse", "drastic")
 
 def test_orbit_memo_eviction_keeps_results(monkeypatch):
     # pattern keys for the registry pair, orbit keys for its wrapped twin.  At
-    # 8 keys an exhaustive table's key map no longer fits, so its walk for
-    # first instances decides what its memo misses; a sampled scan's memo is
-    # cleared many times over
+    # 8 keys a sampled scan's memo is cleared many times over; an exhaustive
+    # table keeps no memo, so it makes the same decisions
     decisions, _ = _count_decisions_and_checks(monkeypatch)
     for pair in (REVERSE_DRASTIC, _closure_wrapped(REVERSE_DRASTIC)):
         for kwargs in ({}, dict(mode="sample", samples=20, seed=3)):
@@ -820,7 +821,10 @@ def test_orbit_memo_eviction_keeps_results(monkeypatch):
             with monkeypatch.context() as patched:
                 patched.setattr(postulates, "_MEMO_LIMIT", 8)
                 assert run_suite(pair, PQ, **kwargs).results == uncapped
-            assert len(decisions) > decided, (pair.name, kwargs)
+            if kwargs:
+                assert len(decisions) > decided, (pair.name, kwargs)
+            else:
+                assert len(decisions) == decided, pair.name
 
 
 def test_orbit_memo_memory_is_bounded():
@@ -900,10 +904,9 @@ def _count_decisions_and_checks(monkeypatch) -> tuple[list[str], list[str]]:
     return decisions, checks
 
 
-def _assert_suite_walks_once_per_arity(monkeypatch, pairs, counted, decided):
-    """Each n = 2 suite of pairs walks once per arity, with orbit keys when
-    counted and pattern keys otherwise, makes decided rule decisions and
-    checks only its reported counterexamples."""
+def _assert_suite_decides_each_key_once(monkeypatch, pairs, decided):
+    """Each exhaustive n = 2 suite of pairs walks no instance, makes decided
+    rule decisions and checks only its reported counterexamples."""
     walks = []
     walk = postulates._keyed_instances
 
@@ -914,28 +917,65 @@ def _assert_suite_walks_once_per_arity(monkeypatch, pairs, counted, decided):
     monkeypatch.setattr(postulates, "_keyed_instances", counted_walk)
     decisions, checks = _count_decisions_and_checks(monkeypatch)
     for pair in pairs:
-        walks.clear()
         decisions.clear()
         checks.clear()
         report = run_suite(pair, PQ)
-        assert sorted(walks) == [(2, counted), (3, counted)]
+        assert walks == []
         assert len(decisions) == decided
         # a verdict is built only for each failing postulate's counterexample
         assert sorted(checks) == sorted(r.postulate for r in report.results if r.fails)
 
 
-def test_suite_walks_once_per_arity(monkeypatch):
+def test_suite_decides_each_pattern_once(monkeypatch):
     # registry pairs key by cell pattern: 44 patterns for each of 24 arity-2
     # rows and 663 for each of 8 arity-3 rows, 6,360 decisions
-    _assert_suite_walks_once_per_arity(monkeypatch, (NATURAL, REVERSE_DRASTIC), False,
-                                       44 * 24 + 663 * 8)
+    _assert_suite_decides_each_key_once(monkeypatch, (NATURAL, REVERSE_DRASTIC), 44 * 24 + 663 * 8)
 
 
 def test_closure_wrapped_suite_decides_each_orbit_once(monkeypatch):
     # without transforms the scan keys by orbit: 74 orbits for each of 24
     # arity-2 rows and 875 for each of 8 arity-3 rows, 8,776 decisions
     pairs = (_closure_wrapped(NATURAL), _closure_wrapped(REVERSE_DRASTIC))
-    _assert_suite_walks_once_per_arity(monkeypatch, pairs, True, 74 * 24 + 875 * 8)
+    _assert_suite_decides_each_key_once(monkeypatch, pairs, 74 * 24 + 875 * 8)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exhaustive_scans_iterate_no_state(monkeypatch, jobs):
+    # suites and searches over every state read their tables from weighted
+    # keys: no key walk runs and the stream is never iterated, at jobs = 2
+    # too, where a search once listed every state
+    pids = ["R1", "R7", "PC6", "C2", "PC7"]
+    expected = (run_suite(REVERSE_DRASTIC, PQ, pids),
+                [search_counterexample(pid, REVERSE_DRASTIC, PQ) for pid in pids])
+    assert None in expected[1] and any(expected[1])
+    walks = []
+    walk = postulates._keyed_instances
+
+    def recording(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def unread(self):
+        raise AssertionError("an exhaustive stream was iterated")
+
+    monkeypatch.setattr(postulates, "_keyed_instances", recording)
+    monkeypatch.setattr(StateStream, "__iter__", unread)
+    monkeypatch.setattr(StateStream, "rank_vectors", unread)
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    assert (run_suite(REVERSE_DRASTIC, PQ, pids, jobs=jobs),
+            [search_counterexample(pid, REVERSE_DRASTIC, PQ, jobs=jobs) for pid in pids]) == expected
+    assert walks == []
+
+
+def test_a_pooled_exhaustive_search_lists_no_state(monkeypatch):
+    # R1 holds for reverse+drastic, so the search reads every row of its
+    # three-atom table; at jobs = 2 it once listed all 545,835 states first,
+    # a traced peak of about 89 MiB
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    cex, peak = _traced_peak(lambda: search_counterexample("R1", REVERSE_DRASTIC, RGS,
+                                                           allow_large=True, jobs=2))
+    assert cex is None
+    assert peak <= 2**20, peak
 
 
 def test_pooled_suite_decides_each_key_once(monkeypatch, recorded_pools):
@@ -1082,38 +1122,30 @@ def test_orbit_keys_are_the_orbits_of_valuation_permutations():
 # --- weighted keys against the instances they stand for -----------------------------
 
 
-def _walked_key(arity, sig, levels, a, b, counted):
-    """The key _keyed_instances gives the instance (levels, a, b)."""
-    ranks = [0] * sig.num_valuations
-    for rank, level in enumerate(levels):
-        for v in range(sig.num_valuations):
-            if level >> v & 1:
-                ranks[v] = rank
-    s = normalize(sig, ranks)
-    assert _level_masks(s) == levels
-    position = (a - 1) * (1 if arity == 2 else sig.full_mask) + (b or 1) - 1
-    key, _, at, bt = next(islice(postulates._keyed_instances(arity, sig, [s], counted),
-                                 position, None))
-    assert (at, bt) == (a, b)
-    return key
-
-
 @pytest.mark.parametrize("counted", [False, True], ids=["pattern", "orbit"])
 @pytest.mark.parametrize("arity", [2, 3])
 @pytest.mark.parametrize("sig", [P, PQ], ids=["n1", "n2"])
 def test_weighted_keys_count_the_instances_of_each_key(sig, arity, counted):
     # each key once, weighted by its number of instances in the exhaustive
-    # stream, with a representative that has the key
+    # stream, with the first instance that a walk of the stream meets with
+    # the key, and a position that decodes to that instance and sorts the
+    # keys in the walk's order of first occurrence
     weighted = list(postulates._weighted_keys(arity, sig, counted))
-    walked = Counter(key for key, *_ in
-                     postulates._keyed_instances(arity, sig, enumerate_states(sig), counted))
-    assert {key: weight for key, _, weight in weighted} == walked
+    walked = Counter()
+    firsts = {}
+    for key, s, a, b in postulates._keyed_instances(arity, sig, enumerate_states(sig), counted):
+        walked[key] += 1
+        firsts.setdefault(key, (s, a, b))
+    assert {key: weight for key, _, _, weight in weighted} == walked
     assert len(weighted) == len(walked)
-    for key, (levels, a, b), _ in weighted:
-        assert _walked_key(arity, sig, levels, a, b, counted) == key
-    # the subtrees by the cells of the first level partition the keys
-    subtrees = [key for first in range(1, 1 << (1 << (arity - 1)))
-                for key, _, _ in postulates._weighted_keys(arity, sig, counted, first)]
+    for key, (levels, a, b), position, _ in weighted:
+        s, at, bt = firsts[key]
+        assert (levels, a, b) == (_level_masks(s), at, bt)
+        assert postulates._first_instance(arity, sig, position) == firsts[key]
+    assert [key for key, *_ in sorted(weighted, key=itemgetter(2))] == list(firsts)
+    # the subtrees by the cells of the top level partition the keys
+    subtrees = [key for top in range(1, 1 << (1 << (arity - 1)))
+                for key, *_ in postulates._weighted_keys(arity, sig, counted, top)]
     assert sorted(subtrees) == sorted(walked)
 
 
@@ -1181,15 +1213,22 @@ def assert_weighted_table_matches_the_walk(pair, sig, pids):
     """The table of an exhaustive scan of pids (one arity), taken from
     weighted keys, equals the table of a walk of every instance of every
     state (_every_instance_table): the same rows in the same order, with the
-    same tallies and first instances.  CI runs it over three atoms for
-    reverse+drastic's 24 single-input rows, where the walk of 139,187,925
-    instances takes about 40 s."""
+    same tallies and first instances.  Each member's search returns the
+    first instance of the walked table's first row where the member fails.
+    CI runs it over three atoms for reverse+drastic's 24 single-input rows,
+    where the walk of 139,187,925 instances takes about 40 s."""
     group = tuple(pids)
     weighted = postulates._scan(pids, pair, sig, enumerate_states(sig), stop_at_first=False,
                                 jobs=1)
     walked = _every_instance_table(group, enumerate_states(sig), pair, sig)
     assert weighted[pids[0]] == [(dict(zip(group, row)), tally, first)
                                  for row, tally, first in walked], pair.name
+    # a search reads its own table: its counterexample is the first instance
+    # of the walked table's first row where its postulate fails
+    for j, pid in enumerate(group):
+        first = next((first for row, _, first in walked if row[j] == FAILS), None)
+        cex = search_counterexample(pid, pair, sig, allow_large=True)
+        assert (cex and cex.instance) == (first and postulates._instance(*first)), (pair.name, pid)
 
 
 ORACLE_PAIRS = pytest.mark.parametrize(

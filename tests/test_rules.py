@@ -181,23 +181,23 @@ def test_a_size_reading_revision_is_scanned_by_orbit(monkeypatch):
     assert run_suite(SIZED, PQ, jobs=2).results == expected
     # its adapter passed off as a set-algebraic transform makes the scan key
     # by pattern, and the iterated rows then miscount: each pattern is decided
-    # at one representative, where these rows do not fail
+    # at its first instance, and these rows fail there for whole patterns
     adapter = level_transform(SIZED.revision, PQ)
     false = OperatorPair(RevisionOperator("sized", _sized_revision, adapter), SIZED.contraction)
-    for pid, fails, pattern_fails in (("C1", 12, 0), ("C3", 12, 0), ("C4", 24, 0)):
+    for pid, fails, pattern_fails in (("C1", 12, 36), ("C3", 12, 36), ("C4", 24, 72)):
         assert expected[ALL_POSTULATE_IDS.index(pid)].fails == fails
         assert run_suite(false, PQ, [pid]).results[0].fails == pattern_fails
 
 
 def _assert_statuses_constant_per_key(pair, counted):
     """Every n = 2 instance's row of statuses, at each arity, equals the row
-    at its key's representative (_weighted_keys), which a table scan
+    at its key's first instance (_weighted_keys), which a table scan
     decides in its place."""
     transforms = _transforms(pair, PQ)
     for arity in (2, 3):
         rules = [post.rule for post in POSTULATES.values() if post.arity == arity]
         rows = {}
-        for key, (levels, a, b), _ in postulates._weighted_keys(arity, PQ, counted):
+        for key, (levels, a, b), _, _ in postulates._weighted_keys(arity, PQ, counted):
             run = _Run(PQ, levels, transforms)
             rows[key] = [rule(run, a, b)[0] for rule in rules]
         for key, s, a, b in postulates._keyed_instances(arity, PQ, enumerate_states(PQ), counted):
