@@ -62,6 +62,10 @@ def _argvs() -> list[tuple[str, ...]]:
     argvs += [("check", "--atoms", "p,q,r", "--postulate", pid, "--mode", "sample",
                "--samples", samples, "--seed", "3", "--format", "json")
               for pid, samples in (("R6", "20"), ("C2", "1"), ("CORE", "3"))]
+    # a sampled two-input walk over four shapes that ends at a counterexample
+    argvs += [("check", "--atoms", "p,q,r", "--op", "flatten", "--postulate", "C2", "--mode",
+               "sample", "--samples", "4", "--seed", "3", "--format", fmt)
+              for fmt in ("json", "text")]
     argvs += [("george", "--op", op, "--format", "json") for op in ("natural", "flatten")]
     argvs.append(("theorem1", "--atoms", "p,q,r", "--format", "json"))  # gated: exit 2
     argvs += [(cmd, *pq, "--op", "reverse", "--format", "text")
