@@ -77,9 +77,12 @@ makes 8,776: 74 and 875.  At n = 3 an arity-2 row decides 1,672 patterns
 A search decides every key of its table, so one whose first failure comes
 early still pays for the whole table.
 
-A scan of sampled states walks the stream.  One walk (_keyed_instances) keys
-every instance; a state's keys come from tables indexed by input mask, built
-a block of masks at a time and only as far as the walk reaches.  At the first
+A scan of sampled states walks the stream.  One mask walk (_walk) keys every
+instance: it gives the single-input key of each mask of a state in mask
+order, a block of masks at a time and only as far as the walk reaches, and a
+two-input key is the single-input key of b over the state's levels split by
+a (_keyed_instances), so a walk holds no table that grows with the masks it
+has reached.  At the first
 instance of a key it calls every member's rule for its status alone; the
 members share one run of operator outcomes per instance (_Run), so a chain
 that several rows take, such as revise-then-contract, is computed once.
@@ -128,7 +131,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice, product, zip_longest
+from itertools import accumulate, chain, islice, product, repeat, zip_longest
 from math import comb, factorial
 from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -680,22 +683,11 @@ def _split_cells(ranks: Sequence[int], width: int, join: Callable) -> list[int]:
     return table
 
 
-def _meets(ranks: Sequence[int], step: int, join: Callable) -> list[int]:
-    """For each mask over the worlds of ranks, in mask order, the join of 1
-    << (rank * step) over its worlds: per level, its worlds in the mask (or
-    whether it has any), in a field step bits apart."""
-    table = [0]
-    for rank in ranks:
-        bit = 1 << rank * step
-        table += [join(q, bit) for q in table]
-    return table
-
-
-def _high_cells(ranks: tuple[int, ...], step: int, low_worlds: int,
+def _high_cells(ranks: Sequence[int], step: int, low_worlds: int,
                 value: Callable) -> Iterator[tuple[int, int]]:
-    """Per block of 2**low_worlds masks, in mask order: as in _meets, the
-    fields of the high worlds inside the block's high part and of the high
-    worlds outside it, each level's field holding value(count) of those
+    """Per block of 2**low_worlds masks, in mask order: the fields of the
+    high worlds inside the block's high part and of the high worlds outside
+    it, each level's field at bit rank * step holding value(count) of those
     worlds.  Both follow per-level counts, updated by the high worlds that
     change from one block to the next, so a block costs its changes, not its
     levels."""
@@ -723,6 +715,38 @@ def _high_cells(ranks: tuple[int, ...], step: int, low_worlds: int,
         yield hi_in, hi_out
 
 
+def _walk(ranks: Sequence[int], width: int, join: Callable, value: Callable) -> Iterator[int]:
+    """The single-input key of every non-empty mask over the worlds of
+    ranks, in mask order: fields 1 and 0 of each level, width bits each, for
+    its worlds in the mask and outside it.
+
+    A block of 2**low_worlds masks (256, or fewer where keys are wide) joins
+    a table over its low worlds with the fields of its high worlds
+    (_high_cells), so a block is built only when the walk reaches it.  The
+    low table is itself the join of two halves' tables, read in nested loops.
+    join is add for orbit keys and or_ for pattern keys, value int and bool."""
+    step = 2 * width  # bits per level
+    fit = (_KEY_BLOCK_BITS // (step * (max(ranks) + 1))).bit_length() - 1
+    low_worlds = max(0, min(8, len(ranks), fit))
+    half = low_worlds >> 1
+    lo = _split_cells(ranks[:half], width, join)
+    mid = _split_cells(ranks[half:low_worlds], width, join)
+    row = lo[1:]  # the empty mask is skipped
+    for hi_in, hi_out in _high_cells(ranks, step, low_worlds, value):
+        block = hi_in << width | hi_out
+        for m in mid:
+            m = join(m, block)
+            # the halves share each level's fields, so an orbit key sums
+            # them where a pattern key ORs them
+            if join is add:
+                for q in row:
+                    yield m + q
+            else:
+                for q in row:
+                    yield m | q
+            row = lo
+
+
 def _keyed_instances(
     arity: int, sig: Signature, states: Iterable[RankedState], counted: bool
 ) -> Iterator[tuple[int, RankedState, int, int | None]]:
@@ -740,59 +764,22 @@ def _keyed_instances(
     one onto the other.  No level is empty, so either key also fixes the
     number of levels.
 
-    A block of 2**low_worlds masks (256, or fewer where keys are wide) joins
-    a table over its low worlds with the fields of its high worlds
-    (_high_cells), so a block is built only when the walk reaches it.  The
-    join is OR for pattern keys and a sum for orbit keys.  At arity 2 the low
-    table is itself the join of two halves' tables, read in nested loops; at
-    arity 3 the four cells' tables fill disjoint fields and are ORed.
+    One walk (_walk) gives the single-input keys of a state's masks.  A
+    two-input key is the single-input key of b over the levels split by a:
+    a world of level r goes to level 2r + 1 if it is in a, else to level 2r,
+    so that level 2r + 1's fields for b and not b are r's fields 3 and 2,
+    and level 2r's are r's fields 1 and 0.
     """
-    cells = 1 << (arity - 1)
     width, join, value = (sig.n + 1, add, int) if counted else (1, or_, bool)
-    step = cells * width  # bits per level
     inputs = range(1, sig.full_mask + 1)
-    for s in states:
-        ranks = s.ranks
-        fit = (_KEY_BLOCK_BITS // (step * (max(ranks) + 1))).bit_length() - 1
-        low_worlds = max(0, min(8, len(ranks), fit))
-        blocks = _high_cells(ranks, step, low_worlds, value)
-        if arity == 2:
-            half = low_worlds >> 1
-            lo = _split_cells(ranks[:half], width, join)
-            mid = _split_cells(ranks[half:low_worlds], width, join)
-            a, row = 1, lo[1:]  # the empty input is skipped
-            for hi_in, hi_out in blocks:
-                block = hi_in << width | hi_out
-                for m in mid:
-                    m = join(m, block)
-                    # the halves share each level's fields, so an orbit key
-                    # sums them where a pattern key ORs them
-                    if counted:
-                        for q in row:
-                            yield m + q, s, a, None
-                            a += 1
-                    else:
-                        for q in row:
-                            yield m | q, s, a, None
-                            a += 1
-                    row = lo
-            continue
-        # by mask, its fields shifted to the cells a & b, a - b and b - a, and
-        # its complement's fields (the cell "neither")
-        low = _meets(ranks[:low_worlds], step, join)
-        low_out = low[::-1]
-        in_ab, in_a, in_b, out = [], [], [], []
-        for a in inputs:
-            for b in inputs:
-                ab, either = a & b, a | b
-                while either >= len(out):
-                    hi_in, hi_out = next(blocks)
-                    inside = [join(q, hi_in) for q in low]
-                    in_ab += [q << 3 * width for q in inside]
-                    in_a += [q << 2 * width for q in inside]
-                    in_b += [q << width for q in inside]
-                    out += [join(q, hi_out) for q in low_out]
-                yield in_ab[ab] | in_a[a ^ ab] | in_b[b ^ ab] | out[either], s, a, b
+    if arity == 2:
+        return chain.from_iterable(
+            zip(_walk(s.ranks, width, join, value), repeat(s), inputs, repeat(None))
+            for s in states)
+    return chain.from_iterable(
+        zip(_walk([r << 1 | a >> w & 1 for w, r in enumerate(s.ranks)], width, join, value),
+            repeat(s), repeat(a), inputs)
+        for s in states for a in inputs)
 
 
 def _surjections(worlds: int, k: int) -> int:
@@ -912,7 +899,7 @@ def _first_instance(arity: int, sig: Signature,
 
 
 @lru_cache(maxsize=None)
-def _key_count(arity: int, sig: Signature, counted: bool, top: int | None = None) -> int:
+def _key_count(arity: int, sig: Signature, counted: bool) -> int:
     """The number of keys _weighted_keys yields, without walking them: its
     walk's paths counted by (worlds used, cells used so far), over the same
     choices per level.  Each count at n <= 3 takes at most about 10 ms,
@@ -928,8 +915,6 @@ def _key_count(arity: int, sig: Signature, counted: bool, top: int | None = None
                 end = world + size
                 if end > total:
                     break
-                if world == 0 and top is not None and cells_used != top:
-                    continue
                 u = used | cells_used
                 if u & in_a and (arity == 2 or u & in_b) and (end == total or not counted):
                     keys += count

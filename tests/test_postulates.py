@@ -1167,14 +1167,9 @@ def test_weights_sum_to_the_instance_count(arity, n, patterns, orbits, counted):
                          ids=["n1-arity2", "n1-arity3", "n2-arity2", "n2-arity3", "n3-arity2"])
 def test_key_count_matches_the_weighted_keys(arity, sig, counted):
     # the closed-form count by which a table decides whether to pool, against
-    # the keys it counts, in all and per subtree of the first level
-    subtrees = range(1, 1 << (1 << (arity - 1)))
-    total = postulates._key_count(arity, sig, counted)
-    assert total == sum(1 for _ in postulates._weighted_keys(arity, sig, counted))
-    counts = [postulates._key_count(arity, sig, counted, first) for first in subtrees]
-    assert counts == [sum(1 for _ in postulates._weighted_keys(arity, sig, counted, first))
-                      for first in subtrees]
-    assert sum(counts) == total
+    # the keys it counts
+    assert postulates._key_count(arity, sig, counted) == sum(
+        1 for _ in postulates._weighted_keys(arity, sig, counted))
 
 
 def test_three_atom_two_input_key_counts():
@@ -1351,6 +1346,18 @@ def test_a_late_cut_orbit_walk_holds_no_per_block_state():
     states = list(sample_states(sig, 1, seed=0))
     _, peak = _traced_peak(
         lambda: sum(1 for _ in islice(postulates._keyed_instances(2, sig, states, True), 8000)))
+    assert peak <= 2**20, peak
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["pattern", "orbit"])
+def test_a_late_cut_two_input_walk_holds_no_per_mask_state(counted):
+    # the first 4,095 two-input keys of the same state (a = 1, each b): a
+    # walk that kept tables of key-wide ints by mask for the cells of a and
+    # b peaked at about 266 MB traced by orbit and 21 MB by pattern
+    sig = Signature(tuple("abcdefghijkl"))
+    states = list(sample_states(sig, 1, seed=0))
+    _, peak = _traced_peak(
+        lambda: sum(1 for _ in islice(postulates._keyed_instances(3, sig, states, counted), 4095)))
     assert peak <= 2**20, peak
 
 
