@@ -102,28 +102,26 @@ Only a reported counterexample becomes an Instance and gets a Verdict (a
 member's through check_instance), so counts, counterexamples and traces are
 those of checking every instance.
 
-A scan maps one task over the parts of each group and reads the group's table
-from them in order.  A table over every state has one task (_decide_keys) per
-subtree of the keys, by the non-empty cells of the top level (3 at arity 2, 15
-at arity 3), so every key is decided exactly once for any jobs; the calling
-process merges the subtrees' rows (_merged).  Otherwise a task (_scan_group)
-walks a chunk of the states: the stream itself at jobs = 1, jobs chunks of it
-with jobs > 1, the chunks' tables concatenated in stream order.  At jobs = 1
+A scan of sampled states walks its stream in process, once per group,
+whatever jobs is, so its memory and its first counterexample do not depend
+on jobs.  jobs sizes only the pool of a table over every state, which has one
+task (_decide_keys) per subtree of the keys, by the non-empty cells of the top
+level (3 at arity 2, 15 at arity 3), so every key is decided exactly once for
+any jobs; the calling process merges the subtrees' rows (_merged).  At jobs = 1
 the tasks run under the builtin map; with jobs > 1 on a process pool of at
-most one worker per task.  jobs is a ceiling: a table over every state that
-makes fewer than _POOL_MIN_KEYS decisions in all (each group's keys, counted
-in closed form by _key_count, times its members), or a scan of sampled states
-that walks fewer than _POOL_MIN_WALKS instances, runs its tasks under map,
-since starting the pool would cost more than it saves.  The tasks and their
-merge are the same either way.  The pool machinery (concurrent.futures,
-multiprocessing, pickle) is imported only when a scan starts a pool or checks
-its operators for one, so a command that starts none never loads it.  Pool tasks carry postulates by pid
-and the operator pair by value (registry operators by name), so any other
+most one worker per task.  jobs is a ceiling: a table that makes fewer than
+_POOL_MIN_KEYS decisions in all (each group's keys, counted in closed form by
+_key_count, times its members) runs its tasks under map, since starting the
+pool would cost more than it saves.  The tasks and their merge are the same
+either way.  The pool machinery (concurrent.futures, multiprocessing, pickle)
+is imported only when a scan starts a pool or checks its operators for one,
+so a command that starts none never loads it.  Pool tasks carry postulates by
+pid and the operator pair by value (registry operators by name), so any other
 operator needs a module-level function; a scan at jobs > 1 refuses one that
-does not pickle with a ValueError, whether or not it starts the pool.  A
-command makes at most one scan (a harness reads all its claims from one
-table), so it has at most one pool: the scan starts it and shuts it down
-before it returns, cancelling what is still queued if a worker raised.
+does not pickle with a ValueError, in either mode and whether or not it starts
+the pool.  A command makes at most one scan (a harness reads all its claims
+from one table), so it has at most one pool: the scan starts it and shuts it
+down before it returns, cancelling what is still queued if a worker raised.
 """
 
 from __future__ import annotations
@@ -174,14 +172,6 @@ _MEMO_LIMIT = 1 << 14
 # (1,672 patterns or 11,016 orbits) runs in process, and the 24 n = 3 arity-2
 # rows and every n = 3 arity-3 table keep the pool.
 _POOL_MIN_KEYS = 1 << 15
-
-# Instances a scan of sampled states must walk (per distinct shape, each
-# group's inputs times its members) to start a pool.  Measured as above, n = 3:
-# R6 over 300 states (91 shapes, 23,205 walks) took 19 ms in process and 76
-# on the pool, the 24 single-input rows over 1,000 states (697,680) 110 and
-# 160 ms, C2 over 16 states (975,375) 0.54-0.85 and 0.62 s, over 32
-# (1,820,700) 1.5-1.9 and 0.8-0.9 s.  No sampled n <= 3 single-input scan pools.
-_POOL_MIN_WALKS = 1 << 20
 
 # Bits of one block of a state's key table, 128 KiB, for pattern and orbit keys
 # alike: a block holds 256 masks, or fewer where keys are wide.  A sampled
@@ -1020,10 +1010,12 @@ def _scan_group(
     sig: Signature,
     stop_at_first: bool,
 ) -> list[tuple[tuple[str, ...], int, tuple]]:
-    """The table of a group of registry postulates of one arity, from one
-    walk of their instances: each distinct row of the members' statuses, its
-    tally and its first instance, in order of first occurrence.  The walk
-    keys the first state of each shape and replays the others (_replayed).
+    """The table of a group of registry postulates of one arity over sampled
+    states, from one walk of their instances in the calling process: each
+    distinct row of the members' statuses, its tally and its first instance,
+    in order of first occurrence.  The walk reads the states as the stream
+    yields them, keys the first state of each shape and replays the others
+    (_replayed), so it holds one memo and one shape map for the whole stream.
     With stop_at_first it ends at the first row where a member fails (a
     search is a group of one)."""
     decide = _decider(group, pair, sig)
@@ -1152,14 +1144,12 @@ def _scan(
     of one), suite and harness runs through here.  The distinct postulates
     of one arity form a group.  An exhaustive stream's groups are decided
     from their weighted keys (_decide_keys, _merged) and the stream is never
-    iterated; a sampled stream's are walked (_scan_group), and only there
-    does stop_at_first end a walk at the first failing row.  jobs is a ceiling,
-    capped at the CPU count and at the number of tasks; above 1 the scan
-    runs on a process pool of its own, shut down before it returns, unless
-    its decisions or walks fall below their threshold (_POOL_MIN_KEYS,
-    _POOL_MIN_WALKS).  Returns the table of each postulate's group, by pid;
-    its rows follow stream order, so the first row where a claim fails holds
-    its first failing instance."""
+    iterated; a sampled stream's are walked in process, one walk of the
+    stream per group (_scan_group), and only there does stop_at_first end a
+    walk at the first failing row.  jobs, capped at the CPU count, sizes
+    only the pool of a table over every state.  Returns the table of each
+    postulate's group, by pid; its rows follow stream order, so the first
+    row where a claim fails holds its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -1168,50 +1158,36 @@ def _scan(
     jobs = min(jobs, os.cpu_count() or 1)
     groups = [tuple(pid for pid in arities if arities[pid] == arity)
               for arity in dict.fromkeys(arities.values())]
-    # a table over every state, a search's too, decides each key once and
-    # walks nothing
-    weighted = getattr(stream, "mode", None) == "exhaustive"
-    if weighted:
+    if jobs > 1:
+        # whatever the mode and the table's size, so that an argv's exit code
+        # does not depend on them
+        _check_picklable(pair)
+    if getattr(stream, "mode", None) != "exhaustive":
+        found = [_scan_group(group, stream, pair, sig, stop_at_first) for group in groups]
+    else:
         # the subtrees of the keys, by the non-empty cells of the top level
         parts = [range(1, 1 << (1 << (arities[group[0]] - 1))) for group in groups]
-        task = partial(_decide_keys, pair=pair, sig=sig)
         # a pool pays for enough decisions: each group's keys times its members
         pays = jobs > 1 and sum(_key_count(arities[group[0]], sig, _counted(pair)) * len(group)
                                 for group in groups) >= _POOL_MIN_KEYS
-    else:
-        states = stream if jobs == 1 else list(stream)
-        # or enough walks: per distinct shape, each group's inputs times members
-        pays = jobs > 1 and len(set(map(_shape, states))) * sum(
-            sig.full_mask ** (arities[group[0]] - 1) * len(group)
-            for group in groups) >= _POOL_MIN_WALKS
-        chunks = [states]
-        if pays:
-            size = -(-len(states) // jobs)
-            chunks = [states[i:i + size] for i in range(0, len(states), size)]
-        parts = [chunks] * len(groups)
-        task = partial(_scan_group, pair=pair, sig=sig, stop_at_first=stop_at_first)
-    if jobs > 1:
-        # whatever the table's size, so that an argv's exit code does not
-        # depend on it
-        _check_picklable(pair)
-    workers = min(jobs, sum(map(len, parts))) if pays else 1  # one per task at most
-    pool = None if workers < 2 else ProcessPoolExecutor(max_workers=workers)
-    try:
-        # every group's tasks are queued before any result is read, so the
-        # pool does not drain between groups
-        outcomes = (map if pool is None else pool.map)(
-            task, [group for group, part in zip(groups, parts) for _ in part],
-            [x for part in parts for x in part])
-        table = {}
-        for group, part in zip(groups, parts):
-            done = islice(outcomes, len(part))
-            found = (_merged(arities[group[0]], sig, done) if weighted
-                     else chain.from_iterable(done))
-            rows = [(dict(zip(group, row)), tally, first) for row, tally, first in found]
-            table.update(dict.fromkeys(group, rows))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        workers = min(jobs, sum(map(len, parts))) if pays else 1  # one per task at most
+        pool = None if workers < 2 else ProcessPoolExecutor(max_workers=workers)
+        try:
+            # every group's tasks are queued before any result is read, so the
+            # pool does not drain between groups
+            outcomes = (map if pool is None else pool.map)(
+                partial(_decide_keys, pair=pair, sig=sig),
+                [group for group, part in zip(groups, parts) for _ in part],
+                [top for part in parts for top in part])
+            found = [_merged(arities[group[0]], sig, islice(outcomes, len(part)))
+                     for group, part in zip(groups, parts)]
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+    table = {}
+    for group, rows in zip(groups, found):
+        rows = [(dict(zip(group, row)), tally, first) for row, tally, first in rows]
+        table.update(dict.fromkeys(group, rows))
     return table
 
 

@@ -434,8 +434,8 @@ class StateStream:
     tables live for one level count only, so the stream is never
     materialized.  Sampled streams are
     reproducible from the seed and draw-exact with Random.randrange.
-    Iterating a stream twice yields identical sequences, so consumers may
-    partition it into disjoint chunks by position.
+    Iterating a stream twice yields identical sequences, so a sampled scan
+    walks it once per arity group.
     """
 
     sig: Signature

@@ -301,7 +301,6 @@ def test_registry_rows_reach_workers_as_registry_objects(monkeypatch, recorded_p
             return task(group, part, **kwargs)
         return recorded
 
-    monkeypatch.setattr(postulates, "_scan_group", recording(postulates._scan_group))
     monkeypatch.setattr(postulates, "_decide_keys", recording(postulates._decide_keys))
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
     pids = ["R7", "C2", "R1"]
@@ -310,15 +309,6 @@ def test_registry_rows_reach_workers_as_registry_objects(monkeypatch, recorded_p
     # 3 first-level cell patterns at arity 2, 15 at arity 3
     assert groups == [("R7", "R1")] * 3 + [("C2",)] * 15
     assert pooled == run_suite(NATURAL, PQ, pids)
-    # a sampled one has one task per group and chunk: two chunks of the
-    # states, once the walk threshold no longer keeps so small a scan in
-    # process
-    monkeypatch.setattr(postulates, "_POOL_MIN_WALKS", 0)
-    groups.clear()
-    sampled = dict(mode="sample", samples=10, seed=2)
-    pooled = run_suite(NATURAL, PQ, pids, jobs=2, **sampled)
-    assert groups == [("R7", "R1"), ("R7", "R1"), ("C2",), ("C2",)]
-    assert pooled == run_suite(NATURAL, PQ, pids, **sampled)
 
 
 def test_swapped_registry_operators_pickle_by_name(monkeypatch):
@@ -496,21 +486,30 @@ def test_a_table_reaching_the_key_threshold_starts_one_pool(monkeypatch, recorde
         assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)]
 
 
-def test_a_sampled_scan_below_the_walk_threshold_starts_no_pool(monkeypatch, capsys,
-                                                               recorded_pools):
-    # R6 over 300 sampled three-atom states walks the 255 inputs of 91
-    # shapes, 23,205 instances, too few to pay for starting a pool
+def test_a_sampled_scan_starts_no_pool(monkeypatch, capsys, recorded_pools):
+    # C2 over 20 sampled three-atom states walks the 65,025 input pairs of
+    # each shape, more than 2**20 instances, which once started a pool at
+    # --jobs 2; a sampled scan now walks its stream in process at any jobs
     monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
-    argv = ["check", "--atoms", "p,q,r", "--postulate", "R6", "--mode", "sample",
-            "--samples", "300", "--seed", "1", "--format", "json"]
+    walked = []
+    walk = postulates._keyed_instances
+
+    def counting(*args):
+        for keyed in walk(*args):
+            walked.append(None)
+            yield keyed
+
+    monkeypatch.setattr(postulates, "_keyed_instances", counting)
+    argv = ["check", "--atoms", "p,q,r", "--postulate", "C2", "--mode", "sample",
+            "--samples", "20", "--seed", "3", "--format", "json"]
     code = cli_run(argv + ["--jobs", "1"])
     sequential = capsys.readouterr().out
-    for threshold, pools in ((postulates._POOL_MIN_WALKS, 0), (91 * 255 + 1, 0), (91 * 255, 1)):
-        recorded_pools.clear()
-        monkeypatch.setattr(postulates, "_POOL_MIN_WALKS", threshold)
-        assert cli_run(argv + ["--jobs", "2"]) == code
-        assert capsys.readouterr().out == sequential
-        assert [(p.max_workers, p.shut_down) for p in recorded_pools] == [(2, True)] * pools
+    assert len(walked) > 2**20
+    walked.clear()
+    assert cli_run(argv + ["--jobs", "2"]) == code
+    assert capsys.readouterr().out == sequential
+    assert len(walked) > 2**20
+    assert recorded_pools == []
 
 
 def test_three_atom_single_input_rows_pool_by_their_decisions(monkeypatch, recorded_pools):
@@ -630,6 +629,7 @@ lam_op = OperatorPair(RevisionOperator("lam_op", lambda s, a: s), get_contractio
 
 for name, scan in (
     ("lam_op", lambda: run_suite(lam_op, PQ, ["R7"], jobs=2)),
+    ("lam_op", lambda: run_suite(lam_op, PQ, ["R7"], mode="sample", samples=3, seed=0, jobs=2)),
     ("lam_op", lambda: theorems.verify_theorem1(lam_op, P, jobs=2)),
 ):
     try:
@@ -655,7 +655,7 @@ def test_unpicklable_tasks_raise_instead_of_hanging():
         proc.communicate()
         pytest.fail("a scan with an unpicklable task hung")
     assert proc.returncode == 0, err
-    assert out.splitlines() == ["lam_op True []", "lam_op True []"]
+    assert out.splitlines() == ["lam_op True []"] * 3
 
 
 # --- cross-postulate invariants ------------------------------------------------------
@@ -976,6 +976,28 @@ def test_a_pooled_exhaustive_search_lists_no_state(monkeypatch):
                                                            allow_large=True, jobs=2))
     assert cex is None
     assert peak <= 2**20, peak
+
+
+def test_a_pooled_sampled_search_lists_no_state(monkeypatch):
+    # R7 fails in the first eight-atom state, so the search walks one state
+    # of the stream; at jobs = 2 it once listed all 5,000 states first
+    sig = Signature(tuple("abcdefgh"))
+    sampled = dict(mode="sample", samples=5000, seed=0)
+    sequential = search_counterexample("R7", NATURAL, sig, **sampled)
+    assert sequential is not None
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    cex, peak = _traced_peak(lambda: search_counterexample("R7", NATURAL, sig, jobs=2, **sampled))
+    assert cex == sequential
+    assert peak <= 2 * 2**20, peak
+
+
+def test_a_pooled_sampled_suite_lists_no_state(monkeypatch):
+    # 20,000 sampled three-atom states, read as the stream yields them
+    monkeypatch.setattr(postulates.os, "cpu_count", lambda: 2)
+    report, peak = _traced_peak(lambda: run_suite(NATURAL, RGS, ["R7"], mode="sample",
+                                                  samples=20000, seed=0, jobs=2))
+    assert report.results[0].checked == 20000 * 255
+    assert peak <= 2 * 2**20, peak
 
 
 def test_pooled_suite_decides_each_key_once(monkeypatch, recorded_pools):
