@@ -58,17 +58,19 @@ one field per input cell of each level, a bit set when the cell is non-empty
 for a pattern key, or n + 1 bits holding the cell's number of worlds for an
 orbit key.  A scan decides each pattern once, or each orbit once for a pair
 without both transforms.  It splits its postulates into groups of one arity
-and returns each group's table: each distinct row of the members' statuses,
-interned once, in order of first occurrence, with its tally (the instances
-that have it) and its first instance, on masks.
+and builds each group's table in one form, sampled or exhaustive: a dict
+from each distinct row of the members' statuses, in order of first
+occurrence, to the mutable entry [tally, first], the instances that have the
+row and the first of them, on masks.
 
 A table over every state (exhaustive, searches included) walks no instance.
 _weighted_keys yields each key once with its first instance in the stream, in
 closed form, that instance's position, and its weight, the number of
 instances with the key: surj(2**n, k) = k!·S(2**n, k) for a pattern of k
 non-empty cells, the multinomial 2**n! / prod(c!) for an orbit of cell counts
-c.  Every member decides each key once at that instance, the weight goes to
-that row's tally, and the row's first instance is at its least position.  At n = 2 a
+c.  Every member decides each key once at that instance, and the key's row
+sums the weights and keeps the least position, where its first instance is
+decoded once the subtrees are merged.  At n = 2 a
 full suite stands for 162,000 instances in two streams (1,125 arity-2 and
 16,875 arity-3 instances).  For a registry pair it makes 6,360 decisions: 44
 patterns per arity-2 postulate and 663 per arity-3 one.  Keyed by orbit it
@@ -86,13 +88,14 @@ has reached.  At the first
 instance of a key it calls every member's rule for its status alone; the
 members share one run of operator outcomes per instance (_Run), so a chain
 that several rows take, such as revise-then-contract, is computed once.
-Later instances are counted from a memo mapping the key to its row; the memo
-holds at most _MEMO_LIMIT keys and is cleared when full.  A search of sampled
-states is a group of one that stops at its first failing row.  A walk keys
-only the first state of each shape, its level sizes in rank order: two states
-of one shape differ by a permutation of the valuations that keeps every
-level, so their instances have the same keys as often each.  A later state
-of a shape is replayed (_replayed).
+Later instances are counted from a memo mapping the key to its row's entry;
+the memo holds at most _MEMO_LIMIT keys and is cleared when full.  A search
+of sampled states is a group of one that stops at its first failing row.  A
+walk keys only the first state of each shape, its level sizes in rank order:
+two states of one shape differ by a permutation of the valuations that keeps
+every level, so their instances have the same keys as often each.  A later
+state of a shape adds to each row the tally that the shape's first state
+added (_scan_group).
 
 _fold reads a claim from the table by its status on a row: its counts are
 sums of tallies, and its first failing instance is the first instance of the
@@ -151,9 +154,11 @@ VACUOUS = "vacuous"
 
 MAX_SEARCH_ATOMS = 2  # exhaustive search default cap; n = 3 behind allow_large
 
-# Entries of a sampled scan's memo before it is cleared (_scan_group).  Every
-# key at n = 2 fits (663 arity-3 patterns, 875 arity-3 orbits), and so does
-# every arity-2 key at n = 3 (1,672 patterns, 11,016 orbits).
+# Keys of a sampled scan's memo, each mapped to its row's [tally, first]
+# entry, before the memo is cleared (_scan_group); the scan's shape map is
+# cleared at 8 times as many ranks.  Every key at n = 2 fits (663 arity-3
+# patterns, 875 arity-3 orbits), and so does every arity-2 key at n = 3
+# (1,672 patterns, 11,016 orbits).
 _MEMO_LIMIT = 1 << 14
 
 # Decisions a table over every state must make in all (each group's
@@ -952,148 +957,104 @@ def _counted(pair: OperatorPair) -> bool:
     return pair.revision.transform is None or pair.contraction.transform is None
 
 
-def _decider(group: tuple[str, ...], pair: OperatorPair,
-             sig: Signature) -> Callable[[RankedState, int, int | None], tuple[str, ...]]:
-    """decide(s, a, b): the members' statuses at an instance, as a row.  The
-    members share one run, so the outcomes of the instance; instances of one
-    state in a row share its level masks."""
-    transforms = _transforms(pair, sig)
-    rules = [POSTULATES[pid].rule for pid in group]
-    state = run = None
-
-    def decide(s, a, b):
-        nonlocal state, run
-        if s is not state:
-            state = s
-            run = _Run(sig, _level_masks(s), transforms)
-        else:
-            run.memo.clear()
-        # a plain loop: before Python 3.12 a comprehension is a function
-        # call, paid here once per key
-        statuses = []
-        for rule in rules:
-            statuses.append(rule(run, a, b)[0])
-        return tuple(statuses)
-
-    return decide
-
-
-def _shape(s: RankedState) -> tuple[int, ...]:
-    """s's level sizes c0, c1, ... in rank order, as c0 zeros, c1 ones, ..."""
-    return tuple(sorted(s.ranks))
-
-
-def _replayed(states: Iterable[RankedState], tally: list[int]) -> Iterator[RankedState]:
-    """The states of a shape (_shape) not met before, for a walk that adds
-    each instance to tally by its row's index.  A later state of a shape
-    adds to tally what the walk of the shape's first state added.  The map
-    is cleared when its shapes hold 8 * _MEMO_LIMIT ranks: every shape at
-    n = 3 fits, and two at n = 16."""
-    seen: dict[tuple[int, ...], list[int]] = {}  # shape -> its tally by row index
-    for s in states:
-        shape = _shape(s)
-        counts = seen.get(shape)
-        if counts is None:
-            if len(seen) * len(shape) >= _MEMO_LIMIT << 3:
-                seen.clear()
-            before = tally.copy()
-            yield s  # resumed once the walk has counted every instance of s
-            seen[shape] = [n - m for n, m in zip_longest(tally, before, fillvalue=0)]
-        else:
-            tally[:len(counts)] = map(add, tally, counts)
-
-
 def _scan_group(
     group: tuple[str, ...],
     states: Iterable[RankedState],
     pair: OperatorPair,
     sig: Signature,
     stop_at_first: bool,
-) -> list[tuple[tuple[str, ...], int, tuple]]:
+) -> dict[tuple[str, ...], list]:
     """The table of a group of registry postulates of one arity over sampled
     states, from one walk of their instances in the calling process: each
-    distinct row of the members' statuses, its tally and its first instance,
-    in order of first occurrence.  The walk reads the states as the stream
-    yields them, keys the first state of each shape and replays the others
-    (_replayed), so it holds one memo and one shape map for the whole stream.
+    distinct row of the members' statuses, in order of first occurrence,
+    mapped to [its tally, its first instance].  The walk reads the states as
+    the stream yields them.  It keys the first state of each shape, its level
+    sizes in rank order, and a later state of the shape adds to each row what
+    the shape's first state added, so the walk holds one memo and one shape
+    map for the whole stream; the shape map is cleared when its shapes hold
+    8 * _MEMO_LIMIT ranks (every shape at n = 3 fits, and two at n = 16).
     With stop_at_first it ends at the first row where a member fails (a
     search is a group of one)."""
-    decide = _decider(group, pair, sig)
-    # each distinct row is interned with an index, and the memo and the tally
-    # refer to rows by that index (a tuple does not cache its hash, so keying
-    # the tally by the row itself would rehash it at every instance)
-    rows: dict[tuple[str, ...], int] = {}
-    memo: dict[int, int] = {}  # pattern or orbit key -> row index
-    tally: list[int] = []  # row index -> instances
-    firsts: list[tuple] = []  # row index -> its first instance
-    stop = False
-    for key, s, a, b in _keyed_instances(POSTULATES[group[0]].arity, sig,
-                                         _replayed(states, tally), _counted(pair)):
-        i = memo.get(key)
-        if i is None:
-            row = decide(s, a, b)
-            i = rows.setdefault(row, len(tally))
-            if i == len(tally):
-                tally.append(0)
-                firsts.append((s, a, b))
-                stop = stop_at_first and FAILS in row
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = i
-        tally[i] += 1
-        if stop:
-            break
-    return list(zip(rows, tally, firsts))
-
-
-# The rows of a group over the keys of one subtree (_decide_keys): the
-# distinct rows, their summed weights and their least positions.
-Decided = tuple[list[tuple[str, ...]], list[int], list[int]]
+    transforms = _transforms(pair, sig)
+    rules = [POSTULATES[pid].rule for pid in group]
+    arity, counted = POSTULATES[group[0]].arity, _counted(pair)
+    table: dict[tuple[str, ...], list] = {}  # row -> [tally, first instance]
+    memo: dict[int, list] = {}  # pattern or orbit key -> its row's entry
+    seen: dict[tuple[int, ...], list[int]] = {}  # shape -> its tally by row, in table order
+    for s in states:
+        shape = tuple(sorted(s.ranks))
+        counts = seen.get(shape)
+        if counts is not None:
+            for entry, count in zip(table.values(), counts):
+                entry[0] += count
+            continue
+        if len(seen) * len(shape) >= _MEMO_LIMIT << 3:
+            seen.clear()
+        before = [entry[0] for entry in table.values()]
+        run = _Run(sig, _level_masks(s), transforms)
+        for key, _, a, b in _keyed_instances(arity, sig, (s,), counted):
+            entry = memo.get(key)
+            if entry is None:
+                run.memo.clear()
+                # a plain loop: before Python 3.12 a comprehension is a
+                # function call, paid here once per key
+                statuses = []
+                for rule in rules:
+                    statuses.append(rule(run, a, b)[0])
+                row = tuple(statuses)
+                entry = table.get(row)
+                if entry is None:
+                    entry = table[row] = [0, (s, a, b)]
+                    if stop_at_first and FAILS in row:
+                        entry[0] = 1
+                        return table
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = entry
+            entry[0] += 1
+        seen[shape] = [entry[0] - count for entry, count
+                       in zip_longest(table.values(), before, fillvalue=0)]
+    return table
 
 
 def _decide_keys(group: tuple[str, ...], top: int, pair: OperatorPair,
-                 sig: Signature) -> Decided:
-    """Each key of the group's exhaustive stream over sig whose top level
-    has the non-empty cells top, decided once at its first instance
-    (_weighted_keys), its weight added to its row's tally and its position
-    kept where it is the row's least."""
+                 sig: Signature) -> dict[tuple[str, ...], list[int]]:
+    """The rows of a group over the keys of its exhaustive stream over sig
+    whose top level has the non-empty cells top, each mapped to [its summed
+    weights, its least position]: every key is decided once at its first
+    instance (_weighted_keys) and its weight goes to its row."""
     transforms = _transforms(pair, sig)
     rules = [POSTULATES[pid].rule for pid in group]
-    rows: dict[tuple[str, ...], int] = {}
-    tally: list[int] = []
-    least: list[int] = []
+    table: dict[tuple[str, ...], list[int]] = {}
     for _, (levels, a, b), position, weight in _weighted_keys(
             POSTULATES[group[0]].arity, sig, _counted(pair), top):
         run = _Run(sig, levels, transforms)
         statuses = []
         for rule in rules:
             statuses.append(rule(run, a, b)[0])
-        i = rows.setdefault(tuple(statuses), len(tally))
-        if i == len(tally):
-            tally.append(weight)
-            least.append(position)
-        else:
-            tally[i] += weight
-            if position < least[i]:
-                least[i] = position
-    return list(rows), tally, least
+        entry = table.setdefault(tuple(statuses), [0, position])
+        entry[0] += weight
+        if position < entry[1]:
+            entry[1] = position
+    return table
 
 
 def _merged(arity: int, sig: Signature,
-            decided: Iterable[Decided]) -> list[tuple[tuple[str, ...], int, tuple]]:
+            decided: Iterable[dict[tuple[str, ...], list[int]]]) -> dict[tuple[str, ...], list]:
     """The table of a group over the exhaustive stream, from its subtrees'
-    decided rows: each row's tally is the sum of its weights and its first
-    instance is at its least position (_first_instance).  The rows are
-    sorted by that position, so they keep their order of first occurrence."""
-    rows: dict[tuple[str, ...], list[int]] = {}  # row -> [tally, least position]
-    for subtree_rows, tallies, positions in decided:
-        for row, tally, position in zip(subtree_rows, tallies, positions):
-            entry = rows.setdefault(row, [0, position])
-            entry[0] += tally
-            entry[1] = min(entry[1], position)
-    ordered = sorted(rows.items(), key=lambda item: item[1][1])
-    return [(row, tally, _first_instance(arity, sig, position))
-            for row, (tally, position) in ordered]
+    rows (_decide_keys), in the form of a sampled scan's: each row mapped to
+    [its tally, its first instance], the tally the sum of its weights.  The
+    subtrees' rows are read in order of position, so a row is met first at
+    its least position, where its first instance is decoded
+    (_first_instance), and the rows keep their order of first occurrence."""
+    table: dict[tuple[str, ...], list] = {}
+    rows = chain.from_iterable(subtree.items() for subtree in decided)
+    for row, (tally, position) in sorted(rows, key=lambda item: item[1][1]):
+        if row in table:
+            table[row][0] += tally
+        else:
+            table[row] = [tally, _first_instance(arity, sig, position)]
+    return table
 
 
 class _PoolClass:
@@ -1147,9 +1108,11 @@ def _scan(
     iterated; a sampled stream's are walked in process, one walk of the
     stream per group (_scan_group), and only there does stop_at_first end a
     walk at the first failing row.  jobs, capped at the CPU count, sizes
-    only the pool of a table over every state.  Returns the table of each
-    postulate's group, by pid; its rows follow stream order, so the first
-    row where a claim fails holds its first failing instance."""
+    only the pool of a table over every state.  Both kinds of group build
+    one table form, row -> [tally, first]; this returns each postulate's
+    group's table by pid as a list of rows (statuses by pid, tally, first).
+    The rows follow stream order, so the first row where a claim fails holds
+    its first failing instance."""
     arities = {pid: _postulate(pid).arity for pid in pids}
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -1186,7 +1149,7 @@ def _scan(
                 pool.shutdown(wait=True, cancel_futures=True)
     table = {}
     for group, rows in zip(groups, found):
-        rows = [(dict(zip(group, row)), tally, first) for row, tally, first in rows]
+        rows = [(dict(zip(group, row)), tally, first) for row, (tally, first) in rows.items()]
         table.update(dict.fromkeys(group, rows))
     return table
 
