@@ -62,6 +62,12 @@ def _argvs() -> list[tuple[str, ...]]:
     argvs += [("check", "--atoms", "p,q,r", "--postulate", pid, "--mode", "sample",
                "--samples", samples, "--seed", "3", "--format", "json")
               for pid, samples in (("R6", "20"), ("C2", "1"), ("CORE", "3"))]
+    # the extensionality rows rebuild every input through its DNF: all 256
+    # world sets at three atoms, and all 65,536 at four
+    argvs += [("check", "--atoms", "p,q,r", "--postulate", pid, "--mode", "sample",
+               "--samples", "20", "--seed", "3", "--format", "json") for pid in ("PC5", "PR5")]
+    argvs.append(("check", "--atoms", "a,b,c,d", "--postulate", "PR5", "--mode", "sample",
+                  "--samples", "1", "--seed", "0", "--format", "json"))
     # a sampled two-input walk over four shapes that ends at a counterexample
     argvs += [("check", "--atoms", "p,q,r", "--op", "flatten", "--postulate", "C2", "--mode",
                "sample", "--samples", "4", "--seed", "3", "--format", fmt)
