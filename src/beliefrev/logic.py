@@ -33,8 +33,12 @@ MAX_ATOMS = 16
 # limit at this depth.
 MAX_FORMULA_DEPTH = 100
 
-# Entries of the dnf_of and models memos.  Every input at n <= 3 (256 world
-# sets) fits; the memos hold the formulas, which grow with the world count.
+# Entries of each memo of the DNF round trip: dnf_of's formulas by
+# (signature, mask), its minterms by (signature, world), models' results, and
+# the mask of each formula node that models has folded.  Every input at n <= 3
+# (256 world sets) fits, and so does every minterm up to n = 10.  A full dict
+# memo is emptied and refilled.  The kept formulas share their prefixes and
+# minterms, so a kept input costs about one Or node.
 _ROUND_TRIP_MEMO = 1024
 
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -265,8 +269,11 @@ class Formula:
     A node is a slotted frozen value.  Its hash, the hash of its fields as a
     frozen dataclass has it, is computed when it is built (its children's
     hashes are already cached) and kept in the _hash slot, so a memo lookup keyed by a formula costs the same
-    however deep the formula is.  A pickle carries only the constructor
-    arguments (__reduce__), so the salted hash never travels.
+    however deep the formula is.  Equality is by fields too, but compared in a
+    loop down the first field (a left operand), so two equal DNFs built apart
+    compare without recursing along their 2**n disjuncts.  A pickle carries
+    only the constructor arguments (__reduce__), so the salted hash never
+    travels.
     """
 
     __slots__ = ("_hash",)
@@ -276,6 +283,19 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        a, b = self, other
+        while a is not b:
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            (a_first, *a_rest), (b_first, *b_rest) = a._fields(), b._fields()
+            if a_rest != b_rest:
+                return False
+            if not isinstance(a_first, Formula):
+                return a_first == b_first
+            a, b = a_first, b_first
+        return True
 
     def __reduce__(self):
         return self.__class__, self._fields()
@@ -290,12 +310,9 @@ class Formula:
 _set_formula_hash = Formula._hash.__set__
 
 
-def _node(cls):
-    # a frozen dataclass with eq would get a field hash of its own, replacing
-    # the cached one
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+# Formula's own __eq__ and cached __hash__ stand: a dataclass with eq would
+# replace both
+_node = dataclass(frozen=True, slots=True, eq=False)
 
 
 @_node
@@ -364,31 +381,64 @@ def satisfies(f: Formula, valuation: int, sig: Signature) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _remembered(memo: dict, key, value):
+    """Store value under key in a round-trip memo, emptying the memo when full."""
+    if len(memo) >= _ROUND_TRIP_MEMO:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 @lru_cache(maxsize=_ROUND_TRIP_MEMO)
 def models(f: Formula, sig: Signature) -> WorldSet:
     """The set of valuations satisfying f, computed bit-parallel.
 
-    Memoized in a bounded LRU: equal formulas give one WorldSet object."""
+    Memoized in a bounded LRU: equal formulas give one WorldSet object.  Each
+    node's mask is folded once and kept in a bounded node memo, so a formula
+    that shares subformulas with earlier ones (dnf_of's prefixes and
+    minterms) costs only its new nodes.  A left-nested chain of And or Or is
+    folded in a loop, so however many worlds a DNF has, the recursion goes
+    no deeper than a minterm.
+    """
     return WorldSet(sig, _model_mask(f, sig))
 
 
+# (formula, signature) -> model mask of each node _model_mask has folded
+_node_masks: dict[tuple[Formula, Signature], int] = {}
+
+
 def _model_mask(f: Formula, sig: Signature) -> int:
+    mask = _node_masks.get((f, sig))
+    if mask is not None:
+        return mask
+    if isinstance(f, (And, Or)):
+        # walk down the chain of this connective to its first folded node or
+        # its bottom operand, then fold back up; recursion goes only into
+        # right operands
+        kind, chain, node = type(f), [f], f.left
+        while type(node) is kind and (mask := _node_masks.get((node, sig))) is None:
+            chain.append(node)
+            node = node.left
+        if type(node) is not kind:
+            mask = _model_mask(node, sig)
+        fold = int.__or__ if kind is Or else int.__and__
+        for node in reversed(chain):
+            mask = _remembered(_node_masks, (node, sig), fold(mask, _model_mask(node.right, sig)))
+        return mask
     full = sig.full_mask
     if isinstance(f, Atom):
-        return _atom_masks(sig)[sig.index_of(f.name)]
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, Not):
-        return full & ~_model_mask(f.operand, sig)
-    if isinstance(f, And):
-        return _model_mask(f.left, sig) & _model_mask(f.right, sig)
-    if isinstance(f, Or):
-        return _model_mask(f.left, sig) | _model_mask(f.right, sig)
-    if isinstance(f, Implies):
-        return (full & ~_model_mask(f.left, sig)) | _model_mask(f.right, sig)
-    if isinstance(f, Iff):
-        return full & ~(_model_mask(f.left, sig) ^ _model_mask(f.right, sig))
-    raise TypeError(f"not a formula: {f!r}")
+        mask = _atom_masks(sig)[sig.index_of(f.name)]
+    elif isinstance(f, Const):
+        mask = full if f.value else 0
+    elif isinstance(f, Not):
+        mask = full & ~_model_mask(f.operand, sig)
+    elif isinstance(f, Implies):
+        mask = (full & ~_model_mask(f.left, sig)) | _model_mask(f.right, sig)
+    elif isinstance(f, Iff):
+        mask = full & ~(_model_mask(f.left, sig) ^ _model_mask(f.right, sig))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _remembered(_node_masks, (f, sig), mask)
 
 
 @lru_cache(maxsize=None)
@@ -398,21 +448,38 @@ def _literals(sig: Signature) -> tuple[tuple[Formula, Formula], ...]:
 
 
 @lru_cache(maxsize=_ROUND_TRIP_MEMO)
+def _minterm(sig: Signature, v: int) -> Formula:
+    # the conjunction, in atom order, of the literals true at v
+    return reduce(And, [pair[sig.atom_true(v, i)] for i, pair in enumerate(_literals(sig))])
+
+
+# (signature, mask) -> dnf_of's formula for that mask
+_prefixes: dict[tuple[Signature, int], Formula] = {}
+
+
 def dnf_of(w: WorldSet, sig: Signature) -> Formula:
     """Canonical full-DNF formula whose model set is exactly w.
 
-    One minterm per world, minterms in valuation order; the empty set maps to
-    the constant false.  Deterministic, so equal WorldSets give equal ASTs;
-    memoized in a bounded LRU, so they also give one AST object.
+    One minterm per world, minterms in valuation order, as a left-nested Or;
+    each minterm is a left-nested And of one literal per atom, in atom order.
+    The empty set maps to the constant false.  The formula is built from
+    shared parts: each minterm once (a bounded LRU by signature and world),
+    and the DNF of a set's first k worlds once, as the left operand of the DNF
+    of its first k + 1 (a bounded memo by signature and mask).  So equal
+    world sets give one AST object, and a set whose prefix is kept costs one
+    new Or node.
     """
-    literals = _literals(sig)
-    minterms = [
-        reduce(And, [pair[sig.atom_true(v, i)] for i, pair in enumerate(literals)])
-        for v in w
-    ]
-    if not minterms:
-        return FALSE
-    return reduce(Or, minterms)
+    # strip the highest worlds until a kept prefix remains, then add them back
+    mask, f, stripped = w.mask, None, []
+    while mask and (f := _prefixes.get((sig, mask))) is None:
+        top = mask.bit_length() - 1
+        stripped.append(top)
+        mask ^= 1 << top
+    for v in reversed(stripped):
+        mask |= 1 << v
+        minterm = _minterm(sig, v)
+        f = _remembered(_prefixes, (sig, mask), minterm if f is None else Or(f, minterm))
+    return FALSE if f is None else f
 
 
 # --- Printing --------------------------------------------------------------

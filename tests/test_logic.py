@@ -1,10 +1,14 @@
 import dataclasses
 import pickle
+import random
+import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from beliefrev import logic
 from beliefrev.logic import (
     FALSE,
     MAX_FORMULA_DEPTH,
@@ -252,6 +256,26 @@ def test_expand_trivial_identities():
 # --- dnf ------------------------------------------------------------------------
 
 
+def tree_dnf(w, sig):
+    """dnf_of's formula built as a tree: fresh And and Or nodes for every
+    world set, nothing shared with any other formula."""
+    minterms = [reduce(And, [Atom(a) if sig.atom_true(v, i) else Not(Atom(a))
+                             for i, a in enumerate(sig.atoms)]) for v in w]
+    return reduce(Or, minterms) if minterms else FALSE
+
+
+def assert_round_trip_matches_the_tree(sig, masks):
+    """dnf_of of each mask equals the tree-built formula (by ==, text and
+    hash), and models of it gives the world set, as satisfies reads it too."""
+    for mask in masks:
+        w = WorldSet(sig, mask)
+        f, tree = dnf_of(w, sig), tree_dnf(w, sig)
+        assert f == tree and hash(f) == hash(tree), mask
+        assert formula_text(f) == formula_text(tree), mask
+        assert models(f, sig) == w, mask
+        assert sum(1 << v for v in sig.valuations() if satisfies(f, v, sig)) == mask, mask
+
+
 def test_dnf_shape_and_text():
     f = dnf_of(ws(RGS, "010", "011"), RGS)
     assert formula_text(f) == "!r & g & !s | !r & g & s"
@@ -266,9 +290,7 @@ def test_dnf_empty_and_full():
 
 def test_dnf_roundtrip_exhaustive_small():
     for sig in (Signature(("p",)), PQ, RGS):
-        for mask in range(sig.full_mask + 1):
-            w = WorldSet(sig, mask)
-            assert models(dnf_of(w, sig), sig) == w
+        assert_round_trip_matches_the_tree(sig, range(sig.full_mask + 1))
 
 
 def test_dnf_deterministic():
@@ -276,11 +298,46 @@ def test_dnf_deterministic():
     assert dnf_of(w, PQ) == dnf_of(WorldSet.from_bitstrings(PQ, ["10", "01"]), PQ)
 
 
+def test_round_trip_matches_the_tree_at_four_atoms():
+    # all 65,536 world sets at four atoms are checked in CI
+    sig = Signature(("a", "b", "c", "d"))
+    assert_round_trip_matches_the_tree(sig, random.Random(4).sample(range(sig.full_mask + 1), 600))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_round_trip_of_every_world_is_not_bounded_by_recursion(n):
+    # the full set's DNF is a chain of 2**n disjuncts: models folds the chain
+    # and == compares it with an equal one built apart, each in a loop, so
+    # the recursion goes no deeper than a minterm
+    sig = Signature(tuple("abcdefghijk"[:n]))
+    full = WorldSet.full(sig)
+    f, tree = dnf_of(full, sig), tree_dnf(full, sig)
+    assert models(f, sig) == full
+    assert f == tree and hash(f) == hash(tree)
+    assert f != Or(f.left, Not(f.right))
+
+
+def test_round_trip_of_ten_atoms_is_bounded_in_memory():
+    sig = Signature(tuple("abcdefghij"))
+    full = WorldSet.full(sig)
+    tracemalloc.start()
+    try:
+        assert models(dnf_of(full, sig), sig) == full
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 1.3-1.5 MiB: 1,024 shared minterms, one Or node per prefix and a
+    # bounded node memo.  Prefixes kept as chains of their own take 35 MiB
+    assert peak < 4 * 2**20
+
+
 def test_round_trip_memos_are_bounded():
-    # dnf_of and models are memoized in LRUs with a finite size, and the memo
-    # hands equal world sets and equal formulas the same answer
-    for memoized in (dnf_of, models):
-        assert memoized.cache_info().maxsize is not None
+    # every memo of the round trip is bounded: models and the minterms in LRUs
+    # of a finite size, dnf_of's prefixes and the node masks in dicts emptied
+    # when full.  The memos hand equal world sets and equal formulas the same
+    # answer, and a kept prefix is the left operand of every longer DNF
+    for memoized in (models, logic._minterm):
+        assert memoized.cache_info().maxsize == logic._ROUND_TRIP_MEMO
     for mask in range(RGS.full_mask + 1):
         w, same = WorldSet(RGS, mask), WorldSet(Signature(("r", "g", "s")), mask)
         assert w is not same
@@ -288,6 +345,15 @@ def test_round_trip_memos_are_bounded():
         assert dnf_of(same, RGS) == f and dnf_of(same, same.sig) is f
         assert models(f, RGS) == w
         assert models(parse_formula(formula_text(f), RGS), RGS) == w
+        if len(w) > 1:
+            top = max(w)
+            assert f.left is dnf_of(WorldSet(RGS, mask ^ 1 << top), RGS)
+            assert f.right is dnf_of(WorldSet.of(RGS, [top]), RGS)
+    sig = Signature(("a", "b", "c", "d"))
+    for mask in range(3 * logic._ROUND_TRIP_MEMO):
+        models(dnf_of(WorldSet(sig, mask), sig), sig)
+        assert len(logic._prefixes) <= logic._ROUND_TRIP_MEMO
+        assert len(logic._node_masks) <= logic._ROUND_TRIP_MEMO
 
 
 _NODES = [
