@@ -259,7 +259,7 @@ def _cmd_enumerate(args) -> int:
     atoms = ",".join(sig.atoms)
     if args.mode == "exhaustive":
         stream = enumerate_states(sig)
-        generated = sum(1 for _ in stream.rank_vectors())
+        generated = stream.count_rows()
         counts = {"expected": stream.count, "generated": generated}
         text = f"states over atoms {atoms}: {generated} (weak-order count {stream.count})"
     else:

@@ -273,7 +273,10 @@ class Formula:
     loop down the first field (a left operand), so two equal DNFs built apart
     compare without recursing along their 2**n disjuncts.  A pickle carries
     only the constructor arguments (__reduce__), so the salted hash never
-    travels.
+    travels.  A chain of And or Or (a node whose left operand has its own
+    connective) pickles flat, as its bottom operand and its right operands,
+    and the repr is built in a loop down the first field, so neither
+    recurses along a DNF's 2**n disjuncts.
     """
 
     __slots__ = ("_hash",)
@@ -298,7 +301,21 @@ class Formula:
         return True
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        kind = type(self)
+        if (kind is And or kind is Or) and type(self.left) is kind:
+            bottom, *rights = _chain_operands(self)
+            return reduce, (kind, rights, bottom)
+        return kind, self._fields()
+
+    def __repr__(self) -> str:
+        # the dataclass repr, built down the first field in a loop
+        heads, tails, node = [], [], self
+        while isinstance(node, Formula):
+            first, *rest = node.__match_args__
+            heads.append(f"{type(node).__qualname__}({first}=")
+            tails.append("".join(f", {name}={getattr(node, name)!r}" for name in rest) + ")")
+            node = getattr(node, first)
+        return "".join(heads) + repr(node) + "".join(reversed(tails))
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -310,9 +327,9 @@ class Formula:
 _set_formula_hash = Formula._hash.__set__
 
 
-# Formula's own __eq__ and cached __hash__ stand: a dataclass with eq would
-# replace both
-_node = dataclass(frozen=True, slots=True, eq=False)
+# Formula's own __eq__, cached __hash__ and __repr__ stand: a dataclass with
+# eq would replace the first two and one with repr the third
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
 
 
 @_node
@@ -358,11 +375,25 @@ class Iff(Formula):
     right: Formula
 
 
+def _chain_operands(f: Formula) -> list[Formula]:
+    """The operands of the left-nested chain of f's connective that f heads:
+    the bottom operand, then the right operands from the bottom up."""
+    kind, operands = type(f), []
+    while type(f) is kind:
+        operands.append(f.right)
+        f = f.left
+    operands.append(f)
+    operands.reverse()
+    return operands
+
+
 def satisfies(f: Formula, valuation: int, sig: Signature) -> bool:
     """Truth of f under one valuation, by direct recursive evaluation.
 
     Deliberately independent of models(): the two are checked against each
-    other and must not share code.
+    other and must not share code.  A left-nested chain of And or Or is
+    read in a loop from its bottom operand up, so the recursion goes only
+    into operands of another connective and into right operands.
     """
     if isinstance(f, Atom):
         return sig.atom_true(valuation, sig.index_of(f.name))
@@ -370,10 +401,13 @@ def satisfies(f: Formula, valuation: int, sig: Signature) -> bool:
         return f.value
     if isinstance(f, Not):
         return not satisfies(f.operand, valuation, sig)
-    if isinstance(f, And):
-        return satisfies(f.left, valuation, sig) and satisfies(f.right, valuation, sig)
-    if isinstance(f, Or):
-        return satisfies(f.left, valuation, sig) or satisfies(f.right, valuation, sig)
+    if isinstance(f, (And, Or)):
+        # a true operand settles an Or chain and a false one an And chain
+        settles = isinstance(f, Or)
+        for g in _chain_operands(f):
+            if satisfies(g, valuation, sig) is settles:
+                return settles
+        return not settles
     if isinstance(f, Implies):
         return (not satisfies(f.left, valuation, sig)) or satisfies(f.right, valuation, sig)
     if isinstance(f, Iff):
@@ -486,6 +520,9 @@ def dnf_of(w: WorldSet, sig: Signature) -> Formula:
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4, 5
 
+# the left-associative connectives: precedence and symbol
+_LEFT_ASSOCIATIVE = {Iff: (_PREC_IFF, " <-> "), Or: (_PREC_OR, " | "), And: (_PREC_AND, " & ")}
+
 
 def formula_text(f: Formula) -> str:
     """ASCII rendering in the input grammar, with minimal parentheses."""
@@ -499,19 +536,17 @@ def _render(f: Formula, context: int) -> str:
         return "true" if f.value else "false"
     if isinstance(f, Not):
         return "!" + _render(f.operand, _PREC_NOT)
-    if isinstance(f, Iff):
-        text = f"{_render(f.left, _PREC_IFF)} <-> {_render(f.right, _PREC_IFF + 1)}"
-        prec = _PREC_IFF
-    elif isinstance(f, Implies):
+    if isinstance(f, Implies):
         # right-associative: the right operand stays at the same level
         text = f"{_render(f.left, _PREC_IMP + 1)} -> {_render(f.right, _PREC_IMP)}"
         prec = _PREC_IMP
-    elif isinstance(f, Or):
-        text = f"{_render(f.left, _PREC_OR)} | {_render(f.right, _PREC_OR + 1)}"
-        prec = _PREC_OR
-    elif isinstance(f, And):
-        text = f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_AND + 1)}"
-        prec = _PREC_AND
+    elif type(f) in _LEFT_ASSOCIATIVE:
+        # a left-nested chain of one connective needs no parentheses inside
+        # it, so it is rendered in a loop: the recursion goes only into its
+        # bottom operand and its right operands
+        prec, symbol = _LEFT_ASSOCIATIVE[type(f)]
+        bottom, *rights = _chain_operands(f)
+        text = symbol.join([_render(bottom, prec), *(_render(g, prec + 1) for g in rights)])
     else:
         raise TypeError(f"not a formula: {f!r}")
     return f"({text})" if prec < context else text

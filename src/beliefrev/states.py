@@ -9,17 +9,28 @@ total preorder is the identity of the state.
 RankedState is a slotted frozen value that caches its hash on first use and,
 like the logic values, pickles through its constructor (__reduce__).
 
-State streams have two layers.  The vector layer (StateStream.rank_vectors)
-yields normalized rank tuples; the state layer (iterating the stream) wraps
-each in a RankedState, whose constructor validates it.  A consumer that only
-counts or compares states reads the vectors and builds no state, and
-StateStream.distinct counts distinct states without building a tuple per
-state where the stream allows it.
+State streams have three layers.  Where a stream is made a block at a time
+(exhaustive streams, and sampled ones at n <= 3), its blocks hold one byte
+per world, a whole number of rows each; the vector layer
+(StateStream.rank_vectors) cuts them into normalized rank tuples, or yields
+the tuples one by one on the other paths; the state layer (iterating the
+stream) wraps each in a RankedState, whose constructor validates it.  A
+consumer that only counts or compares states builds no state:
+StateStream.count_rows counts the blocks' rows from their lengths and
+StateStream.distinct reads each row as one int, so neither builds a tuple
+per state where the stream comes in blocks.
 
 Exhaustive streams are flat: for each level count k, every prefix over the
 first half of the valuations is followed by the lex-ordered suffixes over
 0..k-1 that cover the levels the prefix missed, which is lexicographic order
-on the whole rank vector.  Sampled streams draw each rank exactly as
+on the whole rank vector.  The suffixes of a level count are grouped by the
+levels they use, and a missed level set's table is the union of the groups
+that use all of it, spread into whole rows with a zero first half.  A
+prefix's block is a copy of its table with the prefix written over every
+first half by one strided slice.  A prefix that misses more levels than a
+suffix has worlds has no covering suffix and no table.
+
+Sampled streams draw each rank exactly as
 Random.randrange(2**n) does, so a seed names the same states as a per-rank
 randrange sampler: a rank is the top n + 1 bits of one 32-bit generator word,
 accepted iff the word's top bit is 0.  For n <= 7 the words are drawn in
@@ -51,7 +62,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .logic import Formula, Signature, SignatureMismatchError, WorldSet, models
@@ -286,40 +297,6 @@ def count_weak_orders(num_elements: int) -> int:
     return counts[num_elements]
 
 
-def _with_masks(levels: int, length: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every vector in range(levels)**length, lexicographic, with the bit
-    mask of the values it uses."""
-    out = []
-    for vec in product(range(levels), repeat=length):
-        used = 0
-        for value in vec:
-            used |= 1 << value
-        out.append((vec, used))
-    return out
-
-
-def _exhaustive_iter(sig: Signature) -> Iterator[tuple[int, ...]]:
-    """Prefix times covering suffix (see the module docstring).  A suffix
-    table is built once per missed level set and dropped with its level
-    count, so at most one count's tables are alive."""
-    total = sig.num_valuations
-    head = total // 2
-    tail = total - head
-    for levels in range(1, total + 1):
-        full = (1 << levels) - 1
-        suffixes = _with_masks(levels, tail)
-        tables: dict[int, list[tuple[int, ...]]] = {}
-        for prefix, used in _with_masks(levels, head):
-            missing = full & ~used
-            table = tables.get(missing)
-            if table is None:
-                table = tables[missing] = [
-                    vec for vec, mask in suffixes if mask & missing == missing
-                ]
-            for suffix in table:
-                yield prefix + suffix
-
-
 # A rank draw is n + 1 bits, so up to n = 7 it is drawn and compacted as a byte
 _BYTE_PATH_MAX_ATOMS = 7
 # up to n = 3 a rank is below 8, so its one-hot bit fits a byte as well, and
@@ -334,20 +311,54 @@ _REJECTED = _IDENT[128:]
 _TO_BIT = bytes(1 << r for r in range(8)) + bytes(248)
 _BELOW = bytes((1 << r) - 1 for r in range(8)) + bytes(248)
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
-# a memoryview format whose items are exactly one row of 2, 4 or 8 bytes
-_ROW_FORMAT = {2: "H", 4: "I", 8: "Q"}
+# a memoryview format whose items are exactly 1, 2, 4 or 8 bytes: a row or
+# half a row at n <= 3
+_ROW_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# each byte value as a bytes object of its own
+_BYTES = [_IDENT[b:b + 1] for b in range(256)]
 
 
-def _sampled_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
-    if sig.n > _BYTE_PATH_MAX_ATOMS:
-        return _sampled_rank_iter(sig, count, seed)
-    if sig.n > _BLOCK_PATH_MAX_ATOMS:
-        return _sampled_byte_iter(sig, count, seed)
-    # the grouper idiom: one iterator zipped with itself cuts each block of
-    # rows into tuples of total ranks
+def _with_masks(levels: int, length: int) -> list[tuple[bytes, int]]:
+    """Every vector in range(levels)**length as a byte row, lexicographic,
+    with the bit mask of the values it uses."""
+    rows = [(b"", 0)]
+    for _ in range(length):
+        rows = [(row + _BYTES[value], used | 1 << value)
+                for row, used in rows for value in range(levels)]
+    return rows
+
+
+def _exhaustive_blocks(sig: Signature) -> Iterator[bytearray]:
+    """Every weak order as byte rows, one byte per world, one block per
+    prefix that some suffix covers (see the module docstring).  The prefix
+    is written over its table's zero first halves as half-row memoryview
+    items, one strided slice per block.  The tables live for one level
+    count only.
+    """
     total = sig.num_valuations
-    return chain.from_iterable(zip(*[iter(rows)] * total)
-                               for rows in _compacted_blocks(sig, count, seed))
+    half = total // 2
+    pad = bytes(half)
+    item = _ROW_FORMAT[half]
+    for levels in range(1, total + 1):
+        full = (1 << levels) - 1
+        halves = _with_masks(levels, half)
+        groups: dict[int, list[bytes]] = {}
+        for row, used in halves:
+            groups.setdefault(used, []).append(row)
+        spreads: dict[int, bytes] = {}
+        for prefix, used in halves:
+            missing = full & ~used
+            if missing.bit_count() > half:
+                continue
+            spread = spreads.get(missing)
+            if spread is None:
+                table = sorted(chain.from_iterable(
+                    rows for mask, rows in groups.items() if mask & missing == missing))
+                spread = spreads[missing] = pad + pad.join(table)
+            block = bytearray(spread)
+            memoryview(block).cast(item)[::2] = memoryview(
+                prefix * (len(spread) // total)).cast(item)
+            yield block
 
 
 def _sampled_rank_iter(sig: Signature, count: int, seed: int) -> Iterator[tuple[int, ...]]:
@@ -425,14 +436,15 @@ def _compacted_blocks(sig: Signature, count: int, seed: int) -> Iterator[bytes]:
 class StateStream:
     """Deterministic, re-iterable sequence of states with generation metadata.
 
-    rank_vectors() yields each state's normalized rank tuple; distinct()
-    counts the distinct ones; iterating the stream yields the same states as
-    validated RankedStates, built in __iter__ alone.  Exhaustive streams
-    yield every weak order on the valuations exactly once, ordered by number
-    of levels and then lexicographically on the rank vector, generated as
-    prefix times covering suffix (see the module docstring); the suffix
-    tables live for one level count only, so the stream is never
-    materialized.  Sampled streams are
+    rank_vectors() yields each state's normalized rank tuple; count_rows()
+    counts them and distinct() counts the distinct ones, both from the byte
+    blocks where the stream is made in blocks; iterating the stream yields
+    the same states as validated RankedStates, built in __iter__ alone.
+    Exhaustive streams yield every weak order on the valuations exactly
+    once, ordered by number of levels and then lexicographically on the rank
+    vector, one block of byte rows per prefix with its covering suffixes
+    (see the module docstring); the suffix tables live for one level count
+    only, so the stream is never materialized.  Sampled streams are
     reproducible from the seed and draw-exact with Random.randrange.
     Iterating a stream twice yields identical sequences, so a sampled scan
     walks it once per arity group.
@@ -446,30 +458,59 @@ class StateStream:
     def __iter__(self) -> Iterator[RankedState]:
         return map(RankedState, repeat(self.sig), self.rank_vectors())
 
+    def _row_blocks(self) -> Iterator[bytes | bytearray] | None:
+        """The stream's rows in blocks of bytes, one byte per world and a
+        whole number of rows per block, if the stream is made that way:
+        exhaustive streams and sampled ones at n <= 3.  None otherwise."""
+        if self.mode == "exhaustive":
+            return _exhaustive_blocks(self.sig)
+        if self.mode != "sampled":
+            raise ValueError(f"unknown mode {self.mode!r}")
+        assert self.seed is not None
+        if self.sig.n <= _BLOCK_PATH_MAX_ATOMS:
+            return _compacted_blocks(self.sig, self.count, self.seed)
+        return None
+
     def rank_vectors(self) -> Iterator[tuple[int, ...]]:
         """The normalized rank tuples of the stream's states, in order."""
-        if self.mode == "exhaustive":
-            return _exhaustive_iter(self.sig)
-        if self.mode == "sampled":
-            assert self.seed is not None
-            return _sampled_iter(self.sig, self.count, self.seed)
-        raise ValueError(f"unknown mode {self.mode!r}")
+        blocks = self._row_blocks()
+        if blocks is not None:
+            # the grouper idiom: one iterator zipped with itself cuts each
+            # block of rows into tuples of total ranks
+            total = self.sig.num_valuations
+            return chain.from_iterable(zip(*[iter(rows)] * total) for rows in blocks)
+        assert self.seed is not None
+        if self.sig.n > _BYTE_PATH_MAX_ATOMS:
+            return _sampled_rank_iter(self.sig, self.count, self.seed)
+        return _sampled_byte_iter(self.sig, self.count, self.seed)
+
+    def count_rows(self) -> int:
+        """The number of states the stream yields, counted as it is made.
+
+        Where the stream comes in blocks, their rows are counted from the
+        blocks' lengths, so no tuple is built per state; otherwise the rank
+        vectors are counted one by one.
+        """
+        blocks = self._row_blocks()
+        if blocks is None:
+            return sum(1 for _ in self.rank_vectors())
+        return sum(map(len, blocks)) // self.sig.num_valuations
 
     def distinct(self) -> int:
         """The number of distinct states in the stream.
 
-        Sampled at n <= 3, the compacted blocks are counted as they are:
+        Where the stream comes in blocks, they are counted as they are:
         read as one unsigned int per row, a block maps rows one to one onto
         ints, so no tuple is built per state.
         """
-        if self.mode == "sampled" and self.sig.n <= _BLOCK_PATH_MAX_ATOMS:
-            assert self.seed is not None
-            row = _ROW_FORMAT[self.sig.num_valuations]
-            seen: set[int] = set()
-            for rows in _compacted_blocks(self.sig, self.count, self.seed):
-                seen.update(memoryview(rows).cast(row))
-            return len(seen)
-        return len(set(self.rank_vectors()))
+        blocks = self._row_blocks()
+        if blocks is None:
+            return len(set(self.rank_vectors()))
+        row = _ROW_FORMAT[self.sig.num_valuations]
+        seen: set[int] = set()
+        for rows in blocks:
+            seen.update(memoryview(rows).cast(row))
+        return len(seen)
 
 
 def enumerate_states(sig: Signature) -> StateStream:

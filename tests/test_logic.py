@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beliefrev import logic
 from beliefrev.logic import (
     FALSE,
+    Formula,
     MAX_FORMULA_DEPTH,
     TRUE,
     And,
@@ -317,6 +318,30 @@ def test_round_trip_of_every_world_is_not_bounded_by_recursion(n):
     assert f != Or(f.left, Not(f.right))
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_full_dnf_prints_evaluates_and_pickles_without_recursion(n):
+    # printing, satisfies and pickling read a chain of 2**n disjuncts in a
+    # loop, as models and == do
+    sig = Signature(tuple("abcdefghijk"[:n]))
+    full = WorldSet.full(sig)
+    f = dnf_of(full, sig)
+    minterms = [dnf_of(WorldSet.of(sig, [v]), sig) for v in sig.valuations()]
+    assert formula_text(f) == str(f) == " | ".join(map(formula_text, minterms))
+    assert repr(f) == "Or(left=" * (len(minterms) - 1) + repr(minterms[0]) + "".join(
+        f", right={m!r})" for m in minterms[1:])
+    # f.left is the DNF of every world but the highest
+    top = sig.num_valuations - 1
+    for g in (f, f.left):
+        mask = models(g, sig).mask
+        for v in (*random.Random(n).sample(range(top), 20), top):
+            assert satisfies(g, v, sig) == bool(mask >> v & 1), v
+    assert not satisfies(f.left, top, sig)
+    for protocol in (0, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(f, protocol))
+        assert back == f and back is not f and hash(back) == hash(f)
+        assert models(back, sig) == full
+
+
 def test_round_trip_of_ten_atoms_is_bounded_in_memory():
     sig = Signature(tuple("abcdefghij"))
     full = WorldSet.full(sig)
@@ -362,6 +387,15 @@ _NODES = [
 ]
 
 
+def _dataclass_repr(f):
+    """The repr a dataclass generates, written out recursively."""
+    if not isinstance(f, Formula):
+        return repr(f)
+    fields = ", ".join(f"{x.name}={_dataclass_repr(getattr(f, x.name))}"
+                       for x in dataclasses.fields(f))
+    return f"{type(f).__qualname__}({fields})"
+
+
 @pytest.mark.parametrize("f", _NODES, ids=lambda f: type(f).__name__ + ":" + str(f))
 def test_formula_nodes_are_slotted_values(f):
     fields = tuple(getattr(f, x.name) for x in dataclasses.fields(f))
@@ -373,7 +407,7 @@ def test_formula_nodes_are_slotted_values(f):
     assert twin == f and twin is not f and hash(twin) == hash(f) == hash(fields)
     assert f != Atom("q") and {f: 1}[twin] == 1
     assert str(f) == formula_text(f) == str(parse_formula(str(f), RGS))
-    assert repr(f).startswith(type(f).__name__ + "(")
+    assert repr(f) == _dataclass_repr(f)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(f, protocol))
         assert back == f and hash(back) == hash(f) and str(back) == str(f)

@@ -393,6 +393,63 @@ def test_enumerate_n3_rank_vectors_match_brute_force_in_bounded_memory():
     assert peak < 4 * 1024 * 1024
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_rows_counts_the_rank_vectors(n):
+    stream = enumerate_states(atoms(n))
+    expected = brute_force_weak_order_count(2 ** n)
+    assert stream.count_rows() == sum(1 for _ in stream.rank_vectors()) == expected
+    assert states.count_weak_orders(2 ** n) == expected
+
+
+@pytest.mark.parametrize("n, count", [(1, 50), (3, 3000), (4, 100), (8, 3)],
+                         ids=["n1", "n3", "n4", "n8"])
+def test_count_rows_counts_sampled_rank_vectors(n, count):
+    stream = sample_states(atoms(n), count, 7)
+    assert stream.count_rows() == sum(1 for _ in stream.rank_vectors()) == count
+
+
+def test_count_rows_n3_in_bounded_memory():
+    # the rows are counted from the blocks' lengths: no tuple per state
+    stream = enumerate_states(RGS)
+    tracemalloc.start()
+    try:
+        generated = stream.count_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert generated == 545835
+    assert peak < 4 * 1024 * 1024, peak
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exhaustive_blocks_are_whole_rows_in_order(n):
+    sig = atoms(n)
+    total = sig.num_valuations
+    rows = []
+    for block in states._exhaustive_blocks(sig):
+        assert block and len(block) % total == 0
+        for start in range(0, len(block), total):
+            row = tuple(block[start:start + total])
+            assert set(row) == set(range(max(row) + 1))
+            rows.append(row)
+    assert rows == list(_enumerate_brute_force(sig))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_distinct_is_the_weak_order_count(n):
+    # the blocks are read as one int per row; a set of the 545,835 rank
+    # tuples at n = 3 peaked at 71.2 MiB, the ints at 33.8 MiB
+    stream = enumerate_states(atoms(n))
+    tracemalloc.start()
+    try:
+        distinct = stream.distinct()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distinct == brute_force_weak_order_count(2 ** n)
+    assert peak < 48 * 1024 * 1024, peak
+
+
 def _layers_agree(stream):
     """Whether rank_vectors() and the stream's states agree, position by position."""
     pairs = itertools.zip_longest(stream.rank_vectors(), stream)
